@@ -28,7 +28,7 @@ std::vector<Message> small_batch() {
     Message msg;
     msg.key = "k" + std::to_string(i);
     msg.value = "svc1 op x val " + std::to_string(i);
-    msg.tag = kTagData;
+    msg.tag = MessageTag::kData;
     msg.source = "bench";
     batch.push_back(std::move(msg));
   }

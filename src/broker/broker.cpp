@@ -132,33 +132,32 @@ void Broker::notify_waiters() const {
   sched::cv_notify_all(wait_cv_);
 }
 
-Status Broker::produce(const std::string& topic, Message message,
-                       std::optional<size_t> partition) {
+void Broker::append(TopicData& data, std::span<Message> batch) {
+  const size_t nparts = data.partitions.size();
+  auto partition_of = [nparts](const Message& m) -> size_t {
+    return nparts == 1 || m.key.empty() ? 0 : fnv1a(m.key) % nparts;
+  };
+  for (size_t i = 0; i < batch.size();) {
+    const size_t p = partition_of(batch[i]);
+    Partition& part = *data.partitions[p];
+    RankedMutexLock lock(part.mu);
+    do {
+      Message& m = batch[i];
+      if (m.seq < 0) m.seq = static_cast<int64_t>(part.log.size());
+      part.log.push_back(std::move(m));
+    } while (++i < batch.size() && partition_of(batch[i]) == p);
+    part.end.store(part.log.size(), std::memory_order_seq_cst);
+    LOGLENS_SCHED_POINT("broker.end_publish");
+  }
+}
+
+Status Broker::produce(const std::string& topic, Message message) {
   if (!produce_fault_retries(topic)) {
     return Status::Error("produce to '" + topic + "' failed after retries");
   }
   stamp_trace(message);
   TopicData* data = resolve_topic(topic, 1);
-  auto& parts = data->partitions;
-  size_t p;
-  if (partition.has_value()) {
-    if (*partition >= parts.size()) {
-      return Status::Error("partition out of range");
-    }
-    p = *partition;
-  } else {
-    p = message.key.empty() ? 0 : fnv1a(message.key) % parts.size();
-  }
-  Partition& part = *parts[p];
-  {
-    RankedMutexLock lock(part.mu);
-    if (message.seq < 0) {
-      message.seq = static_cast<int64_t>(part.log.size());
-    }
-    part.log.push_back(std::move(message));
-    part.end.store(part.log.size(), std::memory_order_seq_cst);
-    LOGLENS_SCHED_POINT("broker.end_publish");
-  }
+  append(*data, std::span<Message>(&message, 1));
   data->produced->inc();
   notify_waiters();
   return Status::Ok();
@@ -169,70 +168,25 @@ Status Broker::produce_batch(const std::string& topic,
                              std::vector<Message>* failed) {
   if (batch.empty()) return Status::Ok();
   TopicData* data = resolve_topic(topic, 1);
-  const size_t nparts = data->partitions.size();
-  // The per-message produce semantics (fault retries, trace stamping, key
-  // hashing) stay exactly per-message; only the partition append is grouped.
-  size_t nfailed = 0;
-  size_t appended = 0;
-  if (nparts == 1) {
-    // Single-partition fast path: no routing pass. Retries and stamping
-    // run per message (compacting over any failures), then one lock
-    // appends the survivors in order.
-    size_t keep = 0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!produce_fault_retries(topic)) {
-        if (failed != nullptr) failed->push_back(std::move(batch[i]));
-        ++nfailed;
-        continue;
-      }
-      stamp_trace(batch[i]);
-      if (keep != i) batch[keep] = std::move(batch[i]);
-      ++keep;
+  // Fault retries and trace stamping stay per message; survivors are
+  // compacted in batch order and appended in one step.
+  size_t keep = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (!produce_fault_retries(topic)) {
+      if (failed != nullptr) failed->push_back(std::move(batch[i]));
+      continue;
     }
-    if (keep > 0) {
-      Partition& part = *data->partitions[0];
-      RankedMutexLock lock(part.mu);
-      part.log.reserve(part.log.size() + keep);
-      for (size_t i = 0; i < keep; ++i) {
-        Message& m = batch[i];
-        if (m.seq < 0) m.seq = static_cast<int64_t>(part.log.size());
-        part.log.push_back(std::move(m));
-      }
-      part.end.store(part.log.size(), std::memory_order_seq_cst);
-      appended = keep;
-    }
-  } else {
-    std::vector<std::vector<size_t>> route(nparts);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!produce_fault_retries(topic)) {
-        if (failed != nullptr) failed->push_back(std::move(batch[i]));
-        ++nfailed;
-        continue;
-      }
-      stamp_trace(batch[i]);
-      const Message& m = batch[i];
-      route[m.key.empty() ? 0 : fnv1a(m.key) % nparts].push_back(i);
-    }
-    for (size_t p = 0; p < nparts; ++p) {
-      if (route[p].empty()) continue;
-      Partition& part = *data->partitions[p];
-      RankedMutexLock lock(part.mu);
-      part.log.reserve(part.log.size() + route[p].size());
-      for (size_t i : route[p]) {
-        Message& m = batch[i];
-        if (m.seq < 0) m.seq = static_cast<int64_t>(part.log.size());
-        part.log.push_back(std::move(m));
-      }
-      part.end.store(part.log.size(), std::memory_order_seq_cst);
-      appended += route[p].size();
-    }
+    stamp_trace(batch[i]);
+    if (keep != i) batch[keep] = std::move(batch[i]);
+    ++keep;
   }
-  if (appended > 0) {
-    data->produced->inc(static_cast<uint64_t>(appended));
+  if (keep > 0) {
+    append(*data, std::span<Message>(batch.data(), keep));
+    data->produced->inc(static_cast<uint64_t>(keep));
     data->batch_produces->inc();
     notify_waiters();
   }
-  if (nfailed > 0) {
+  if (const size_t nfailed = batch.size() - keep; nfailed > 0) {
     return Status::Error("produce_batch to '" + topic + "': " +
                          std::to_string(nfailed) +
                          " message(s) failed after retries");
@@ -370,46 +324,6 @@ std::vector<std::string> Broker::topics() const {
   out.reserve(topics_.size());
   for (const auto& [name, _] : topics_) out.push_back(name);
   return out;
-}
-
-ConsumerGroup::ConsumerGroup(Broker& broker, std::string group,
-                             std::string topic)
-    : broker_(broker), group_(std::move(group)), topic_(std::move(topic)) {}
-
-size_t ConsumerGroup::join() {
-  RankedMutexLock lock(mu_);
-  return member_count_++;
-}
-
-std::vector<size_t> ConsumerGroup::assignment(size_t member) const {
-  RankedMutexLock lock(mu_);
-  std::vector<size_t> out;
-  size_t partitions = broker_.partition_count(topic_);
-  if (member_count_ == 0) return out;
-  for (size_t p = member % member_count_; p < partitions;
-       p += member_count_) {
-    out.push_back(p);
-  }
-  return out;
-}
-
-std::vector<Message> ConsumerGroup::poll(size_t member, size_t max) {
-  std::vector<size_t> mine = assignment(member);
-  std::vector<Message> out;
-  RankedMutexLock lock(mu_);
-  for (size_t p : mine) {
-    if (out.size() >= max) break;
-    uint64_t& offset = offsets_[p];
-    auto batch = broker_.fetch(topic_, p, offset, max - out.size());
-    offset += batch.size();
-    for (auto& m : batch) out.push_back(std::move(m));
-  }
-  return out;
-}
-
-size_t ConsumerGroup::members() const {
-  RankedMutexLock lock(mu_);
-  return member_count_;
 }
 
 Consumer::Consumer(Broker& broker, std::string topic,

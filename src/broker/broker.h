@@ -11,12 +11,13 @@
 // Hot-path layout: the topic map is guarded by a registry mutex (kBroker)
 // that appends and fetches touch only to resolve a stable TopicData pointer;
 // each partition then carries its own mutex (kBrokerPartition), so producers
-// and consumers of different partitions never contend, and a whole batch
-// crosses one partition lock once (`produce_batch`/`fetch`). Blocking reads
-// park on a broker-wide condition variable (kBrokerWait) that producers only
-// signal when a waiter is registered — the uncontended produce pays one
-// relaxed atomic load for it. Partition end offsets are additionally
-// published as atomics so lag monitors read them without any lock.
+// and consumers of different partitions never contend; a `fetch` crosses
+// one partition lock once, and a `produce_batch` once per run of messages
+// bound for the same partition. Blocking reads park on a broker-wide
+// condition variable (kBrokerWait) that producers only signal when a waiter
+// is registered — the uncontended produce pays one relaxed atomic load for
+// it. Partition end offsets are additionally published as atomics so lag
+// monitors read them without any lock.
 #pragma once
 
 #include <atomic>
@@ -24,7 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,27 +55,27 @@ class Broker {
   Status create_topic(const std::string& topic, size_t partitions = 1)
       LOGLENS_EXCLUDES(mu_);
 
-  // Appends to the partition chosen by hash(key) (or to `partition` when
-  // explicitly given). Creating on demand with 1 partition keeps simple
-  // pipelines simple. A message arriving without a seq is stamped with its
-  // partition append offset; a message that already carries one keeps it
-  // (that is how a record's identity survives stage re-publication).
+  // Appends to the partition chosen by hash(key). Creating on demand with 1
+  // partition keeps simple pipelines simple. A message arriving without a
+  // seq is stamped with its partition append offset; a message that already
+  // carries one keeps it (that is how a record's identity survives stage
+  // re-publication).
   //
   // Injected produce faults are absorbed here with a capped-backoff retry
   // loop — like a Kafka client's producer retries — so the dozens of
   // producer call sites stay oblivious. Only an exhausted retry budget
   // surfaces as an error Status.
-  Status produce(const std::string& topic, Message message,
-                 std::optional<size_t> partition = std::nullopt)
+  Status produce(const std::string& topic, Message message)
       LOGLENS_EXCLUDES(mu_);
 
   // Batch append: routes every message exactly like produce() (key hash,
-  // seq stamping, trace stamping, per-message fault retries) but groups the
-  // appends so each touched partition is locked once per call instead of
-  // once per message. Messages whose produce-fault retry budget is spent
-  // are moved into `*failed` (appended; never silently dropped) when it is
-  // non-null, and the Status reports how many failed. Delivery order within
-  // a partition follows batch order.
+  // seq stamping, trace stamping, per-message fault retries) but locks a
+  // partition once per run of consecutive messages bound for it instead of
+  // once per message — once per call on a single-partition topic. Messages
+  // whose produce-fault retry budget is spent are moved into `*failed`
+  // (appended; never silently dropped) when it is non-null, and the Status
+  // reports how many failed. Delivery order within a partition follows
+  // batch order.
   Status produce_batch(const std::string& topic, std::vector<Message> batch,
                        std::vector<Message>* failed = nullptr)
       LOGLENS_EXCLUDES(mu_);
@@ -142,6 +143,11 @@ class Broker {
   // lock only, bumping the topic fetch counter.
   static std::vector<Message> copy_out(const TopicData& data, size_t partition,
                                        uint64_t offset, size_t max);
+  // The one append step behind produce and produce_batch: moves each
+  // message onto the partition its key hashes to, stamping a missing seq
+  // with the append offset, and publishes each touched partition's end
+  // offset. Consecutive messages bound for one partition share one lock.
+  static void append(TopicData& data, std::span<Message> batch);
   // Runs the client-style produce retry loop against the produce fault
   // site; false when the retry budget is exhausted (message undeliverable).
   bool produce_fault_retries(const std::string& topic) LOGLENS_EXCLUDES(mu_);
@@ -159,9 +165,9 @@ class Broker {
   FaultInjector* faults_ = nullptr;
   // Topic registry only: held to find/create topics and resolve partition
   // pointers, never across an append or a copy-out. Consumers (kConsumer)
-  // and groups (kConsumerGroup) resolve topics while holding their own
-  // locks, and topic creation registers metrics (kMetrics) under this one —
-  // hence kConsumer* < kBroker < kMetrics.
+  // resolve topics while holding their own lock, and topic creation
+  // registers metrics (kMetrics) under this one — hence
+  // kConsumer < kBroker < kMetrics.
   mutable RankedMutex mu_{lock_rank::kBroker};
   std::map<std::string, TopicData> topics_ LOGLENS_GUARDED_BY(mu_);
 
@@ -174,37 +180,6 @@ class Broker {
   mutable RankedMutex wait_mu_{lock_rank::kBrokerWait};
   mutable std::condition_variable_any wait_cv_;
   mutable std::atomic<int> waiters_{0};
-};
-
-// Coordinated consumption: members of one group share a topic's partitions
-// (each partition is owned by exactly one member, Kafka-style), so a
-// multi-process stage can split a topic's load without double-reading.
-// Offsets live on the broker, keyed by (group, topic, partition).
-class ConsumerGroup {
- public:
-  ConsumerGroup(Broker& broker, std::string group, std::string topic);
-
-  // Joins the group; returns a member id used for polling.
-  size_t join() LOGLENS_EXCLUDES(mu_);
-
-  // Polls the partitions assigned to `member` (round-robin assignment over
-  // the current membership), advancing the shared offsets.
-  std::vector<Message> poll(size_t member, size_t max) LOGLENS_EXCLUDES(mu_);
-
-  size_t members() const LOGLENS_EXCLUDES(mu_);
-  // Partitions currently assigned to `member`.
-  std::vector<size_t> assignment(size_t member) const LOGLENS_EXCLUDES(mu_);
-
- private:
-  Broker& broker_;
-  std::string group_;
-  std::string topic_;
-  // poll() fetches from the broker while holding this, pinning
-  // kConsumerGroup < kBroker.
-  mutable RankedMutex mu_{lock_rank::kConsumerGroup};
-  size_t member_count_ LOGLENS_GUARDED_BY(mu_) = 0;
-  // partition -> next offset
-  std::map<size_t, uint64_t> offsets_ LOGLENS_GUARDED_BY(mu_);
 };
 
 // A stateful reader tracking its own offsets across all partitions of one

@@ -18,19 +18,17 @@ struct MessagePayload {
   virtual ~MessagePayload() = default;
 };
 
-// Control-channel tags (the paper routes heartbeats on the same data channel
-// "with a specific tag to indicate that it is a heartbeat message").
-inline constexpr const char* kTagData = "";
-inline constexpr const char* kTagHeartbeat = "heartbeat";
-inline constexpr const char* kTagControl = "control";
-// Periodic self-describing health reports (JobRunner metrics reports).
-inline constexpr const char* kTagMetrics = "metrics";
+// What a message carries. The paper routes heartbeats on the same data
+// channel "with a specific tag to indicate that it is a heartbeat message";
+// kMetrics marks the JobRunner's periodic health reports and kAnomaly an
+// anomaly record travelling between stages (service/wire.h).
+enum class MessageTag : uint8_t { kData, kHeartbeat, kMetrics, kAnomaly };
 
 struct Message {
   std::string key;        // partitioning key (e.g. event id or source)
   std::string value;      // payload (raw log line or serialized instruction)
   int64_t timestamp_ms = -1;  // log time, not wall time
-  std::string tag;        // kTagData / kTagHeartbeat / kTagControl
+  MessageTag tag = MessageTag::kData;
   std::string source;     // originating log source
   // Delivery identity, not content: a per-source-monotonic sequence number.
   // The broker stamps it (with the partition append offset) on the first

@@ -28,7 +28,6 @@ Slot g_slots[] = {
     {kBroadcastDriver, "kBroadcastDriver"},
     {kBroadcastCache, "kBroadcastCache"},
     {kThreadPool, "kThreadPool"},
-    {kConsumerGroup, "kConsumerGroup"},
     {kConsumer, "kConsumer"},
     {kBrokerWait, "kBrokerWait"},
     {kBroker, "kBroker"},

@@ -22,9 +22,9 @@
 // full table with the nestings that pin each value):
 //
 //   kServiceRecover < kEngineRun < kEngineControl < kBroadcastDriver,
-//   kBroadcastCache < kThreadPool < kConsumerGroup, kConsumer < kBrokerWait
-//   < kBroker < kBrokerPartition < kStorageFlush < kFaults < kStorage
-//   < kJobState < kMetrics < kTrace
+//   kBroadcastCache < kThreadPool < kConsumer < kBrokerWait < kBroker
+//   < kBrokerPartition < kStorageFlush < kFaults < kStorage < kJobState
+//   < kMetrics < kTrace
 //
 // Trace is the innermost rank because the metrics registry drains the span
 // collector (kTrace) while holding its own mutex (kMetrics), and every
@@ -84,7 +84,6 @@ inline constexpr int kEngineControl = 300;    // StreamEngine::control_mu_
 inline constexpr int kBroadcastDriver = 400;  // Broadcast<T>::driver_mu_
 inline constexpr int kBroadcastCache = 410;   // Broadcast<T>::Cache::mu
 inline constexpr int kThreadPool = 500;       // ThreadPool::mu_
-inline constexpr int kConsumerGroup = 600;    // ConsumerGroup::mu_
 inline constexpr int kConsumer = 650;         // Consumer::mu_
 // Below kBroker: a blocked waiter re-resolves the topic (kBroker) each time
 // it wakes, so the waiter mutex must be acquirable first.

@@ -241,19 +241,6 @@ void MetricsRegistry::drain_spans_locked() const {
   }
 }
 
-std::vector<SpanRecord> MetricsRegistry::recent_spans() const {
-  RankedMutexLock lock(mu_);
-  drain_spans_locked();
-  const size_t n = std::min(trace_spans_.size(), kSpanRing);
-  std::vector<SpanRecord> out;
-  out.reserve(n);
-  for (size_t i = trace_spans_.size() - n; i < trace_spans_.size(); ++i) {
-    const trace::Span& span = trace_spans_[i];
-    out.push_back(SpanRecord{span.name, span.start_us, span.duration_us});
-  }
-  return out;
-}
-
 std::vector<trace::Span> MetricsRegistry::take_trace_spans() {
   RankedMutexLock lock(mu_);
   drain_spans_locked();

@@ -112,15 +112,6 @@ class Histogram {
   std::atomic<uint64_t> max_{0};
 };
 
-// One completed tracing span in the legacy dashboard shape (see ScopedSpan
-// in timer.h). Full spans — with trace/parent ids — live in trace::Span;
-// this is the projection recent_spans()/snapshot_json() keep exposing.
-struct SpanRecord {
-  std::string name;
-  uint64_t start_us = 0;  // steady time since process start
-  uint64_t duration_us = 0;
-};
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -155,10 +146,6 @@ class MetricsRegistry {
   void record_span(std::string name, uint64_t start_us, uint64_t duration_us);
   void record_span(trace::Span span);
 
-  // Newest spans (≤ kSpanRing, oldest first), drained from every thread's
-  // buffer. Same shape the dashboard has always consumed.
-  std::vector<SpanRecord> recent_spans() const LOGLENS_EXCLUDES(mu_);
-
   // Drains and moves out every retained span (full trace form, ≤ kTraceRing,
   // sorted by start time). The trace report and bench profile consume this.
   std::vector<trace::Span> take_trace_spans() LOGLENS_EXCLUDES(mu_);
@@ -192,8 +179,8 @@ class MetricsRegistry {
             const std::string& name, MetricLabels labels,
             const std::string& help) LOGLENS_REQUIRES(mu_);
 
-  // Dashboard window (recent_spans / snapshot_json keep exposing at most
-  // this many) and the full retention cap for take_trace_spans().
+  // Dashboard window (snapshot_json exposes at most this many) and the
+  // full retention cap for take_trace_spans().
   static constexpr size_t kSpanRing = 256;
   static constexpr size_t kTraceRing = 65536;
 

@@ -17,10 +17,6 @@
 
 namespace loglens {
 
-// Microseconds on the (mockable) monotonic clock since process start.
-// Kept as the metrics-facing name for the trace_clock shim.
-inline uint64_t steady_now_us() { return trace_clock::now_us(); }
-
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram* histogram)

@@ -9,7 +9,7 @@ void Agent::send_line(std::string_view line) {
   Message m;
   m.key = options_.source;
   m.value = std::string(line);
-  m.tag = kTagData;
+  m.tag = MessageTag::kData;
   m.source = options_.source;
   broker_.produce(options_.topic, std::move(m));
   ++lines_sent_;

@@ -182,6 +182,12 @@ Status apply_feedback(CompositeModel& model, const Anomaly& anomaly,
                       std::to_string(value->as_double());
         return;
       }
+      case AnomalyType::kOpenStateEvicted:
+        // The detector ran out of open-state capacity; the model did not
+        // misjudge anything, so there is no edit that would accept it.
+        fail("open-state eviction is a capacity limit, not a model verdict; "
+             "raise DetectorOptions::max_open_events instead");
+        return;
     }
     fail("unsupported anomaly type");
   }();

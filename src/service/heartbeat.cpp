@@ -35,7 +35,8 @@ void HeartbeatController::observe_new_logs() {
       continue;
     }
     for (const auto& m : batch) {
-      if (m.tag != kTagData || m.source.empty() || m.timestamp_ms < 0) {
+      if (m.tag != MessageTag::kData || m.source.empty() ||
+          m.timestamp_ms < 0) {
         continue;
       }
       SourceClock& clock = sources_[m.source];
@@ -64,7 +65,7 @@ size_t HeartbeatController::emit_all() {
     hb.key = source;
     hb.value = "";
     hb.timestamp_ms = clock.predicted_ts;
-    hb.tag = kTagHeartbeat;
+    hb.tag = MessageTag::kHeartbeat;
     hb.source = source;
     broker_.produce(options_.emit_topic, std::move(hb));
     ++emitted;

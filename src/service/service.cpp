@@ -27,7 +27,7 @@ DocumentStoreOptions role_store_options(const ServiceOptions& o,
 }
 
 LogManagerOptions log_manager_options(const ServiceOptions& o) {
-  LogManagerOptions lm{"ingest", "logs"};
+  LogManagerOptions lm;
   lm.store = role_store_options(o, "logs");
   return lm;
 }

@@ -122,13 +122,12 @@ void ParserTask::sync_stats() {
 void ParserTask::on_batch_end(TaskContext& /*ctx*/) { sync_stats(); }
 
 void ParserTask::process(const Message& message, TaskContext& ctx) {
-  if (message.tag == kTagHeartbeat) {
+  if (message.tag == MessageTag::kHeartbeat) {
     // Pass heartbeats downstream exactly once (partition 0); the detector
     // engine's partitioner re-duplicates them across its own partitions.
     if (partition_ == 0) ctx.emit(message);
     return;
   }
-  if (message.tag == kTagControl) return;
 
   refresh_model(partition_);
 
@@ -283,14 +282,14 @@ void DetectorTask::sync_stats() {
 void DetectorTask::on_batch_end(TaskContext& /*ctx*/) { sync_stats(); }
 
 void DetectorTask::process(const Message& message, TaskContext& ctx) {
-  if (message.tag == kTagControl) return;
   // Dedup guard (data and anomaly messages only — heartbeats are idempotent
   // sweeps and carry no per-source identity). Within a partition the seqs a
   // source delivers are strictly increasing, so seq <= watermark means this
   // exact copy was already applied: an engine retry after a mid-mutation
   // throw, or an offset replay without a matching state rollback.
   if (message.seq >= 0 &&
-      (message.tag == kTagData || message.tag == kTagAnomaly)) {
+      (message.tag == MessageTag::kData ||
+       message.tag == MessageTag::kAnomaly)) {
     auto [it, inserted] = seen_seq_.try_emplace(message.source, -1);
     if (!inserted && message.seq <= it->second) {
       dedup_skipped_total_->inc();
@@ -298,14 +297,14 @@ void DetectorTask::process(const Message& message, TaskContext& ctx) {
     }
     it->second = message.seq;
   }
-  if (message.tag == kTagAnomaly) {
+  if (message.tag == MessageTag::kAnomaly) {
     ctx.emit(message);  // stateless anomalies pass through to the sink
     return;
   }
   refresh_model(partition_);
 
   std::vector<Anomaly> anomalies;
-  if (message.tag == kTagHeartbeat) {
+  if (message.tag == MessageTag::kHeartbeat) {
     anomalies = detector_->on_heartbeat(message.timestamp_ms);
   } else if (const ParsedLog* view = parsed_payload_view(message)) {
     // Typed-payload fast path: read the parser's ParsedLog in place — no

@@ -9,7 +9,7 @@ Message parsed_envelope(const ParsedLog& log, std::string key,
   Message m;
   m.key = std::move(key);
   m.timestamp_ms = log.timestamp_ms;
-  m.tag = kTagData;
+  m.tag = MessageTag::kData;
   m.source = std::move(source);
   return m;
 }
@@ -56,7 +56,7 @@ Message anomaly_to_message(const Anomaly& anomaly) {
   m.key = anomaly.event_id.empty() ? anomaly.source : anomaly.event_id;
   m.value = anomaly.to_json().dump();
   m.timestamp_ms = anomaly.timestamp_ms;
-  m.tag = kTagAnomaly;
+  m.tag = MessageTag::kAnomaly;
   m.source = anomaly.source;
   m.payload = std::make_shared<const AnomalyPayload>(anomaly);
   return m;

@@ -30,8 +30,6 @@
 
 namespace loglens {
 
-inline constexpr const char* kTagAnomaly = "anomaly";
-
 struct ParsedPayload final : MessagePayload {
   explicit ParsedPayload(ParsedLog l) : log(std::move(l)) {}
   ParsedLog log;

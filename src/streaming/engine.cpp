@@ -224,19 +224,12 @@ BatchResult StreamEngine::run_batch(std::vector<Message> input) {
   const uint64_t route_start = trace_clock::now_us();
   const size_t n = options_.partitions;
   std::vector<std::vector<Message>> per_partition(n);
-  if (n == 1) {
-    // Single-partition fast path: everything (heartbeats included) lands on
-    // partition 0, so the whole batch moves as one vector — no per-message
-    // routing work, no reallocation.
-    per_partition[0] = std::move(input);
-  } else {
-    for (auto& m : input) {
-      if (m.tag == kTagHeartbeat) {
-        for (size_t p = 0; p < n; ++p) per_partition[p].push_back(m);
-      } else {
-        size_t p = options_.partitioner(m, n) % n;
-        per_partition[p].push_back(std::move(m));
-      }
+  for (auto& m : input) {
+    if (m.tag == MessageTag::kHeartbeat) {
+      for (size_t p = 0; p < n; ++p) per_partition[p].push_back(m);
+    } else {
+      size_t p = options_.partitioner(m, n) % n;
+      per_partition[p].push_back(std::move(m));
     }
   }
   const uint64_t route_end = trace_clock::now_us();
@@ -322,16 +315,12 @@ BatchResult StreamEngine::run_batch(std::vector<Message> input) {
   size_t total_outputs = 0;
   for (auto& ctx : contexts) total_outputs += ctx.outputs().size();
   outputs_total_->inc(total_outputs);
-  if (n == 1) {
-    result.outputs = contexts.front().take_outputs();
-  } else {
-    result.outputs.reserve(total_outputs);
-    for (auto& ctx : contexts) {
-      auto outs = ctx.take_outputs();
-      result.outputs.insert(result.outputs.end(),
-                            std::make_move_iterator(outs.begin()),
-                            std::make_move_iterator(outs.end()));
-    }
+  result.outputs.reserve(total_outputs);
+  for (auto& ctx : contexts) {
+    auto outs = ctx.take_outputs();
+    result.outputs.insert(result.outputs.end(),
+                          std::make_move_iterator(outs.begin()),
+                          std::make_move_iterator(outs.end()));
   }
   if (traced) {
     const uint64_t now_us = trace_clock::now_us();

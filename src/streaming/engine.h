@@ -8,9 +8,10 @@
 //
 //   1. pending control operations (rebroadcasts, model instructions) are
 //      applied under a serialized lock *between* micro-batches (Section V-A);
-//   2. input messages are routed by the partitioner — except messages tagged
-//      kTagHeartbeat, which the custom partitioner duplicates to *every*
-//      partition (Section V-B) so each partition can sweep its open states;
+//   2. input messages are routed by the partitioner — except heartbeats
+//      (MessageTag::kHeartbeat), which the custom partitioner duplicates to
+//      *every* partition (Section V-B) so each partition can sweep its open
+//      states;
 //   3. partitions run in parallel on the worker pool with a barrier at the
 //      end of the batch; task outputs are collected in partition order.
 //

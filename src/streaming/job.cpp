@@ -215,7 +215,7 @@ void JobRunner::process_batch(std::vector<Message> batch) {
   if (options_.metrics_report_every > 0 &&
       batches % options_.metrics_report_every == 0) {
     Message report;
-    report.tag = kTagMetrics;
+    report.tag = MessageTag::kMetrics;
     report.source = options_.name;
     report.value = metrics_report().dump();
     broker_.produce(options_.metrics_topic, std::move(report));

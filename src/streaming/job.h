@@ -33,8 +33,8 @@ struct JobOptions {
   // churn. 1 = wake on the first message (lowest latency).
   size_t poll_min_batch = 1;
   // Observability. `name` labels this job's metrics; when
-  // `metrics_report_every` > 0, a kTagMetrics message with a JSON health
-  // report is produced to `metrics_topic` every N batches.
+  // `metrics_report_every` > 0, a MessageTag::kMetrics message with a JSON
+  // health report is produced to `metrics_topic` every N batches.
   std::string name = "job";
   size_t metrics_report_every = 0;
   std::string metrics_topic = "metrics";

@@ -26,7 +26,7 @@ Message msg(const std::string& key, const std::string& value) {
   Message m;
   m.key = key;
   m.value = value;
-  m.tag = kTagData;
+  m.tag = MessageTag::kData;
   return m;
 }
 
@@ -222,12 +222,12 @@ TEST(BrokerShardStress, ConcurrentProduceFetchAcrossPartitions) {
   for (int pr = 0; pr < kProducers; ++pr) {
     producers.emplace_back([&, pr] {
       for (int i = 0; i < kPerProducer; ++i) {
-        // Explicit partition; the value encodes (producer, index) so
-        // readers can check per-producer order within the partition.
-        size_t partition = static_cast<size_t>(i) % kPartitions;
-        Message m =
-            msg("", "p" + std::to_string(pr) + ":" + std::to_string(i));
-        EXPECT_TRUE(broker.produce("t", std::move(m), partition).ok());
+        // Key-routed round-robin over the partitions; the value encodes
+        // (producer, index) so readers can check per-producer order within
+        // the partition.
+        Message m = msg("pkey-" + std::to_string(i % kPartitions),
+                        "p" + std::to_string(pr) + ":" + std::to_string(i));
+        EXPECT_TRUE(broker.produce("t", std::move(m)).ok());
       }
     });
   }

@@ -6,17 +6,27 @@
 #include <set>
 #include <thread>
 
+#include "common/hash.h"
+
 namespace loglens {
 namespace {
 
 Message msg(const char* key, const char* value, int64_t ts = -1,
-            const char* tag = kTagData) {
+            MessageTag tag = MessageTag::kData) {
   Message m;
   m.key = key;
   m.value = value;
   m.timestamp_ms = ts;
   m.tag = tag;
   return m;
+}
+
+// A key the broker's hash routing sends to `partition` of `partitions`.
+std::string key_on(size_t partition, size_t partitions) {
+  for (int i = 0;; ++i) {
+    std::string key = "k" + std::to_string(i);
+    if (fnv1a(key) % partitions == partition) return key;
+  }
 }
 
 TEST(Broker, TopicCreation) {
@@ -59,15 +69,6 @@ TEST(Broker, KeyHashingIsStable) {
     if (broker.end_offset("t", p) > 0) ++nonempty;
   }
   EXPECT_EQ(nonempty, 1u);
-}
-
-TEST(Broker, ExplicitPartitionAndBounds) {
-  Broker broker;
-  broker.create_topic("t", 2);
-  ASSERT_TRUE(broker.produce("t", msg("k", "v"), 1).ok());
-  EXPECT_FALSE(broker.produce("t", msg("k", "v"), 7).ok());
-  EXPECT_EQ(broker.end_offset("t", 1), 1u);
-  EXPECT_EQ(broker.end_offset("t", 0), 0u);
 }
 
 TEST(Broker, FetchOffsetsAndLimits) {
@@ -147,60 +148,6 @@ TEST(Consumer, CreatedBeforeTopicGrowsWithIt) {
   EXPECT_EQ(consumer.poll(10).size(), 1u);
 }
 
-TEST(ConsumerGroupTest, PartitionsSplitAcrossMembers) {
-  Broker broker;
-  broker.create_topic("t", 6);
-  ConsumerGroup group(broker, "g", "t");
-  size_t m0 = group.join();
-  size_t m1 = group.join();
-  EXPECT_EQ(group.members(), 2u);
-  auto a0 = group.assignment(m0);
-  auto a1 = group.assignment(m1);
-  EXPECT_EQ(a0.size() + a1.size(), 6u);
-  // Disjoint coverage of all partitions.
-  std::set<size_t> all(a0.begin(), a0.end());
-  for (size_t p : a1) {
-    EXPECT_TRUE(all.insert(p).second) << "partition " << p << " shared";
-  }
-  EXPECT_EQ(all.size(), 6u);
-}
-
-TEST(ConsumerGroupTest, EveryMessageConsumedExactlyOnce) {
-  Broker broker;
-  broker.create_topic("t", 4);
-  for (int i = 0; i < 40; ++i) {
-    broker.produce("t", msg(("k" + std::to_string(i)).c_str(),
-                            std::to_string(i).c_str()));
-  }
-  ConsumerGroup group(broker, "g", "t");
-  size_t m0 = group.join();
-  size_t m1 = group.join();
-  size_t m2 = group.join();
-  std::multiset<std::string> seen;
-  for (size_t member : {m0, m1, m2}) {
-    for (auto batch = group.poll(member, 7); !batch.empty();
-         batch = group.poll(member, 7)) {
-      for (const auto& m : batch) seen.insert(m.value);
-    }
-  }
-  EXPECT_EQ(seen.size(), 40u);
-  for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(seen.count(std::to_string(i)), 1u) << i;
-  }
-}
-
-TEST(ConsumerGroupTest, SingleMemberOwnsEverything) {
-  Broker broker;
-  broker.create_topic("t", 3);
-  broker.produce("t", msg("a", "1"));
-  broker.produce("t", msg("b", "2"));
-  ConsumerGroup group(broker, "g", "t");
-  size_t m = group.join();
-  EXPECT_EQ(group.assignment(m).size(), 3u);
-  EXPECT_EQ(group.poll(m, 100).size(), 2u);
-  EXPECT_TRUE(group.poll(m, 100).empty());  // offsets advanced
-}
-
 TEST(Broker, ConcurrentProducersAreSerialized) {
   Broker broker;
   broker.create_topic("t", 1);
@@ -231,9 +178,11 @@ TEST(Broker, ConcurrentProducersAreSerialized) {
 TEST(Broker, StampsSequenceNumbersOnFirstProduce) {
   Broker broker;
   broker.create_topic("t", 2);
-  broker.produce("t", msg("k", "a"), 0);
-  broker.produce("t", msg("k", "b"), 0);
-  broker.produce("t", msg("k", "c"), 1);
+  const std::string k0 = key_on(0, 2);
+  const std::string k1 = key_on(1, 2);
+  broker.produce("t", msg(k0.c_str(), "a"));
+  broker.produce("t", msg(k0.c_str(), "b"));
+  broker.produce("t", msg(k1.c_str(), "c"));
   auto p0 = broker.fetch("t", 0, 0, 10);
   auto p1 = broker.fetch("t", 1, 0, 10);
   ASSERT_EQ(p0.size(), 2u);
@@ -242,9 +191,9 @@ TEST(Broker, StampsSequenceNumbersOnFirstProduce) {
   ASSERT_EQ(p1.size(), 1u);
   EXPECT_EQ(p1[0].seq, 0);
   // An already-stamped seq (a derived child identity) is preserved.
-  Message stamped = msg("k", "d");
+  Message stamped = msg(k1.c_str(), "d");
   stamped.seq = 1234;
-  broker.produce("t", std::move(stamped), 1);
+  broker.produce("t", std::move(stamped));
   EXPECT_EQ(broker.fetch("t", 1, 1, 1).at(0).seq, 1234);
 }
 
@@ -256,7 +205,8 @@ TEST(Consumer, RedeliveryAfterCrashReplaysFromCommittedOffsets) {
   Broker broker;
   broker.create_topic("t", 2);
   for (int i = 0; i < 10; ++i) {
-    broker.produce("t", msg("k", std::to_string(i).c_str()), i % 2);
+    const std::string key = key_on(i % 2, 2);
+    broker.produce("t", msg(key.c_str(), std::to_string(i).c_str()));
   }
 
   Consumer consumer(broker, "t");
@@ -343,7 +293,8 @@ TEST(Consumer, MonitoringIsSafeWhileDriverPolls) {
 
   ASSERT_TRUE(broker.create_topic("t", 4).ok());
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(broker.produce("t", msg("k", "v", -1), i % 4).ok());
+    const std::string key = key_on(i % 4, 4);
+    ASSERT_TRUE(broker.produce("t", msg(key.c_str(), "v")).ok());
   }
   stop.store(true);
   driver.join();

@@ -10,7 +10,8 @@
 namespace loglens {
 namespace {
 
-Message msg(std::string key, std::string value, const char* tag = kTagData) {
+Message msg(std::string key, std::string value,
+            MessageTag tag = MessageTag::kData) {
   Message m;
   m.key = std::move(key);
   m.value = std::move(value);
@@ -27,7 +28,7 @@ class EchoTask : public PartitionTask {
     Message out = m;
     out.value = std::to_string(partition_) + ":" + m.value;
     ctx.emit(std::move(out));
-    if (m.tag == kTagHeartbeat) ++heartbeats_;
+    if (m.tag == MessageTag::kHeartbeat) ++heartbeats_;
     ++processed_;
   }
 
@@ -73,7 +74,7 @@ TEST(Engine, SameKeySamePartition) {
 
 TEST(Engine, HeartbeatsFanOutToEveryPartition) {
   StreamEngine engine = make_engine(3);
-  Message hb = msg("src", "", kTagHeartbeat);
+  Message hb = msg("src", "", MessageTag::kHeartbeat);
   hb.timestamp_ms = 12345;
   BatchResult result = engine.run_batch({hb});
   EXPECT_EQ(result.outputs.size(), 3u);  // one per partition

@@ -229,7 +229,7 @@ TEST_F(TracedFaultsTest, EngineRetriesStayInOneTrace) {
     Message m;
     m.key = "k" + std::to_string(i);
     m.value = std::to_string(i);
-    m.tag = kTagData;
+    m.tag = MessageTag::kData;
     batch.push_back(std::move(m));
   }
   BatchResult result = engine.run_batch(std::move(batch));
@@ -276,7 +276,7 @@ TEST_F(TracedFaultsTest, FaultedProduceStampsTraceOnce) {
   Message m;
   m.key = "k";
   m.value = "v";
-  m.tag = kTagData;
+  m.tag = MessageTag::kData;
   ASSERT_TRUE(broker.produce("t", std::move(m)).ok());
   EXPECT_GT(faults.triggered(kFaultSiteProduce), 0u);
 
@@ -304,7 +304,7 @@ TEST_F(TracedFaultsTest, RedeliveryPreservesTraceIdentity) {
     Message m;
     m.key = "k";
     m.value = "v";
-    m.tag = kTagData;
+    m.tag = MessageTag::kData;
     ASSERT_TRUE(broker.produce("t", std::move(m)).ok());
   }
 

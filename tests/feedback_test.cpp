@@ -3,6 +3,7 @@
 // and the edit lands in the live pipeline.
 #include <gtest/gtest.h>
 
+#include "automata/detector.h"
 #include "common/time.h"
 #include "service/feedback.h"
 #include "service/service.h"
@@ -193,6 +194,23 @@ TEST_F(FeedbackTest, MalformedFeedbackRejected) {
   no_details.automaton_id = 1;
   EXPECT_FALSE(handler_->accept_as_normal(no_details).ok());
   // Failed feedback must not have created junk model versions.
+  int version = service_->model_store().latest(service_->model_name())->version;
+  EXPECT_EQ(version, 1);
+}
+
+TEST_F(FeedbackTest, OpenStateEvictionHasNoModelEdit) {
+  // An eviction reports the detector's memory bound, not a model verdict:
+  // accepting it must fail with a clear error and deploy nothing.
+  Anomaly evicted = make_eviction_anomaly(
+      "wf-x100000", "fb", {"OpenFlow flow wf-x100000"}, /*automaton_id=*/1,
+      /*event_last_ts=*/1456218000000, /*close_time_ms=*/1456218005000,
+      /*open_events=*/2, /*max_open_events=*/1, /*deadline_ms=*/-1);
+  ASSERT_EQ(evicted.type, AnomalyType::kOpenStateEvicted);
+  auto result = handler_->accept_as_normal(evicted);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("capacity limit"),
+            std::string::npos)
+      << result.status().message();
   int version = service_->model_store().latest(service_->model_name())->version;
   EXPECT_EQ(version, 1);
 }

@@ -12,7 +12,7 @@ Message parsed(const char* source, int64_t ts) {
   m.key = source;
   m.value = "{}";
   m.timestamp_ms = ts;
-  m.tag = kTagData;
+  m.tag = MessageTag::kData;
   m.source = source;
   return m;
 }
@@ -28,7 +28,7 @@ TEST(Heartbeat, EmitsOnePerActiveSource) {
   // The heartbeats are now in the topic, tagged.
   auto all = broker.fetch("parsed", 0, 2, 10);
   ASSERT_EQ(all.size(), 2u);
-  for (const auto& m : all) EXPECT_EQ(m.tag, kTagHeartbeat);
+  for (const auto& m : all) EXPECT_EQ(m.tag, MessageTag::kHeartbeat);
 }
 
 TEST(Heartbeat, CarriesObservedLogTimeWhileActive) {
@@ -91,12 +91,12 @@ TEST(Heartbeat, IgnoresNonDataMessages) {
   broker.create_topic("parsed", 1);
   HeartbeatController hb(broker, {"parsed", "parsed", 1000});
   Message anomaly;
-  anomaly.tag = kTagAnomaly;
+  anomaly.tag = MessageTag::kAnomaly;
   anomaly.source = "A";
   anomaly.timestamp_ms = 1;
   broker.produce("parsed", anomaly);
   Message own_hb;
-  own_hb.tag = kTagHeartbeat;
+  own_hb.tag = MessageTag::kHeartbeat;
   own_hb.source = "B";
   own_hb.timestamp_ms = 2;
   broker.produce("parsed", own_hb);

@@ -12,7 +12,7 @@ Message msg(std::string key, std::string value) {
   Message m;
   m.key = std::move(key);
   m.value = std::move(value);
-  m.tag = kTagData;
+  m.tag = MessageTag::kData;
   return m;
 }
 

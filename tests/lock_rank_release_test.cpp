@@ -23,10 +23,10 @@ TEST(LockRankReleaseTest, InversionPassesThrough) {
   // The same nesting that aborts in lock_rank_test: with checks compiled
   // out it must simply lock and unlock.
   RankedMutex broker(lock_rank::kBroker);
-  RankedMutex group(lock_rank::kConsumerGroup);
+  RankedMutex consumer(lock_rank::kConsumer);
   {
     RankedMutexLock a(broker);
-    RankedMutexLock b(group);
+    RankedMutexLock b(consumer);
   }
   SUCCEED();
 }

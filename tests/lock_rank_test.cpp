@@ -35,14 +35,14 @@ TEST(LockRankTest, InOrderNestingPasses) {
 
 TEST(LockRankDeathTest, RankInversionAborts) {
   RankedMutex broker(lock_rank::kBroker);
-  RankedMutex group(lock_rank::kConsumerGroup);
+  RankedMutex consumer(lock_rank::kConsumer);
   EXPECT_DEATH(
       {
         RankedMutexLock a(broker);
-        // kConsumerGroup < kBroker: fetching under the group lock is legal,
-        // but taking the group lock while holding the broker's is the
+        // kConsumer < kBroker: fetching under the consumer lock is legal,
+        // but taking the consumer lock while holding the broker's is the
         // inversion that could deadlock against poll().
-        RankedMutexLock b(group);
+        RankedMutexLock b(consumer);
       },
       "lock rank violation");
 }

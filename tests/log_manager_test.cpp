@@ -9,7 +9,7 @@ namespace {
 
 TEST(LogManager, ForwardsAndArchives) {
   Broker broker;
-  LogManager manager(broker, {"ingest", "logs", 100, true});
+  LogManager manager(broker, {"ingest", "logs", 100, true, {}});
   Agent agent(broker, {"web", "ingest"});
   agent.send_line("line one");
   agent.send_line("line two");

@@ -116,7 +116,7 @@ TEST(MetricsPipelineTest, CountersAdvanceEndToEnd) {
   Consumer reports(service.broker(), "metrics");
   auto batch = reports.poll(128);
   ASSERT_FALSE(batch.empty());
-  EXPECT_EQ(batch.front().tag, kTagMetrics);
+  EXPECT_EQ(batch.front().tag, MessageTag::kMetrics);
   auto parsed = Json::parse(batch.front().value);
   ASSERT_TRUE(parsed.ok());
   EXPECT_FALSE(parsed->get_string("job").empty());
@@ -137,7 +137,7 @@ TEST(MetricsPipelineTest, CountersAdvanceEndToEnd) {
 
   // Spans were traced for both stages.
   bool parser_span = false;
-  for (const auto& span : registry.recent_spans()) {
+  for (const auto& span : registry.take_trace_spans()) {
     if (span.name == "parser.batch") parser_span = true;
   }
   EXPECT_TRUE(parser_span);

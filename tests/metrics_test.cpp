@@ -188,7 +188,7 @@ TEST(RegistryTest, ResetZeroesInPlace) {
   registry.reset();
   EXPECT_EQ(c.value(), 0u);  // same handle, zeroed
   EXPECT_EQ(h.snapshot().count, 0u);
-  EXPECT_TRUE(registry.recent_spans().empty());
+  EXPECT_TRUE(registry.take_trace_spans().empty());
 }
 
 TEST(RegistryTest, SpanRingKeepsNewest) {
@@ -196,10 +196,11 @@ TEST(RegistryTest, SpanRingKeepsNewest) {
   for (int i = 0; i < 300; ++i) {
     registry.record_span("s" + std::to_string(i), i, 1);
   }
-  auto spans = registry.recent_spans();
+  Json snapshot = registry.snapshot_json();
+  const JsonArray& spans = snapshot.find("spans")->as_array();
   ASSERT_EQ(spans.size(), 256u);
-  EXPECT_EQ(spans.front().name, "s44");  // oldest surviving
-  EXPECT_EQ(spans.back().name, "s299");  // newest
+  EXPECT_EQ(spans.front().get_string("name"), "s44");  // oldest surviving
+  EXPECT_EQ(spans.back().get_string("name"), "s299");  // newest
 }
 
 TEST(TimerTest, ScopedTimerRecords) {
@@ -213,7 +214,7 @@ TEST(TimerTest, ScopedSpanFilesRecordAndSample) {
   Histogram& hist = registry.histogram("span_us");
   { ScopedSpan span(&registry, "unit.test", &hist); }
   EXPECT_EQ(hist.snapshot().count, 1u);
-  auto spans = registry.recent_spans();
+  auto spans = registry.take_trace_spans();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].name, "unit.test");
 }

@@ -70,7 +70,7 @@ class ControllerTest : public ::testing::Test {
   std::string probe() {
     Message m;
     m.key = "k";
-    m.tag = kTagData;
+    m.tag = MessageTag::kData;
     auto r = engine_->run_batch({m});
     return r.outputs.at(0).value;
   }

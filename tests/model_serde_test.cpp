@@ -95,7 +95,7 @@ TEST(Wire, ParsedLogRoundTrip) {
   EXPECT_EQ(m.key, "u1");
   EXPECT_EQ(m.source, "D1");
   EXPECT_EQ(m.timestamp_ms, log.timestamp_ms);
-  EXPECT_EQ(m.tag, kTagData);
+  EXPECT_EQ(m.tag, MessageTag::kData);
   auto back = parsed_from_message(m);
   ASSERT_TRUE(back.ok()) << back.status().message();
   EXPECT_EQ(back->pattern_id, 3);
@@ -114,7 +114,7 @@ TEST(Wire, AnomalyRoundTrip) {
   a.automaton_id = 4;
   a.logs = {"l1"};
   Message m = anomaly_to_message(a);
-  EXPECT_EQ(m.tag, kTagAnomaly);
+  EXPECT_EQ(m.tag, MessageTag::kAnomaly);
   EXPECT_EQ(m.key, "ev-1");
   auto back = anomaly_from_message(m);
   ASSERT_TRUE(back.ok());

@@ -22,7 +22,7 @@ TEST(Robustness, GarbageOnParsedTopicIsDropped) {
   Message junk;
   junk.key = "x";
   junk.value = "{not valid json";
-  junk.tag = kTagData;
+  junk.tag = MessageTag::kData;
   junk.source = "rogue";
   service.broker().produce("parsed", junk);
   junk.value = R"({"pattern_id":"not a number"})";

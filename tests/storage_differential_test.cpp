@@ -196,7 +196,9 @@ void run_seed(uint64_t seed) {
       auto got = store->get(id);
       auto want = ref.get(id);
       ASSERT_EQ(got.has_value(), want.has_value());
-      if (got.has_value()) ASSERT_EQ(got->dump(), want->dump());
+      if (got.has_value()) {
+        ASSERT_EQ(got->dump(), want->dump());
+      }
     } else if (roll < 88) {
       ASSERT_TRUE(store->flush().ok());
     } else if (roll < 93) {

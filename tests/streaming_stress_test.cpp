@@ -14,7 +14,7 @@ namespace loglens {
 namespace {
 
 Message msg(std::string key, std::string value,
-            const char* tag = kTagData) {
+            MessageTag tag = MessageTag::kData) {
   Message m;
   m.key = std::move(key);
   m.value = std::move(value);
@@ -27,7 +27,7 @@ Message msg(std::string key, std::string value,
 class CountTask : public PartitionTask {
  public:
   void process(const Message& m, TaskContext&) override {
-    if (m.tag == kTagHeartbeat) {
+    if (m.tag == MessageTag::kHeartbeat) {
       ++heartbeats_;
       return;
     }
@@ -90,7 +90,7 @@ TEST(StreamingStress, HeartbeatsReachEveryPartitionEveryTime) {
   for (int b = 0; b < 50; ++b) {
     std::vector<Message> batch;
     batch.push_back(msg("k" + std::to_string(b), "v"));
-    batch.push_back(msg("src", "", kTagHeartbeat));
+    batch.push_back(msg("src", "", MessageTag::kHeartbeat));
     engine.run_batch(std::move(batch));
   }
   for (size_t p = 0; p < 5; ++p) {
@@ -157,7 +157,7 @@ TEST(StreamingStress, ProducersRaceJobRunner) {
         Message m;
         m.key = "p" + std::to_string(t) + "-" + std::to_string(i);
         m.value = "x";
-        m.tag = kTagData;
+        m.tag = MessageTag::kData;
         broker.produce("in", std::move(m));
       }
     });

@@ -94,11 +94,10 @@ TEST_F(TraceConcurrencyTest, RegistrySpanPathIsRaceFreeUnderReaders) {
   constexpr uint64_t kSpansPerWriter = 5000;
 
   std::atomic<bool> stop{false};
-  // Reader thread exercises every drain entry point concurrently with the
-  // lock-free writers.
+  // Reader thread drains through the non-consuming entry point
+  // concurrently with the lock-free writers.
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      (void)registry.recent_spans();
       (void)registry.snapshot_json();
       std::this_thread::yield();
     }
@@ -118,9 +117,9 @@ TEST_F(TraceConcurrencyTest, RegistrySpanPathIsRaceFreeUnderReaders) {
   stop.store(true, std::memory_order_release);
   reader.join();
 
-  // recent_spans/snapshot_json only *window* the retained ring — they never
-  // consume — and the push count stays below the 65536 retention cap, so
-  // every span must either be retained or counted in spans_dropped().
+  // snapshot_json only *windows* the retained ring — it never consumes —
+  // and the push count stays below the 65536 retention cap, so every span
+  // must either be retained or counted in spans_dropped().
   auto rest = registry.take_trace_spans();
   EXPECT_EQ(rest.size() + registry.spans_dropped(),
             pushed.load(std::memory_order_relaxed));
