@@ -19,9 +19,14 @@
 //                               (reported in the msgs_per_sec field so the
 //                               --min-rate gate applies; the acceptance
 //                               floor is 5x, the measured value ~1000x)
+//   grok_set_group_scan         logs/sec on index hits of a small D4 model,
+//                               default parser: its groups are small against
+//                               their logs' token counts, so it scans
+//   grok_set_group_walk         the same logs with the token walk forced
 //
-// Exits 1 in-process when the attempt reduction is under 5x or the two
-// configurations disagree on any parse outcome.
+// Exits 1 in-process when the attempt reduction is under 5x, when the two
+// configurations of either workload disagree on any parse outcome, or when
+// the default parser walks on D4.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -31,6 +36,7 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "datagen/datasets.h"
 #include "grok/set_matcher.h"
 #include "json/json.h"
 #include "logmine/discoverer.h"
@@ -145,6 +151,72 @@ StageResult run_discovery_filter(const std::vector<GrokPattern>& model,
   return r;
 }
 
+// Logs/sec over repeated passes of a parser that has already seen `logs`,
+// so every parse is an index hit.
+double hit_rate(LogParser& parser, const std::vector<TokenizedLog>& logs) {
+  ParsedLog out;
+  constexpr int kPasses = 5;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int pass = 0; pass < kPasses; ++pass) {
+    for (const auto& log : logs) parser.parse_into(log, out);
+  }
+  return static_cast<double>(kPasses * logs.size()) / seconds_since(t0);
+}
+
+// The scan side of the match route: D4's groups (27-56 patterns against
+// logs of about 24 tokens) stay below the walk's break-even, so the default
+// parser must never walk, and must parse exactly as the forced walk does.
+bool run_group_scan(Preprocessor& pre, double scale,
+                    std::vector<StageResult>& results) {
+  const Dataset d4 = make_d4(0.01 * scale);
+  const auto model = bench::discover_patterns(
+      pre, bench::tokenize_all(pre, d4.training),
+      recommended_discovery("D4"));
+  const auto logs = bench::tokenize_all(pre, d4.testing);
+
+  LogParser routed(model, pre.classifier());
+  LogParser forced(model, pre.classifier());
+  forced.force_set_walk(true);
+  size_t diverged = 0;
+  for (const auto& log : logs) {
+    const auto a = routed.parse(log);
+    const auto b = forced.parse(log);
+    if (a.log.has_value() != b.log.has_value() ||
+        (a.log && a.log->to_json().dump() != b.log->to_json().dump())) {
+      ++diverged;
+    }
+  }
+
+  StageResult scan{"grok_set_group_scan", hit_rate(routed, logs)};
+  StageResult walk{"grok_set_group_walk", hit_rate(forced, logs)};
+  const uint64_t walks = routed.stats().set_walks;
+  std::printf("%s: %zu logs x %zu patterns = %.0f logs/sec "
+              "(%.1f match attempts/log, %llu set walks)\n",
+              scan.stage.c_str(), logs.size(), model.size(),
+              scan.msgs_per_sec,
+              static_cast<double>(routed.stats().match_attempts) /
+                  static_cast<double>(routed.stats().logs),
+              static_cast<unsigned long long>(walks));
+  std::printf("%s: same logs, walk forced = %.0f logs/sec\n",
+              walk.stage.c_str(), walk.msgs_per_sec);
+  results.push_back(scan);
+  results.push_back(walk);
+
+  bool ok = true;
+  if (diverged != 0) {
+    std::printf("FAIL: %zu D4 parse outcomes diverge between the scan and "
+                "the forced walk\n", diverged);
+    ok = false;
+  }
+  if (walks != 0) {
+    std::printf("FAIL: the default parser walked %llu times on D4, whose "
+                "groups should all be scanned\n",
+                static_cast<unsigned long long>(walks));
+    ok = false;
+  }
+  return ok;
+}
+
 void write_bench_json(const std::vector<StageResult>& results) {
   JsonObject root;
   root.emplace_back("benchmark", Json("bench_grok_set"));
@@ -202,9 +274,9 @@ int main() {
               static_cast<unsigned long long>(set_run.match_attempts),
               reduction.msgs_per_sec);
   results.push_back(reduction);
+  bool ok = loglens::run_group_scan(pre, scale, results);
   loglens::write_bench_json(results);
 
-  bool ok = true;
   if (set_run.unparsed != linear_run.unparsed) {
     std::printf("FAIL: parse outcomes diverge (set %llu vs linear %llu "
                 "unparsed)\n",

@@ -118,8 +118,10 @@ bool GrokPattern::match_tokens(const std::vector<Token>& tokens,
   const size_t n = tokens.size();
   const size_t m = tokens_.size();
   scratch.steps = 0;
+  // No zero fill: every slot is written before a successful match returns,
+  // and a rejected attempt (the common case in a group scan) reads none.
   auto& starts = scratch.starts;
-  starts.assign(m + 1, 0);
+  starts.resize(m + 1);
   starts[m] = static_cast<uint32_t>(n);
 
   // Locate the fixed suffix after the last wildcard. Every non-wildcard

@@ -33,26 +33,27 @@ LogParser::LogParser(std::vector<GrokPattern> model,
     patterns_.push_back(std::move(ip));
   }
   if (set_match_mode_ == SetMatchMode::kAuto) {
-    std::vector<GrokPattern> pats;
     std::vector<std::vector<Datatype>> sigs;
-    pats.reserve(patterns_.size());
     sigs.reserve(patterns_.size());
-    for (const auto& ip : patterns_) {
-      pats.push_back(ip.pattern);
-      sigs.push_back(ip.signature);
-    }
-    token_matcher_ = GrokSetMatcher::compile_tokens(pats);
+    for (const auto& ip : patterns_) sigs.push_back(ip.signature);
     sig_matcher_ = GrokSetMatcher::compile_signatures(sigs);
   }
 }
 
-const std::vector<uint32_t>& LogParser::candidate_group(
+const GrokSetMatcher& LogParser::token_matcher() {
+  if (!token_matcher_) {
+    token_matcher_ = GrokSetMatcher::compile_tokens(model());
+  }
+  return *token_matcher_;
+}
+
+const LogParser::IndexEntry& LogParser::candidate_group(
     std::span<const Datatype> sig) {
   auto it = index_map_.find(sig);
   if (it != index_map_.end()) {
     ++stats_.index_hits;
     lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->group;
+    return *it->second;
   }
   ++stats_.groups_built;
   IndexEntry entry;
@@ -63,9 +64,10 @@ const std::vector<uint32_t>& LogParser::candidate_group(
   // decisions the DP loop would, so it contributes the same
   // signature_comparisons count; only its cost differs.
   if (set_match_mode_ == SetMatchMode::kAuto &&
-      sig_matcher_.match_signature(sig, set_scratch_)) {
+      sig_matcher_.match_signature(sig, sig_walk_scratch_)) {
     stats_.signature_comparisons += patterns_.size();
-    entry.group.assign(set_scratch_.result.begin(), set_scratch_.result.end());
+    entry.group.assign(sig_walk_scratch_.result.begin(),
+                       sig_walk_scratch_.result.end());
   } else {
     if (set_match_mode_ == SetMatchMode::kAuto) ++stats_.set_fallbacks;
     for (uint32_t pi = 0; pi < patterns_.size(); ++pi) {
@@ -89,6 +91,11 @@ const std::vector<uint32_t>& LogParser::candidate_group(
               }
               return a < b;
             });
+  // Every log hitting this entry has sig.size() tokens, so the route can be
+  // settled here: walk only a group large against the log (see
+  // kWalkPatternsPerToken).
+  entry.walk = set_match_mode_ == SetMatchMode::kAuto &&
+               entry.group.size() > kWalkPatternsPerToken * sig.size();
   if (index_map_.size() >= index_capacity_) {
     index_map_.erase(std::span<const Datatype>(lru_.back().sig));
     lru_.pop_back();
@@ -97,7 +104,7 @@ const std::vector<uint32_t>& LogParser::candidate_group(
   lru_.push_front(std::move(entry));
   index_map_.emplace(std::span<const Datatype>(lru_.front().sig),
                      lru_.begin());
-  return lru_.front().group;
+  return lru_.front();
 }
 
 bool LogParser::match_core(const TokenizedLog& log, ParsedLog& out) {
@@ -107,23 +114,25 @@ bool LogParser::match_core(const TokenizedLog& log, ParsedLog& out) {
 
   const GrokPattern* matched = nullptr;
   if (index_mode_ == IndexMode::kEnabled) {
-    const std::vector<uint32_t>& group = candidate_group(sig_scratch_);
+    const IndexEntry& entry = candidate_group(sig_scratch_);
+    const std::vector<uint32_t>& group = entry.group;
     bool scanned = false;
-    if (set_match_mode_ == SetMatchMode::kAuto &&
-        group.size() >= set_scan_min_group_) {
+    if (entry.walk ||
+        (force_set_walk_ && set_match_mode_ == SetMatchMode::kAuto)) {
       // One token-level walk decides which candidates actually match; the
       // capture pass then runs on just the first group-ordered one of them
       // — the same pattern the linear scan would have stopped at, because
       // the walk is exact (grok_token_matches on both sides).
-      if (token_matcher_.match_tokens(log.tokens, classifier_, set_scratch_)) {
+      GrokSetScratch& walk = token_walk_scratch_;
+      if (token_matcher().match_tokens(log.tokens, classifier_, walk)) {
         ++stats_.set_walks;
-        stats_.set_candidates += set_scratch_.result.size();
-        if (set_scratch_.prefilter_hit) ++stats_.set_prefilter_hits;
-        last_walk_candidates_ = set_scratch_.result.size();
+        stats_.set_candidates += walk.result.size();
+        if (walk.prefilter_hit) ++stats_.set_prefilter_hits;
+        last_walk_candidates_ = walk.result.size();
         scanned = true;
         for (uint32_t pi : group) {
-          if (!std::binary_search(set_scratch_.result.begin(),
-                                  set_scratch_.result.end(), pi)) {
+          if (!std::binary_search(walk.result.begin(), walk.result.end(),
+                                  pi)) {
             continue;
           }
           ++stats_.match_attempts;
@@ -197,7 +206,8 @@ ParseOutcome LogParser::parse(const TokenizedLog& log) {
 
 size_t LogParser::resident_bytes() const {
   size_t total = sizeof(*this);
-  total += sig_matcher_.resident_bytes() + token_matcher_.resident_bytes();
+  total += sig_matcher_.resident_bytes();
+  if (token_matcher_) total += token_matcher_->resident_bytes();
   for (const auto& ip : patterns_) {
     total += sizeof(ip) + ip.signature.capacity() * sizeof(Datatype);
     for (const auto& t : ip.pattern.tokens()) {

@@ -7,8 +7,20 @@
 //   2. on an index miss, build the group by running Algorithm 1 against all
 //      m pattern signatures, sort it by datatype generality then length, and
 //      cache it (an empty group is cached too),
-//   3. scan the group's patterns in order until one parses the log.
+//   3. scan the group's patterns in order until one parses the log, unless
+//      the group is large against the log (below).
 // A log no pattern parses is an anomaly (type kUnparsedLog).
+//
+// Step 3 has two routes, chosen once per index entry when its group is
+// built. The index keys on the exact signature, so the signature's length is
+// the token count of every log that hits the entry. The group is scanned
+// linearly, as the paper does, unless it holds more than
+// kWalkPatternsPerToken patterns per log token; only then does one token
+// walk over the whole model (grok/set_matcher.h) pick the single candidate
+// the capture pass runs on. The walk costs per log token, the scan per
+// attempt, so the ratio decides which is cheaper (DESIGN.md, set matcher).
+// The token-level matcher is compiled the first time an entry chooses the
+// walk; a model whose groups never call for it never pays for it.
 //
 // The index keys on the hashed datatype sequence directly (no string key is
 // ever built) and is bounded: entries beyond `index_capacity` evict the
@@ -86,20 +98,16 @@ struct ParserStats {
 
 enum class IndexMode { kEnabled, kDisabled };
 
-// kAuto: build the set-level matchers and use them on the index-miss path
-// (signature walk builds the candidate group) and, for groups of at least
-// set_scan_min_group patterns, on the match scan (token walk picks the one
-// candidate the capture pass runs on). kDisabled: always scan linearly — the
-// ablation baseline the differential tests compare against byte-for-byte.
+// kAuto: use the set-level matchers on the index-miss path (signature walk
+// builds the candidate group) and, for groups large against their
+// signature's length, on the match scan (token walk picks the one candidate
+// the capture pass runs on). kDisabled: always scan linearly — the ablation
+// baseline the differential tests compare against byte-for-byte.
 enum class SetMatchMode { kAuto, kDisabled };
 
 class LogParser {
  public:
   static constexpr size_t kDefaultIndexCapacity = 1u << 16;
-
-  // Groups smaller than this are scanned linearly: with one or two
-  // candidates the walk cannot beat just trying them.
-  static constexpr size_t kDefaultSetScanMinGroup = 3;
 
   LogParser(std::vector<GrokPattern> model, const DatatypeClassifier& classifier,
             IndexMode index_mode = IndexMode::kEnabled,
@@ -133,9 +141,10 @@ class LogParser {
   // observes it into the loglens_grok_set_candidates histogram).
   size_t last_walk_candidates() const { return last_walk_candidates_; }
 
-  // Test/bench hook: group-size floor below which the match scan stays
-  // linear (see kDefaultSetScanMinGroup). 0 forces the walk everywhere.
-  void set_set_scan_min_group(size_t n) { set_scan_min_group_ = n; }
+  // Test/bench hook: in kAuto, send every index hit through the token walk
+  // whatever its entry's route, so differential tests exercise the walk on
+  // small groups too.
+  void force_set_walk(bool on) { force_set_walk_ = on; }
 
   // Approximate resident bytes of the model + index (memory experiment),
   // including the index's hash-bucket array and per-entry node overhead.
@@ -155,6 +164,7 @@ class LogParser {
   struct IndexEntry {
     std::vector<Datatype> sig;
     std::vector<uint32_t> group;
+    bool walk = false;  // match by token walk rather than by linear scan
   };
   using LruList = std::list<IndexEntry>;
 
@@ -170,10 +180,20 @@ class LogParser {
     }
   };
 
-  // Looks up (and on miss builds + caches) the candidate group for `sig`,
+  // Scanning beats the token walk until a group holds more than this many
+  // patterns per log token. The walk costs per log token, the scan per
+  // rejected attempt and stops about halfway into its group; the measured
+  // unit costs put the break-even near 5 on D4's model and near 13 on a
+  // 2000-pattern shared-signature one (DESIGN.md, set matcher).
+  static constexpr size_t kWalkPatternsPerToken = 8;
+
+  // Looks up (and on miss builds + caches) the index entry for `sig`,
   // refreshing its LRU position. The returned reference is valid until the
   // next candidate_group call.
-  const std::vector<uint32_t>& candidate_group(std::span<const Datatype> sig);
+  const IndexEntry& candidate_group(std::span<const Datatype> sig);
+
+  // The token-level set matcher, compiled on first use.
+  const GrokSetMatcher& token_matcher();
 
   // Shared matching core: fills out.pattern_id / timestamp_ms / fields on
   // success, leaving out.raw for the caller to settle.
@@ -188,18 +208,22 @@ class LogParser {
                      SigEq>
       index_map_;
   ParserStats stats_;
-  // Set-level matchers compiled once from the model (empty in
-  // SetMatchMode::kDisabled): signature-level for group building on index
-  // misses, token-level for the match scan over large groups.
+  // Set-level matchers (both empty in SetMatchMode::kDisabled): the
+  // signature-level one, compiled with the parser, builds groups on index
+  // misses; the token-level one, compiled by token_matcher() when an entry
+  // first chooses the walk, matches logs against large groups.
   SetMatchMode set_match_mode_;
-  size_t set_scan_min_group_ = kDefaultSetScanMinGroup;
+  bool force_set_walk_ = false;
   size_t last_walk_candidates_ = 0;
   GrokSetMatcher sig_matcher_;
-  GrokSetMatcher token_matcher_;
-  // Per-instance scratch reused across parse calls (hot-path contract).
+  std::optional<GrokSetMatcher> token_matcher_;
+  // Per-instance scratch reused across parse calls (hot-path contract). Each
+  // matcher has its own walk scratch: a scratch sized for one trie would be
+  // re-zeroed on every switch to the other.
   std::vector<Datatype> sig_scratch_;
   GrokMatchScratch match_scratch_;
-  GrokSetScratch set_scratch_;
+  GrokSetScratch sig_walk_scratch_;
+  GrokSetScratch token_walk_scratch_;
 };
 
 }  // namespace loglens

@@ -253,7 +253,7 @@ TEST_F(GrokSetMatcherTest, ParserOutcomesAreByteIdenticalToLinearScan) {
   for (const auto& cfg : configs) {
     LogParser with_set(patterns, pre_.classifier(), cfg.index, cfg.capacity,
                        SetMatchMode::kAuto);
-    with_set.set_set_scan_min_group(0);  // walk on every group size
+    with_set.force_set_walk(true);  // walk on every group size
     LogParser without(patterns, pre_.classifier(), cfg.index, cfg.capacity,
                       SetMatchMode::kDisabled);
     for (const auto& log : tokenized) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "datagen/datasets.h"
+#include "grok/set_matcher.h"
+#include "logmine/discoverer.h"
 #include "tokenize/preprocessor.h"
 
 namespace loglens {
@@ -227,6 +230,88 @@ TEST_F(LogParserTest, ResidentBytesGrowWithIndexEntries) {
   // 32 distinct signatures cached: the index accounting (bucket array +
   // per-entry nodes + owned signature/group storage) must be visible.
   EXPECT_GT(parser.resident_bytes(), empty_index + 32 * sizeof(void*));
+}
+
+// The match route: a group is scanned unless it holds many more patterns
+// than its logs have tokens; only then does the whole-model token walk pay.
+std::string svc_name(size_t i) {
+  std::string name = "svc";
+  name += static_cast<char>('a' + i / 676 % 26);
+  name += static_cast<char>('a' + i / 26 % 26);
+  name += static_cast<char>('a' + i % 26);
+  return name;
+}
+
+TEST_F(LogParserTest, SharedSignatureGroupTakesTheTokenWalk) {
+  // 200 patterns, one 5-token signature: every log's group is the whole
+  // model, 40 patterns per log token.
+  std::vector<GrokPattern> m;
+  for (size_t i = 0; i < 200; ++i) {
+    auto p = GrokPattern::parse(svc_name(i) +
+                                " worker %{WORD:op} %{NUMBER:n} done");
+    ASSERT_TRUE(p.ok());
+    p->assign_field_ids(static_cast<int>(i) + 1);
+    m.push_back(std::move(p.value()));
+  }
+  LogParser parser(m, pre_.classifier());
+
+  // The token matcher is compiled by the first walking log, not before.
+  const size_t before = parser.resident_bytes();
+  ASSERT_TRUE(parser.parse(pre_.process("svcaaa worker start 0 done")).log);
+  EXPECT_GE(parser.resident_bytes() - before,
+            GrokSetMatcher::compile_tokens(m).resident_bytes());
+
+  parser.reset_stats();
+  for (size_t i = 0; i < 50; ++i) {
+    auto outcome = parser.parse(pre_.process(
+        svc_name(i * 7 % 200) + " worker start " + std::to_string(i) +
+        " done"));
+    ASSERT_TRUE(outcome.log);
+    EXPECT_EQ(outcome.log->pattern_id, static_cast<int>(i * 7 % 200) + 1);
+  }
+  EXPECT_EQ(parser.stats().index_hits, 50u);
+  EXPECT_EQ(parser.stats().set_walks, parser.stats().index_hits);
+  EXPECT_EQ(parser.stats().match_attempts, 50u);  // one capture pass each
+  EXPECT_EQ(parser.stats().set_fallbacks, 0u);
+}
+
+TEST_F(LogParserTest, D4GroupsAreScannedAndMatchTheLinearParser) {
+  // D4's groups hold 27-56 patterns, never more than ~6 per log token:
+  // under the walk's break-even, so every hit scans.
+  Dataset d4 = make_d4(/*scale=*/0.01);
+  std::vector<TokenizedLog> training;
+  for (const auto& line : d4.training) training.push_back(pre_.process(line));
+  PatternDiscoverer discoverer(recommended_discovery("D4"),
+                               pre_.classifier());
+  const std::vector<GrokPattern> m = discoverer.discover(training);
+  ASSERT_GT(m.size(), 1000u);
+
+  LogParser routed(m, pre_.classifier());
+  LogParser forced(m, pre_.classifier());
+  forced.force_set_walk(true);
+  LogParser linear(m, pre_.classifier(), IndexMode::kEnabled,
+                   LogParser::kDefaultIndexCapacity, SetMatchMode::kDisabled);
+  for (const auto& line : d4.testing) {
+    const TokenizedLog log = pre_.process(line);
+    auto a = routed.parse(log);
+    auto b = linear.parse(log);
+    auto c = forced.parse(log);
+    ASSERT_EQ(a.log.has_value(), b.log.has_value()) << line;
+    ASSERT_EQ(c.log.has_value(), b.log.has_value()) << line;
+    if (a.log) {
+      EXPECT_EQ(a.log->to_json().dump(), b.log->to_json().dump()) << line;
+      EXPECT_EQ(c.log->to_json().dump(), b.log->to_json().dump()) << line;
+    }
+  }
+  EXPECT_GT(routed.stats().index_hits, 0u);
+  EXPECT_EQ(routed.stats().set_walks, 0u);
+  EXPECT_EQ(routed.stats().match_attempts, linear.stats().match_attempts);
+  EXPECT_EQ(forced.stats().set_walks, forced.stats().logs);
+
+  // No walk, no token matcher: the forced parser holds the same index plus
+  // exactly the compiled token matcher.
+  EXPECT_EQ(forced.resident_bytes() - routed.resident_bytes(),
+            GrokSetMatcher::compile_tokens(m).resident_bytes());
 }
 
 }  // namespace
