@@ -7,13 +7,10 @@
 
 namespace loglens {
 
-// Base of the typed in-process payload fast path. Stage boundaries ship
-// structured records (parsed logs, anomalies) as a refcounted immutable
-// object attached to the Message, so a consumer in the same process reads
-// the producer's object instead of re-parsing `value` — and every broker
-// fetch copies one shared_ptr instead of a serialized string. The JSON
-// `value` remains the durable wire form (see service/wire.h for the
-// concrete payload types and the JSON fallback rules).
+// Base of the typed records stage boundaries ship (parsed logs, anomalies;
+// the concrete types live in service/wire.h). A record rides as a
+// refcounted immutable object, so a consumer in the same process reads the
+// producer's object and every broker fetch copies one shared_ptr.
 struct MessagePayload {
   virtual ~MessagePayload() = default;
 };
@@ -24,9 +21,15 @@ struct MessagePayload {
 // anomaly record travelling between stages (service/wire.h).
 enum class MessageTag : uint8_t { kData, kHeartbeat, kMetrics, kAnomaly };
 
+// A message has at most one body, never both:
+//  - `value`: raw text — a log line (kData on the ingest and logs topics) or
+//    a job's JSON health report (kMetrics);
+//  - `payload`: a typed record — a ParsedLog (kData on the parsed topic) or
+//    an Anomaly (kAnomaly), read through the service/wire.h accessors.
+// Heartbeats carry neither; their timestamp is the whole message.
 struct Message {
   std::string key;        // partitioning key (e.g. event id or source)
-  std::string value;      // payload (raw log line or serialized instruction)
+  std::string value;      // text body (see above); empty for typed records
   int64_t timestamp_ms = -1;  // log time, not wall time
   MessageTag tag = MessageTag::kData;
   std::string source;     // originating log source
@@ -47,18 +50,8 @@ struct Message {
   uint64_t parent_span = 0;
   uint64_t enqueue_us = 0;
 
-  // Optional typed payload (immutable, shared across fetched copies). When
-  // set, `value` may be empty — readers go through the wire.h decoders,
-  // which prefer the payload and fall back to parsing `value`.
+  // Typed body (see above), immutable and shared across fetched copies.
   std::shared_ptr<const MessagePayload> payload;
-
-  // Equality is content equality; seq and the trace fields are delivery
-  // metadata (a redelivered copy of a message is still the same message).
-  friend bool operator==(const Message& a, const Message& b) {
-    return a.key == b.key && a.value == b.value &&
-           a.timestamp_ms == b.timestamp_ms && a.tag == b.tag &&
-           a.source == b.source;
-  }
 };
 
 }  // namespace loglens

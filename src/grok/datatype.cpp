@@ -56,8 +56,9 @@ namespace {
 // once per token of every log line — the single hottest call in the
 // pipeline — and each of these patterns is regular enough that a direct
 // scan beats the regex VM by an order of magnitude while matching the exact
-// same language (the VM versions remain the executable spec; the classifier
-// equivalence tests cross-check the two).
+// same language. The Table I regexes are the executable spec:
+// tests/datatype_test.cpp checks the scanners against regexlite on seeded
+// random tokens.
 
 inline bool is_alpha(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
@@ -103,12 +104,6 @@ bool scan_ip(std::string_view t) {
 }
 
 }  // namespace
-
-DatatypeClassifier::DatatypeClassifier()
-    : word_(Regex::compile_or_die("[a-zA-Z]+")),
-      number_(Regex::compile_or_die("-?[0-9]+(\\.[0-9]+)?")),
-      ip_(Regex::compile_or_die(
-          "[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}")) {}
 
 Datatype DatatypeClassifier::classify(std::string_view token) const {
   // First-byte dispatch: a token can only be WORD if it starts with a

@@ -10,8 +10,6 @@
 #include <string>
 #include <string_view>
 
-#include "regexlite/regex.h"
-
 namespace loglens {
 
 enum class Datatype {
@@ -47,24 +45,10 @@ int generality(Datatype t);
 // concepts); every non-empty whitespace-free token is at least NOTSPACE.
 class DatatypeClassifier {
  public:
-  DatatypeClassifier();
-
   Datatype classify(std::string_view token) const;
 
   // True iff `token` matches the RegEx definition of `type`.
   bool matches(std::string_view token, Datatype type) const;
-
-  // Times any of the Table I regexes gave up on VM budget exhaustion
-  // (monotonic; surfaced as loglens_regex_budget_exhausted_total).
-  uint64_t budget_exhausted_total() const {
-    return word_.budget_exhausted_count() + number_.budget_exhausted_count() +
-           ip_.budget_exhausted_count();
-  }
-
- private:
-  Regex word_;
-  Regex number_;
-  Regex ip_;
 };
 
 }  // namespace loglens

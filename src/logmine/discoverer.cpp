@@ -38,6 +38,10 @@ double token_distance(const std::vector<Token>& a,
 
 namespace {
 
+// Higher levels: threshold relaxation per level, and the level cap.
+constexpr double kRelaxFactor = 1.25;
+constexpr int kMaxLevels = 8;
+
 // Per-token score for alignment: identical tokens 1.0; fields (or literal vs
 // field) with joinable non-wildcard datatypes 0.5; otherwise 0.
 double align_score(const GrokToken& x, const GrokToken& y,
@@ -238,9 +242,9 @@ std::vector<GrokPattern> PatternDiscoverer::discover_raw(
   if (options_.max_patterns > 0) {
     double threshold = options_.max_dist;
     for (int level = 1;
-         level <= options_.max_levels && patterns.size() > options_.max_patterns;
+         level <= kMaxLevels && patterns.size() > options_.max_patterns;
          ++level) {
-      threshold *= options_.relax_factor;
+      threshold *= kRelaxFactor;
       if (threshold > 1.0) threshold = 1.0;
       size_t before = patterns.size();
       patterns = reduce(std::move(patterns), threshold);
@@ -256,9 +260,7 @@ std::vector<GrokPattern> PatternDiscoverer::discover(
   int id = 1;
   for (auto& p : patterns) {
     p.assign_field_ids(id++);
-    if (options_.heuristic_names) {
-      pattern_edit::apply_heuristic_names(p);
-    }
+    pattern_edit::apply_heuristic_names(p);
   }
   return patterns;
 }
@@ -295,9 +297,7 @@ std::vector<GrokPattern> PatternDiscoverer::discover_incremental(
   for (const auto& p : known) id = std::max(id, p.id());
   for (auto& p : fresh) {
     p.assign_field_ids(++id);
-    if (options_.heuristic_names) {
-      pattern_edit::apply_heuristic_names(p);
-    }
+    pattern_edit::apply_heuristic_names(p);
   }
   known.insert(known.end(), std::make_move_iterator(fresh.begin()),
                std::make_move_iterator(fresh.end()));

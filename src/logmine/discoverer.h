@@ -29,13 +29,10 @@ struct DiscoveryOptions {
   // normalized token distance is at most this.
   double max_dist = 0.3;
   // Target model size: higher levels run until at most this many patterns
-  // remain (0 disables the cap and runs level 0 only).
+  // remain (0 disables the cap and runs level 0 only). Each level relaxes
+  // the threshold by 1.25x, for at most 8 levels. The Section III-A4
+  // "Key = value" heuristic renaming always applies to the result.
   size_t max_patterns = 0;
-  // Threshold relaxation per additional level.
-  double relax_factor = 1.25;
-  int max_levels = 8;
-  // Apply the Section III-A4 "Key = value" heuristic renaming to the result.
-  bool heuristic_names = true;
 };
 
 // Join of two datatypes: the least general type covering both.

@@ -1,9 +1,10 @@
 // regexlite: a small backtracking regular-expression engine.
 //
-// LogLens needs regular expressions in three places: the datatype definitions
-// of Table I (WORD, NUMBER, IP, ...), user-supplied tokenizer split rules
-// (Section III-A1), and the Logstash-style baseline parser which compiles
-// whole GROK patterns to regexes and scans them linearly. Depending on a
+// LogLens needs regular expressions in two places: user-supplied tokenizer
+// split rules (Section III-A1), and the Logstash-style baseline parser which
+// compiles whole GROK patterns to regexes and scans them linearly. The
+// datatype definitions of Table I (WORD, NUMBER, IP) run as hand-written
+// scanners; their regexes serve as the tests' executable spec. Depending on a
 // full-featured engine would hide exactly the cost structure the paper
 // measures, so we implement the required subset from scratch:
 //

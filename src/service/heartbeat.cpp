@@ -63,7 +63,6 @@ size_t HeartbeatController::emit_all() {
     if (clock.predicted_ts < 0) continue;
     Message hb;
     hb.key = source;
-    hb.value = "";
     hb.timestamp_ms = clock.predicted_ts;
     hb.tag = MessageTag::kHeartbeat;
     hb.source = source;

@@ -53,7 +53,7 @@ ParserTask::ParserTask(std::shared_ptr<ModelBroadcast> model, size_t partition,
                         "Anomalies emitted by the stateless stage");
   regex_budget_exhausted_total_ = &registry.counter(
       "loglens_regex_budget_exhausted_total", labels,
-      "Regex match attempts abandoned on VM step-budget exhaustion");
+      "Split-rule regex matches abandoned on VM step-budget exhaustion");
   grok_set_prefilter_hits_total_ = &registry.counter(
       "loglens_grok_set_prefilter_hits_total", labels,
       "Set-matcher walks where a log token hit the pattern literal alphabet");
@@ -74,13 +74,11 @@ void ParserTask::refresh_model(size_t partition) {
   if (parser_ != nullptr) sync_stats();  // flush before the stats reset
   current_ = std::move(fresh);
   parser_ = std::make_unique<LogParser>(current_->patterns,
-                                        preprocessor_.classifier(),
-                                        IndexMode::kEnabled,
-                                        options_.parser_index_capacity);
+                                        preprocessor_.classifier());
   synced_ = {};
   id_fields_ = current_->sequence.id_fields;
   keywords_.reset();
-  if (options_.check_keywords && current_->keyword_model.is_object() &&
+  if (current_->keyword_model.is_object() &&
       !current_->keyword_model.as_object().empty()) {
     auto detector =
         KeywordDetector::from_json(current_->keyword_model, options_.keywords);
@@ -108,12 +106,9 @@ void ParserTask::sync_stats() {
   grok_set_fallbacks_total_->inc(
       stat_delta(stats.set_fallbacks, synced_.set_fallbacks));
   synced_ = stats;
-  // Budget exhaustion lives on the regex instances this task owns (the
-  // classifier's Table I regexes + user split rules), never on a global, so
-  // summing per task cannot double-count across partitions.
-  const uint64_t exhausted =
-      preprocessor_.classifier().budget_exhausted_total() +
-      preprocessor_.split_rule_budget_exhausted_total();
+  // Budget exhaustion lives on the split-rule regexes this task owns, never
+  // on a global, so summing per task cannot double-count across partitions.
+  const uint64_t exhausted = preprocessor_.split_rule_budget_exhausted_total();
   regex_budget_exhausted_total_->inc(
       stat_delta(exhausted, synced_regex_exhausted_));
   synced_regex_exhausted_ = exhausted;
@@ -151,7 +146,7 @@ void ParserTask::process(const Message& message, TaskContext& ctx) {
     if (auto alert = keywords_->check(message.value, message.source,
                                       tokenized_.timestamp_ms)) {
       stateless_anomalies_total_->inc();
-      emit(anomaly_to_message(*alert));
+      emit(anomaly_to_message(std::move(*alert)));
     }
   }
 
@@ -172,19 +167,17 @@ void ParserTask::process(const Message& message, TaskContext& ctx) {
     a.source = message.source;
     a.logs = {message.value};
     stateless_anomalies_total_->inc();
-    emit(anomaly_to_message(a));
+    emit(anomaly_to_message(std::move(a)));
     return;
   }
 
   ParsedLog& parsed = parsed_;
 
   // Extension: KPI range checks on the parsed fields.
-  if (options_.check_field_ranges &&
-      current_->field_ranges.tracked_fields() > 0) {
-    for (const auto& a :
-         current_->field_ranges.check(parsed, message.source)) {
+  if (current_->field_ranges.tracked_fields() > 0) {
+    for (auto& a : current_->field_ranges.check(parsed, message.source)) {
       stateless_anomalies_total_->inc();
-      emit(anomaly_to_message(a));
+      emit(anomaly_to_message(std::move(a)));
     }
   }
 
@@ -306,18 +299,15 @@ void DetectorTask::process(const Message& message, TaskContext& ctx) {
   std::vector<Anomaly> anomalies;
   if (message.tag == MessageTag::kHeartbeat) {
     anomalies = detector_->on_heartbeat(message.timestamp_ms);
-  } else if (const ParsedLog* view = parsed_payload_view(message)) {
-    // Typed-payload fast path: read the parser's ParsedLog in place — no
-    // JSON parse, no field copies.
-    anomalies = detector_->on_log(*view, message.source);
+  } else if (const ParsedLog* parsed = parsed_payload_view(message)) {
+    // Read the parser's ParsedLog in place: no parse, no field copies.
+    anomalies = detector_->on_log(*parsed, message.source);
   } else {
-    auto parsed = parsed_from_message(message);
-    if (!parsed.ok()) return;  // malformed payloads are dropped
-    anomalies = detector_->on_log(parsed.value(), message.source);
+    return;  // a data message without a ParsedLog is malformed: dropped
   }
   anomalies_total_->inc(anomalies.size());
-  for (const auto& a : anomalies) {
-    ctx.emit(anomaly_to_message(a));
+  for (auto& a : anomalies) {
+    ctx.emit(anomaly_to_message(std::move(a)));
   }
 }
 

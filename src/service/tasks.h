@@ -26,13 +26,11 @@ namespace loglens {
 
 using ModelBroadcast = Broadcast<CompositeModel>;
 
+// The extension detectors run whenever the model carries them (field
+// ranges, a keyword model); the signature index keeps LogParser's default
+// bound.
 struct ParserTaskOptions {
   PreprocessorOptions preprocessor;
-  // Bound on the parser's signature index (LRU-evicted beyond this).
-  size_t parser_index_capacity = LogParser::kDefaultIndexCapacity;
-  // Run the extension detectors when the model carries them.
-  bool check_field_ranges = true;
-  bool check_keywords = true;
   KeywordDetectorOptions keywords;
 };
 
@@ -77,8 +75,8 @@ class ParserTask : public PartitionTask {
   Histogram* grok_set_candidates_ = nullptr;
   Histogram* parse_latency_us_ = nullptr;
   ParserStats synced_;
-  // Last regex budget-exhaustion total pushed (classifier + split rules;
-  // per-task counters, so the sync cannot double-count across partitions).
+  // Last regex budget-exhaustion total pushed (split rules; per-task
+  // counters, so the sync cannot double-count across partitions).
   uint64_t synced_regex_exhausted_ = 0;
 
   // Reused per-message buffers: process_into/parse_into fill these in place,

@@ -1,23 +1,17 @@
-// Wire encoding between pipeline stages.
+// Typed records between pipeline stages.
 //
 // The parser stage publishes parsed logs (and stateless anomalies) to the
 // "parsed" topic; the detector stage publishes anomalies to the "anomalies"
-// topic. Single-line JSON in Message::value is the durable wire form; the
-// hot path between in-process stages additionally rides the broker's typed
-// payload fast path (broker/message.h):
+// topic. Every stage runs in one process, so these records travel as typed
+// payloads and never as text: a parsed-log or anomaly message carries its
+// record in `payload` and leaves `value` empty (the one-body rule of
+// broker/message.h). The producer moves its record into a refcounted
+// payload; a consumer reads it by pointer — no serialization, no parse, no
+// deep copy per fetch. JSON is produced only where records are stored: the
+// anomaly store's documents and the service checkpoint.
 //
-//  - parsed logs travel payload-only (`value` empty): the parser moves its
-//    ParsedLog into a refcounted ParsedPayload and the detector reads it by
-//    pointer — no JSON dump, no JSON parse, no deep copy per fetch. A
-//    parsed message that somehow arrives without a payload (a hand-built
-//    test message, a future cross-process transport) falls back to the JSON
-//    decoder.
-//  - anomalies keep the serialized `value` (they are rare, durable output —
-//    the anomaly store rebuilds from the topic after recovery, and tests
-//    compare values) and carry the payload besides, so in-process readers
-//    still skip the re-parse.
-//
-// Decoders always prefer the payload and fall back to parsing `value`.
+// A message without the expected payload is malformed: the accessors return
+// nullptr (or an error) and the caller drops it.
 #pragma once
 
 #include <memory>
@@ -40,21 +34,17 @@ struct AnomalyPayload final : MessagePayload {
   Anomaly anomaly;
 };
 
-// ParsedLog <-> Message. `key` is the event-id content when known (for keyed
-// partitioning in the detector stage), otherwise the source. The && overload
-// is the parser's hot path (moves the log into the payload); the const&
-// overload copies.
+// ParsedLog -> Message, moving the log into the payload. `key` is the
+// event-id content when known (for keyed partitioning in the detector
+// stage), otherwise the source.
 Message parsed_to_message(ParsedLog&& log, std::string key,
                           std::string source);
-Message parsed_to_message(const ParsedLog& log, std::string key,
-                          std::string source);
-StatusOr<ParsedLog> parsed_from_message(const Message& m);
-// Zero-copy read: the payload's ParsedLog, or nullptr when this message
-// carries none (then go through parsed_from_message).
+// The message's ParsedLog, read in place, or nullptr when it carries none.
 const ParsedLog* parsed_payload_view(const Message& m);
 
-Message anomaly_to_message(const Anomaly& anomaly);
+// Anomaly -> Message, moving the anomaly into the payload.
+Message anomaly_to_message(Anomaly anomaly);
+// A copy of the message's Anomaly; an error when it carries none.
 StatusOr<Anomaly> anomaly_from_message(const Message& m);
-const Anomaly* anomaly_payload_view(const Message& m);
 
 }  // namespace loglens

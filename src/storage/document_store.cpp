@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "common/sched.h"
 #include "faults/fault_injector.h"
 #include "metrics/metrics.h"
 
@@ -32,33 +31,6 @@ DocumentStore::DocumentStore(DocumentStoreOptions options)
   hot_docs_gauge_ = &m.gauge("loglens_storage_hot_docs", labels,
                              "Documents in the mutable hot segment");
   open_dir();
-  if (options_.background_compaction && !options_.dir.empty()) {
-    compactor_ =
-        sched::spawn_named("storage-compactor:" + options_.name, [this] {
-          while (!stop_.load(std::memory_order_relaxed)) {
-            int64_t remaining = options_.compact_interval_ms;
-            while (remaining > 0 && !stop_.load(std::memory_order_relaxed)) {
-              const int64_t slice = remaining < 10 ? remaining : 10;
-              sched::sleep_for_ms(static_cast<uint64_t>(slice));
-              remaining -= slice;
-            }
-            if (stop_.load(std::memory_order_relaxed)) break;
-            if (segment_count() >= options_.compact_min_segments) {
-              // Failures (injected or real) leave the inputs untouched and
-              // surface through fault counters; the next tick retries.
-              (void)compact();
-            }
-          }
-        });
-  }
-}
-
-DocumentStore::~DocumentStore() {
-  stop_.store(true, std::memory_order_relaxed);
-  if (compactor_.joinable()) {
-    sched::BlockingRegion blocking;
-    compactor_.join();
-  }
 }
 
 std::string DocumentStore::segment_path(uint64_t base_id) const {

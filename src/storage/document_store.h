@@ -9,8 +9,8 @@
 // `hot_max_docs`. Sealed segments carry per-field string dictionaries with
 // posting lists and integer columns with zone maps, so term/range queries
 // prune whole segments before touching a byte of document data, and small
-// adjacent segments are merged by compaction (inline after flush and/or a
-// background job). Ids are dense and stable: segment k covers
+// adjacent segments are merged by compaction (inline after each flush, or
+// an explicit compact()). Ids are dense and stable: segment k covers
 // [base_id, base_id + doc_count) and neither flush nor compaction renumbers
 // a document.
 //
@@ -18,12 +18,10 @@
 // seals) and behaves exactly like the seed-era vector store. Thread-safe.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -88,18 +86,12 @@ struct DocumentStoreOptions {
   // flush() seals).
   size_t hot_max_docs = 65536;
 
-  // Compaction policy: after a flush (and from the background job), merge
+  // Compaction policy: after a flush (and on an explicit compact()), merge
   // the earliest run of >= compact_min_segments adjacent segments whose
   // combined size stays <= compact_max_docs.
   bool auto_compact = true;
   size_t compact_min_segments = 4;
   size_t compact_max_docs = 262144;
-
-  // Background compaction job (sched::spawn_named, so schedule exploration
-  // and virtual time apply). Off by default: tests drive compact()
-  // deterministically, and the inline auto_compact covers steady state.
-  bool background_compaction = false;
-  int64_t compact_interval_ms = 50;
 
   // Plan switches, for benchmarks and the differential harness:
   // zone_map_pruning=false keeps posting lists but never skips a segment;
@@ -119,7 +111,6 @@ class DocumentStore {
  public:
   DocumentStore();  // in-memory only, default options
   explicit DocumentStore(DocumentStoreOptions options);
-  ~DocumentStore();
   DocumentStore(const DocumentStore&) = delete;
   DocumentStore& operator=(const DocumentStore&) = delete;
 
@@ -221,9 +212,6 @@ class DocumentStore {
       hot_index_ LOGLENS_GUARDED_BY(mu_);
 
   uint64_t rejected_ = 0;  // written only by open_dir(), before publication
-
-  std::atomic<bool> stop_{false};
-  std::thread compactor_;
 };
 
 }  // namespace loglens

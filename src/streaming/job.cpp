@@ -8,6 +8,14 @@
 
 namespace loglens {
 
+namespace {
+
+// Output produces: attempts per message, and the pause between attempts.
+constexpr size_t kProduceMaxAttempts = 5;
+constexpr uint64_t kProduceRetryMs = 1;
+
+}  // namespace
+
 JobRunner::JobRunner(Broker& broker, StreamEngine& engine, JobOptions options)
     : broker_(broker),
       engine_(engine),
@@ -96,16 +104,13 @@ Json JobRunner::metrics_report() const {
 }
 
 void JobRunner::produce_with_retry(const std::string& topic, Message message) {
-  for (size_t attempt = 1; attempt <= options_.produce_max_attempts;
-       ++attempt) {
+  for (size_t attempt = 1; attempt <= kProduceMaxAttempts; ++attempt) {
     // The broker already absorbs transient faults with its own client-style
     // retry loop; a Status error here means that budget is spent too.
     if (broker_.produce(topic, message).ok()) return;
-    if (attempt == options_.produce_max_attempts) break;
+    if (attempt == kProduceMaxAttempts) break;
     produce_retries_total_->inc();
-    if (options_.produce_retry_ms > 0) {
-      sched::sleep_for_ms(static_cast<uint64_t>(options_.produce_retry_ms));
-    }
+    sched::sleep_for_ms(kProduceRetryMs);
   }
   // Undeliverable output: dead-letter it rather than lose it silently. If
   // even the dead-letter produce fails, counting is all that is left.
@@ -218,7 +223,7 @@ void JobRunner::process_batch(std::vector<Message> batch) {
     report.tag = MessageTag::kMetrics;
     report.source = options_.name;
     report.value = metrics_report().dump();
-    broker_.produce(options_.metrics_topic, std::move(report));
+    broker_.produce("metrics", std::move(report));
     reports_total_->inc();
   }
 }
@@ -233,8 +238,7 @@ void JobRunner::loop() {
       continue;
     }
     auto batch =
-        consumer_.poll_blocking(options_.batch_size, options_.poll_timeout_ms,
-                                options_.poll_min_batch);
+        consumer_.poll_blocking(options_.batch_size, options_.poll_timeout_ms);
     if (batch.empty()) continue;
     try {
       process_batch(std::move(batch));

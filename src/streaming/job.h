@@ -27,25 +27,17 @@ struct JobOptions {
   std::string output_topic;  // empty: outputs are dropped
   size_t batch_size = 1024;
   int64_t poll_timeout_ms = 20;
-  // Low watermark for the blocking poll: the driver keeps accumulating
-  // until this many messages are in hand (or the poll times out), so a
-  // trickle of input still forms real batches instead of batch-per-message
-  // churn. 1 = wake on the first message (lowest latency).
-  size_t poll_min_batch = 1;
   // Observability. `name` labels this job's metrics; when
   // `metrics_report_every` > 0, a MessageTag::kMetrics message with a JSON
-  // health report is produced to `metrics_topic` every N batches.
+  // health report is produced to the "metrics" topic every N batches.
   std::string name = "job";
   size_t metrics_report_every = 0;
-  std::string metrics_topic = "metrics";
   MetricsRegistry* metrics = nullptr;  // nullptr -> the global registry
   // Fault tolerance. Poison messages the engine gives up on, and outputs
   // whose produce exhausts its retries, land on `dead_letter_topic` (empty:
   // they are dropped after being counted). Output produces are themselves
-  // retried `produce_max_attempts` times with capped backoff.
+  // retried a few times, 1 ms apart (job.cpp).
   std::string dead_letter_topic = "";
-  size_t produce_max_attempts = 5;
-  int64_t produce_retry_ms = 1;
 };
 
 class JobRunner {

@@ -58,7 +58,7 @@ class Preprocessor {
   const DatatypeClassifier& classifier() const { return classifier_; }
 
   // Times any split-rule regex gave up on VM budget exhaustion (monotonic;
-  // folded into loglens_regex_budget_exhausted_total).
+  // surfaced as loglens_regex_budget_exhausted_total).
   uint64_t split_rule_budget_exhausted_total() const {
     uint64_t total = 0;
     for (const auto& r : rules_) total += r.match.budget_exhausted_count();

@@ -91,17 +91,21 @@ TEST(Wire, ParsedLogRoundTrip) {
   log.raw = "the raw line";
   log.fields.emplace_back("user", Json("u1"));
   log.fields.emplace_back("bytes", Json("123"));
-  Message m = parsed_to_message(log, "u1", "D1");
+  ParsedLog sent = log;
+  Message m = parsed_to_message(std::move(sent), "u1", "D1");
   EXPECT_EQ(m.key, "u1");
   EXPECT_EQ(m.source, "D1");
   EXPECT_EQ(m.timestamp_ms, log.timestamp_ms);
   EXPECT_EQ(m.tag, MessageTag::kData);
-  auto back = parsed_from_message(m);
-  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_TRUE(m.value.empty());
+  const ParsedLog* back = parsed_payload_view(m);
+  ASSERT_NE(back, nullptr);
   EXPECT_EQ(back->pattern_id, 3);
   EXPECT_EQ(back->timestamp_ms, log.timestamp_ms);
   EXPECT_EQ(back->raw, "the raw line");
   EXPECT_EQ(back->fields, log.fields);
+  // A parsed log is not an anomaly.
+  EXPECT_FALSE(anomaly_from_message(m).ok());
 }
 
 TEST(Wire, AnomalyRoundTrip) {
@@ -116,16 +120,35 @@ TEST(Wire, AnomalyRoundTrip) {
   Message m = anomaly_to_message(a);
   EXPECT_EQ(m.tag, MessageTag::kAnomaly);
   EXPECT_EQ(m.key, "ev-1");
+  EXPECT_TRUE(m.value.empty());
   auto back = anomaly_from_message(m);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), a);
+  // An anomaly is not a parsed log.
+  EXPECT_EQ(parsed_payload_view(m), nullptr);
 }
 
 TEST(Wire, MalformedPayloadRejected) {
-  Message m;
-  m.value = "{not json";
-  EXPECT_FALSE(parsed_from_message(m).ok());
-  EXPECT_FALSE(anomaly_from_message(m).ok());
+  // A message whose body is text carries no record, even when that text is
+  // a well-formed anomaly or parsed-log document.
+  Message malformed;
+  malformed.value = "{not json";
+  EXPECT_EQ(parsed_payload_view(malformed), nullptr);
+  EXPECT_FALSE(anomaly_from_message(malformed).ok());
+
+  Anomaly a;
+  a.type = AnomalyType::kUnparsedLog;
+  a.source = "D1";
+  Message anomaly_json;
+  anomaly_json.tag = MessageTag::kAnomaly;
+  anomaly_json.value = a.to_json().dump();
+  EXPECT_FALSE(anomaly_from_message(anomaly_json).ok());
+
+  Message parsed_json;
+  parsed_json.value =
+      R"({"pattern_id":3,"ts":99,"raw":"the raw line","fields":{}})";
+  EXPECT_EQ(parsed_payload_view(parsed_json), nullptr);
+  EXPECT_FALSE(anomaly_from_message(parsed_json).ok());
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "datagen/datasets.h"
+#include "json/json.h"
 #include "service/service.h"
+#include "service/wire.h"
 
 namespace loglens {
 namespace {
@@ -109,6 +113,80 @@ TEST(ServiceE2E, UnparsedLogsReportedAsStatelessAnomalies) {
   ASSERT_EQ(stored[0].logs.size(), 1u);
   EXPECT_EQ(stored[0].logs[0], "totally unknown log format &&& 123");
   EXPECT_EQ(stored[0].source, "D1");
+}
+
+// Every message has one body: text in `value` (log lines, metrics reports)
+// or a typed record in `payload` (parsed logs, anomalies), never both;
+// heartbeats carry neither. Checked on every message of every topic after a
+// run that produces each kind: raw and unparseable lines, parsed logs,
+// heartbeat expiries, stateless and stateful anomalies, health reports.
+TEST(ServiceE2E, EveryMessageCarriesOneBody) {
+  Dataset d1 = make_d1(0.05);
+  ASSERT_FALSE(d1.missing_end_event_ids.empty());
+  ServiceOptions opts = d1_options();
+  opts.metrics_report_every = 1;
+  LogLensService service(opts);
+  service.train(d1.training);
+  Agent agent = service.make_agent("D1");
+  agent.send_line("totally unknown log format &&& 123");
+  agent.send_line("another stranger");
+  run_test_stream(service, agent, d1, /*heartbeats=*/true);
+  ASSERT_EQ(service.anomalies().count_by_type(AnomalyType::kUnparsedLog), 2u);
+  ASSERT_GT(service.anomalies().count_by_type(AnomalyType::kMissingEndState),
+            0u);
+
+  Broker& broker = service.broker();
+  std::map<std::pair<std::string, MessageTag>, size_t> seen;
+  for (const std::string& topic : broker.topics()) {
+    for (size_t p = 0; p < broker.partition_count(topic); ++p) {
+      const uint64_t end = broker.end_offset(topic, p);
+      const std::vector<Message> all = broker.fetch(topic, p, 0, end);
+      ASSERT_EQ(all.size(), end) << topic;
+      for (const Message& m : all) {
+        ++seen[{topic, m.tag}];
+        const std::string where = topic + "@" + std::to_string(m.seq);
+        switch (m.tag) {
+          case MessageTag::kData:
+            if (topic == "parsed") {
+              EXPECT_TRUE(m.value.empty()) << where;
+              EXPECT_NE(parsed_payload_view(m), nullptr) << where;
+            } else {
+              EXPECT_TRUE(topic == "ingest" || topic == "logs") << where;
+              EXPECT_FALSE(m.value.empty()) << where;
+              EXPECT_EQ(m.payload, nullptr) << where;
+            }
+            break;
+          case MessageTag::kHeartbeat:
+            EXPECT_TRUE(m.value.empty()) << where;
+            EXPECT_EQ(m.payload, nullptr) << where;
+            break;
+          case MessageTag::kAnomaly:
+            EXPECT_TRUE(m.value.empty()) << where;
+            EXPECT_TRUE(anomaly_from_message(m).ok()) << where;
+            break;
+          case MessageTag::kMetrics: {
+            auto report = Json::parse(m.value);
+            ASSERT_TRUE(report.ok()) << where;
+            EXPECT_TRUE(report->is_object()) << where;
+            EXPECT_EQ(m.payload, nullptr) << where;
+            break;
+          }
+        }
+      }
+    }
+  }
+  // The run reached every kind of message on the topic it travels.
+  for (const auto& [topic, tag] :
+       {std::pair<std::string, MessageTag>{"ingest", MessageTag::kData},
+        {"logs", MessageTag::kData},
+        {"parsed", MessageTag::kData},
+        {"parsed", MessageTag::kHeartbeat},
+        {"parsed", MessageTag::kAnomaly},
+        {"anomalies", MessageTag::kAnomaly},
+        {"metrics", MessageTag::kMetrics}}) {
+    const size_t count = seen[{topic, tag}];
+    EXPECT_GT(count, 0u) << topic << " tag " << static_cast<int>(tag);
+  }
 }
 
 TEST(ServiceE2E, LogManagerArchivesEverything) {

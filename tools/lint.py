@@ -36,6 +36,12 @@ Checks (see docs/STATIC_ANALYSIS.md):
      code sleeps via sched::sleep_for_* so every backoff/delay site is a
      schedule point the deterministic explorer can virtualize (and tests
      never burn wall-clock time on them).
+  8. Message representation: under src/, only broker/message.h and
+     service/wire.{h,cpp} may name the typed payload types
+     (MessagePayload, ParsedPayload, AnomalyPayload) or touch a message's
+     `.payload`/`->payload` member. Everything else goes through the wire.h
+     accessors, so the one-body rule (a message carries `value` text or a
+     typed payload, never both) is enforced in one module.
 
 Usage:
   tools/lint.py              lint the repo (exit 1 on any violation)
@@ -109,6 +115,16 @@ ANNOTATION_ARGS = re.compile(
 # shim may touch std::this_thread (it implements the sanctioned sleep).
 THIS_THREAD = re.compile(r"\bstd::this_thread::(sleep_for|sleep_until|yield)\b")
 SCHED_SHIM = ("src/common/sched.h", "src/common/sched.cpp")
+
+# Rule 8: the typed message body is private to the wire module.
+PAYLOAD_OWNERS = (
+    "src/broker/message.h",
+    "src/service/wire.h",
+    "src/service/wire.cpp",
+)
+PAYLOAD_ACCESS = re.compile(
+    r"\b(MessagePayload|ParsedPayload|AnomalyPayload)\b|(\.|->)\s*payload\b"
+)
 
 LINE_COMMENT = re.compile(r"//.*$")
 
@@ -215,6 +231,16 @@ def lint_text(text, rel):
                     "sched::sleep_for_ms/us (common/sched.h) so the delay "
                     "is a schedule point and virtualizes under the "
                     "deterministic explorer"
+                )
+
+    if rel.startswith("src/") and rel not in PAYLOAD_OWNERS:
+        for lineno, code in lines:
+            if PAYLOAD_ACCESS.search(code):
+                problems.append(
+                    f"{rel}:{lineno}: typed message payload outside "
+                    "service/wire.{h,cpp}; read and build messages through "
+                    "the wire.h accessors (parsed_payload_view, "
+                    "anomaly_from_message, ...)"
                 )
 
     if ANNOTATION.search(text) and rel != "src/common/thread_annotations.h":
@@ -409,6 +435,43 @@ SELF_TEST_CASES = [
     (
         "tests/fixture_sleep.cpp",
         "void f() { std::this_thread::sleep_for(1ms); }\n",
+        None,
+    ),
+    # The typed message body belongs to the wire module: reading it...
+    (
+        "src/service/fixture_payload.cpp",
+        "void f(const Message& m) { auto* p = m.payload.get(); }\n",
+        "typed message payload",
+    ),
+    # ...through a pointer, or naming a payload type, is flagged elsewhere...
+    (
+        "src/streaming/fixture_payload_ptr.cpp",
+        "bool f(const Message* m) { return m->payload != nullptr; }\n",
+        "typed message payload",
+    ),
+    (
+        "src/storage/fixture_payload_type.h",
+        "#pragma once\nstruct Mine final : MessagePayload {};\n",
+        "typed message payload",
+    ),
+    # ...but a local buffer named payload (storage/segment.cpp), comments,
+    # the wire module itself, and tests are fine.
+    (
+        "src/storage/fixture_payload_local.cpp",
+        "void f() {\n  std::string payload;\n  payload.append(\"x\");\n"
+        "  put_u32(payload, 1);\n}\n// m.payload is private to wire.cpp\n",
+        None,
+    ),
+    (
+        "src/service/wire.cpp",
+        "const Anomaly* f(const Message& m) {\n"
+        "  auto* p = dynamic_cast<const AnomalyPayload*>(m.payload.get());\n"
+        "  return p ? &p->anomaly : nullptr;\n}\n",
+        None,
+    ),
+    (
+        "tests/fixture_payload.cpp",
+        "TEST(X, Y) { EXPECT_EQ(m.payload, nullptr); }\n",
         None,
     ),
     # Negative control: idiomatic code must pass clean.
