@@ -8,6 +8,7 @@
 #include <string>
 
 #include "broker/broker.h"
+#include "metrics/metrics.h"
 #include "storage/stores.h"
 
 namespace loglens {
@@ -18,9 +19,13 @@ struct LogManagerOptions {
   // Rate control: at most this many logs are forwarded per pump() call;
   // excess stays buffered in the broker until the next pump.
   size_t max_forward_per_pump = 65536;
-  bool archive = true;  // store raw logs in the log store
+  // Logs whose forward exhausts the broker's produce retries land here
+  // (empty: they are dropped). Either way they are counted in
+  // loglens_log_manager_dead_letter_records_total.
+  std::string dead_letter_topic;
   // Tiered-engine configuration for the archive (segment dir, flush and
-  // compaction policy). Default: in-memory.
+  // compaction policy). Default: in-memory. Its `metrics` registry also
+  // receives the dead-letter counter.
   DocumentStoreOptions store;
 };
 
@@ -28,8 +33,9 @@ class LogManager {
  public:
   LogManager(Broker& broker, LogManagerOptions options = {});
 
-  // Moves up to the rate limit of buffered logs from ingest to the parser
-  // topic. Returns the number forwarded.
+  // Archives up to the rate limit of buffered logs and forwards them from
+  // ingest to the parser topic. Returns the number taken off ingest: each
+  // is either forwarded or dead-lettered, never silently dropped.
   size_t pump();
 
   // Drains the ingest topic completely (repeated pumps).
@@ -51,6 +57,7 @@ class LogManager {
   LogStore store_;
   std::set<std::string> sources_;
   uint64_t forwarded_ = 0;
+  Counter* dead_letters_total_ = nullptr;
 };
 
 }  // namespace loglens

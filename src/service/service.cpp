@@ -28,6 +28,7 @@ DocumentStoreOptions role_store_options(const ServiceOptions& o,
 
 LogManagerOptions log_manager_options(const ServiceOptions& o) {
   LogManagerOptions lm;
+  lm.dead_letter_topic = o.dead_letter_topic;
   lm.store = role_store_options(o, "logs");
   return lm;
 }

@@ -87,32 +87,6 @@ void DocumentStore::open_dir() {
   update_gauges(segments_.size(), 0);
 }
 
-void DocumentStore::index_hot_locked(const Json& doc, uint32_t local_id) {
-  if (!doc.is_object()) return;
-  const JsonObject& obj = doc.as_object();
-  for (size_t i = 0; i < obj.size(); ++i) {
-    if (!obj[i].second.is_string()) continue;
-    // Index the first occurrence only — the value Json::find (and the
-    // sealed columns) see.
-    bool duplicate = false;
-    for (size_t j = 0; j < i; ++j) {
-      if (obj[j].first == obj[i].first) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    hot_index_[obj[i].first][obj[i].second.as_string()].push_back(local_id);
-  }
-}
-
-void DocumentStore::rebuild_hot_index_locked() {
-  hot_index_.clear();
-  for (uint32_t i = 0; i < hot_docs_.size(); ++i) {
-    index_hot_locked(hot_docs_[i], i);
-  }
-}
-
 void DocumentStore::update_gauges(size_t segments, size_t hot_docs) {
   segments_gauge_->set(static_cast<int64_t>(segments));
   hot_docs_gauge_->set(static_cast<int64_t>(hot_docs));
@@ -124,7 +98,6 @@ uint64_t DocumentStore::insert(Json doc) {
   {
     RankedMutexLock lock(mu_);
     id = hot_base_ + hot_docs_.size();
-    index_hot_locked(doc, static_cast<uint32_t>(hot_docs_.size()));
     hot_docs_.push_back(std::move(doc));
     hot_docs_gauge_->set(static_cast<int64_t>(hot_docs_.size()));
     should_flush = !options_.dir.empty() && options_.hot_max_docs > 0 &&
@@ -302,42 +275,14 @@ size_t DocumentStore::execute(const Query& q, QueryStats* stats,
     if (oc.pruned) ++local.segments_pruned;
   }
 
-  // Hot segment, driven from the smallest in-memory posting list when a
-  // term clause has one.
-  const std::vector<uint32_t>* postings = nullptr;
-  bool hot_possible = hits < q.limit;
-  for (const auto& c : q.clauses) {
-    if (!hot_possible || c.kind != QueryClause::Kind::kTerm) continue;
-    auto fit = hot_index_.find(c.field);
-    if (fit == hot_index_.end()) {
-      hot_possible = false;
-      break;
-    }
-    auto vit = fit->second.find(c.term);
-    if (vit == fit->second.end()) {
-      hot_possible = false;
-      break;
-    }
-    if (postings == nullptr || vit->second.size() < postings->size()) {
-      postings = &vit->second;
-    }
-  }
-  if (hot_possible && postings != nullptr) {
-    for (uint32_t i : *postings) {
-      if (hits >= q.limit) break;
-      ++local.docs_scanned;
-      if (!matches(hot_docs_[i], q)) continue;
-      ++hits;
-      if (out != nullptr) out->push_back(hot_docs_[i]);
-    }
-  } else if (hot_possible) {
-    for (const Json& d : hot_docs_) {
-      if (hits >= q.limit) break;
-      ++local.docs_scanned;
-      if (!matches(d, q)) continue;
-      ++hits;
-      if (out != nullptr) out->push_back(d);
-    }
+  // The hot segment is a plain scan: it holds at most hot_max_docs
+  // documents when `dir` is set, and nothing on the ingest path queries it.
+  for (const Json& d : hot_docs_) {
+    if (hits >= q.limit) break;
+    ++local.docs_scanned;
+    if (!matches(d, q)) continue;
+    ++hits;
+    if (out != nullptr) out->push_back(d);
   }
 
   if (local.segments_pruned > 0) pruned_total_->inc(local.segments_pruned);
@@ -385,7 +330,6 @@ void DocumentStore::clear() {
     for (const auto& seg : segments_) paths.push_back(seg->path());
     segments_.clear();
     hot_docs_.clear();
-    hot_index_.clear();
     hot_base_ = 0;
   }
   for (const auto& p : paths) std::remove(p.c_str());
@@ -527,7 +471,6 @@ Status DocumentStore::flush_locked(bool force) {
     hot_docs_.erase(hot_docs_.begin(),
                     hot_docs_.begin() + static_cast<ptrdiff_t>(docs.size()));
     hot_base_ = base + docs.size();
-    rebuild_hot_index_locked();
     nsegs = segments_.size();
     nhot = hot_docs_.size();
   }

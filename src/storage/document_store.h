@@ -22,7 +22,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/lock_rank.h"
@@ -69,8 +68,9 @@ struct Query {
 };
 
 // Execution probe filled by query()/count(): how much work the plan did.
-// Tests pin the smallest-posting-list selection and zone-map pruning with
-// it; the dashboard does not expose it.
+// Tests pin the sealed segments' smallest-posting-list selection, their
+// zone-map pruning, and the hot segment's full scan with it; the dashboard
+// does not expose it.
 struct QueryStats {
   size_t segments_considered = 0;  // sealed segments examined by the plan
   size_t segments_pruned = 0;      // skipped via zone map / dictionary miss
@@ -172,9 +172,6 @@ class DocumentStore {
   Status flush_locked(bool force) LOGLENS_REQUIRES(flush_mu_)
       LOGLENS_EXCLUDES(mu_);
   Status compact_locked() LOGLENS_REQUIRES(flush_mu_) LOGLENS_EXCLUDES(mu_);
-  void index_hot_locked(const Json& doc, uint32_t local_id)
-      LOGLENS_REQUIRES(mu_);
-  void rebuild_hot_index_locked() LOGLENS_REQUIRES(mu_);
   void update_gauges(size_t segments, size_t hot_docs);
   std::string segment_path(uint64_t base_id) const;
 
@@ -203,13 +200,11 @@ class DocumentStore {
   std::vector<std::shared_ptr<const Segment>> segments_
       LOGLENS_GUARDED_BY(mu_);
 
-  // The hot segment: ids [hot_base_, hot_base_ + hot_docs_.size()), plus a
-  // first-occurrence term index (field -> value -> ascending local ids).
+  // The hot segment: ids [hot_base_, hot_base_ + hot_docs_.size()).
+  // Queries scan it with matches(), the predicate the differential harness
+  // holds every plan to.
   uint64_t hot_base_ LOGLENS_GUARDED_BY(mu_) = 0;
   std::vector<Json> hot_docs_ LOGLENS_GUARDED_BY(mu_);
-  std::unordered_map<std::string,
-                     std::unordered_map<std::string, std::vector<uint32_t>>>
-      hot_index_ LOGLENS_GUARDED_BY(mu_);
 
   uint64_t rejected_ = 0;  // written only by open_dir(), before publication
 };

@@ -32,15 +32,6 @@ class LogStore {
                                  size_t limit = SIZE_MAX) const;
   size_t size() const { return store_.size(); }
 
-  Status save_jsonl(const std::string& path) const {
-    return store_.save_jsonl(path);
-  }
-  Status load_jsonl(const std::string& path) { return store_.load_jsonl(path); }
-
-  // Seals the hot segment (no-op for an in-memory store).
-  Status flush() { return store_.flush(); }
-  const DocumentStore& docs() const { return store_; }
-
  private:
   DocumentStore store_;
 };
@@ -105,10 +96,6 @@ class AnomalyStore {
   // Drops everything — crash recovery rebuilds the store from the
   // checkpointed prefix of the anomalies topic (LogLensService::recover).
   void clear() { store_.clear(); }
-
-  Status save_jsonl(const std::string& path) const {
-    return store_.save_jsonl(path);
-  }
 
  private:
   DocumentStore store_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "faults/fault_injector.h"
 #include "service/agent.h"
 
 namespace loglens {
@@ -9,7 +10,7 @@ namespace {
 
 TEST(LogManager, ForwardsAndArchives) {
   Broker broker;
-  LogManager manager(broker, {"ingest", "logs", 100, true, {}});
+  LogManager manager(broker, {"ingest", "logs", 100, "", {}});
   Agent agent(broker, {"web", "ingest"});
   agent.send_line("line one");
   agent.send_line("line two");
@@ -50,16 +51,35 @@ TEST(LogManager, DrainLoopsToEmpty) {
   EXPECT_EQ(broker.end_offset("logs", 0), 10u);
 }
 
-TEST(LogManager, ArchivalOptional) {
-  Broker broker;
-  LogManagerOptions opts;
-  opts.archive = false;
-  LogManager manager(broker, opts);
-  Agent agent(broker, {"s", "ingest"});
-  agent.send_line("not archived");
-  manager.drain();
-  EXPECT_EQ(manager.log_store().size(), 0u);
-  EXPECT_EQ(broker.end_offset("logs", 0), 1u);  // still forwarded
+// A log whose forward exhausts the broker's produce retries is archived and
+// dead-lettered, never silently dropped or counted as forwarded.
+TEST(LogManager, UndeliverableLogsAreDeadLettered) {
+  for (const std::string dlq : {"dead", ""}) {
+    FaultInjector faults(7);
+    MetricsRegistry registry;
+    Broker broker(nullptr, &faults);
+    LogManagerOptions opts;
+    opts.dead_letter_topic = dlq;
+    opts.store.metrics = &registry;
+    LogManager manager(broker, opts);
+    Agent agent(broker, {"s", "ingest"});
+    for (int i = 0; i < 3; ++i) agent.send_line("l" + std::to_string(i));
+    FaultSpec spec;
+    spec.max_triggers = 5;  // spends one message's whole retry budget
+    faults.arm(kFaultSiteProduce, spec);
+    EXPECT_EQ(manager.drain(), 3u);
+    EXPECT_EQ(manager.log_store().size(), 3u);
+    EXPECT_EQ(broker.end_offset("logs", 0), 2u);
+    EXPECT_EQ(manager.forwarded(), 2u);
+    EXPECT_EQ(registry
+                  .counter("loglens_log_manager_dead_letter_records_total",
+                           {{"topic", "ingest"}})
+                  .value(),
+              1u);
+    if (!dlq.empty()) {
+      EXPECT_EQ(broker.end_offset(dlq, 0), 1u);
+    }
+  }
 }
 
 TEST(LogManager, TracksMultipleSources) {
