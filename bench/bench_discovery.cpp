@@ -1,10 +1,13 @@
 // Pattern-discovery scalability (behind §VII-A's "367 patterns in 50 s"):
 // LogMine-style clustering cost as a function of corpus size and of the
-// number of distinct templates.
+// number of distinct templates, and the whole model build those costs sit
+// in.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "datagen/datasets.h"
 #include "datagen/template_gen.h"
+#include "service/model_ops.h"
 
 namespace loglens {
 namespace {
@@ -78,6 +81,30 @@ void BM_DiscoveryWithPatternCap(benchmark::State& state) {
 BENCHMARK(BM_DiscoveryWithPatternCap)
     ->Arg(60)
     ->Unit(benchmark::kMillisecond);
+
+// The whole ModelBuilder::build on D4 at 0.1 scale (3234 templates, ~40k
+// training lines): tokenize, discover, parse and learn, with each phase's
+// seconds as a counter. Level 0 and the re-parse use every core, so this
+// explains the end-to-end set-up cost; it is not a gate.
+void BM_ModelBuild(benchmark::State& state) {
+  const Dataset d4 = make_d4(0.1);
+  BuildOptions opts;
+  opts.discovery = recommended_discovery("D4");
+  const ModelBuilder builder(opts);
+  for (auto _ : state) {
+    BuildResult result = builder.build(d4.training);
+    benchmark::DoNotOptimize(result.model.patterns.size());
+    state.counters["patterns"] =
+        static_cast<double>(result.model.patterns.size());
+    state.counters["tokenize_s"] = result.tokenize_s;
+    state.counters["discover_s"] = result.discover_s;
+    state.counters["parse_s"] = result.parse_s;
+    state.counters["learn_s"] = result.learn_s;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(d4.training.size()));
+}
+BENCHMARK(BM_ModelBuild)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace loglens

@@ -29,7 +29,7 @@ int main() {
   std::printf("\npatterns discovered : %zu   (paper: 367)\n",
               result.model.patterns.size());
   std::printf("discovery time      : %.2f s (paper: 50 s on full volume)\n",
-              result.discovery_seconds);
+              result.discover_s);
   std::printf("total model build   : %.2f s\n", result.total_seconds);
   std::printf("unparsed training   : %zu   (must be 0)\n",
               result.unparsed_training_logs);

@@ -29,7 +29,7 @@ int main() {
   BuildResult result = builder.build(sql.training);
   std::printf("discovered %zu patterns in %.2f s (paper: 367 in 50 s; "
               "manual effort: ~1 week)\n",
-              result.model.patterns.size(), result.discovery_seconds);
+              result.model.patterns.size(), result.discover_s);
 
   // --- Domain-knowledge editing -------------------------------------------
   GrokPattern& p = result.model.patterns.front();

@@ -17,6 +17,11 @@
 //
 // The result maps pattern id -> the field holding the event ID. Patterns
 // outside the map do not participate in stateful detection.
+//
+// The implementation interns (pattern id, field name) pairs to integers
+// numbered in sorted pair order and keys the reverse index by views into
+// the training logs; tests/id_discovery_reference.h keeps the direct
+// std::set formulation it must agree with.
 #pragma once
 
 #include <cstddef>

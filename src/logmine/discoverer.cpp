@@ -4,6 +4,7 @@
 #include <iterator>
 #include <unordered_map>
 
+#include "common/parallel.h"
 #include "grok/edit.h"
 #include "grok/set_matcher.h"
 
@@ -34,6 +35,32 @@ double token_distance(const std::vector<Token>& a,
     }
   }
   return 1.0 - score / static_cast<double>(a.size());
+}
+
+size_t min_half_score(size_t n, double max_dist) {
+  // token_distance accumulates the score in steps of 0.5, exactly, so its
+  // score is h / 2.0 and the comparison below is the one it makes.
+  for (size_t h = 0; h <= 2 * n; ++h) {
+    const double score = static_cast<double>(h) / 2.0;
+    if (1.0 - score / static_cast<double>(n) <= max_dist) return h;
+  }
+  return 2 * n + 1;
+}
+
+bool within_distance(const std::vector<Token>& a, const std::vector<Token>& b,
+                     size_t min_half) {
+  const size_t n = a.size();
+  size_t h = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (h >= min_half) return true;
+    if (h + 2 * (n - i) < min_half) return false;
+    if (a[i].text == b[i].text) {
+      h += 2;
+    } else if (a[i].type == b[i].type) {
+      h += 1;
+    }
+  }
+  return h >= min_half;
 }
 
 namespace {
@@ -148,69 +175,104 @@ GrokPattern merge_patterns(const GrokPattern& a, const GrokPattern& b,
   return GrokPattern(std::move(merged));
 }
 
-std::vector<GrokPattern> PatternDiscoverer::level0(
-    const std::vector<TokenizedLog>& logs) const {
-  struct Cluster {
-    std::vector<Token> representative;   // first member
-    std::vector<GrokToken> merged;       // running position-wise merge
-  };
-  // Bucket clusters by token count so only same-length logs are compared.
-  std::unordered_map<size_t, std::vector<Cluster>> buckets;
+namespace {
 
-  for (const auto& log : logs) {
-    if (log.tokens.empty()) continue;
-    auto& bucket = buckets[log.tokens.size()];
-    Cluster* home = nullptr;
-    for (auto& c : bucket) {
-      if (token_distance(log.tokens, c.representative) <= options_.max_dist) {
-        home = &c;
-        break;
-      }
+// Below this many logs level 0 clusters every bucket on the caller's thread:
+// spawning helpers would cost more than they save.
+constexpr size_t kParallelLevel0Logs = 2048;
+
+// The logs of one length, in stream order, and the patterns they cluster
+// into.
+struct LengthBucket {
+  size_t length = 0;
+  std::vector<const std::vector<Token>*> members;
+  std::vector<std::vector<GrokToken>> patterns;
+};
+
+// One-pass max-distance clustering of a bucket against the cluster
+// representatives, in creation order; each cluster's pattern is the running
+// position-wise merge of its members.
+void cluster_bucket(LengthBucket& bucket, double max_dist,
+                    const DatatypeClassifier& classifier) {
+  const size_t min_half = min_half_score(bucket.length, max_dist);
+  std::vector<const std::vector<Token>*> representatives;  // first members
+  for (const std::vector<Token>* tokens : bucket.members) {
+    size_t home = 0;
+    while (home < representatives.size() &&
+           !within_distance(*tokens, *representatives[home], min_half)) {
+      ++home;
     }
-    if (home == nullptr) {
-      Cluster c;
-      c.representative = log.tokens;
-      c.merged.reserve(log.tokens.size());
-      for (const auto& t : log.tokens) {
+    if (home == representatives.size()) {
+      representatives.push_back(tokens);
+      std::vector<GrokToken> merged;
+      merged.reserve(tokens->size());
+      for (const auto& t : *tokens) {
         if (t.type == Datatype::kDateTime) {
           // Timestamps are always variable fields; two runs of the same
           // program never share one.
-          c.merged.push_back(GrokToken::make_field(Datatype::kDateTime));
+          merged.push_back(GrokToken::make_field(Datatype::kDateTime));
         } else {
-          c.merged.push_back(GrokToken::make_literal(t.text));
+          merged.push_back(GrokToken::make_literal(t.text));
         }
       }
-      bucket.push_back(std::move(c));
+      bucket.patterns.push_back(std::move(merged));
       continue;
     }
     // Position-wise merge into the cluster pattern.
-    for (size_t i = 0; i < log.tokens.size(); ++i) {
-      GrokToken& m = home->merged[i];
-      const Token& t = log.tokens[i];
+    std::vector<GrokToken>& merged = bucket.patterns[home];
+    for (size_t i = 0; i < tokens->size(); ++i) {
+      GrokToken& m = merged[i];
+      const Token& t = (*tokens)[i];
       if (!m.is_field) {
         if (m.literal == t.text) continue;
         m = GrokToken::make_field(
-            datatype_join(classifier_.classify(m.literal), t.type));
-      } else if (m.field.type != Datatype::kDateTime ||
-                 t.type != Datatype::kDateTime) {
-        Datatype joined = datatype_join(
-            m.field.type,
-            t.type == Datatype::kDateTime ? Datatype::kDateTime : t.type);
-        m.field.type = joined;
+            datatype_join(classifier.classify(m.literal), t.type));
+      } else {
+        m.field.type = datatype_join(m.field.type, t.type);
       }
     }
   }
+}
 
-  // Deterministic order: shorter patterns first, then textual order.
-  std::vector<GrokPattern> out;
-  std::vector<size_t> lengths;
-  lengths.reserve(buckets.size());
-  for (const auto& [len, _] : buckets) lengths.push_back(len);
-  std::sort(lengths.begin(), lengths.end());
-  for (size_t len : lengths) {
-    for (auto& c : buckets[len]) {
-      out.emplace_back(std::move(c.merged));
+}  // namespace
+
+std::vector<GrokPattern> PatternDiscoverer::level0(
+    const std::vector<TokenizedLog>& logs) const {
+  // Only logs of equal length are ever compared, so each length bucket
+  // clusters on its own: largest first, on as many threads as there are
+  // buckets to take. Each bucket sees its logs in stream order, so the
+  // clusters do not depend on the thread count.
+  std::vector<LengthBucket> buckets;
+  std::unordered_map<size_t, size_t> bucket_of_length;
+  for (const auto& log : logs) {
+    if (log.tokens.empty()) continue;
+    auto [it, fresh] =
+        bucket_of_length.try_emplace(log.tokens.size(), buckets.size());
+    if (fresh) buckets.emplace_back().length = log.tokens.size();
+    buckets[it->second].members.push_back(&log.tokens);
+  }
+  std::vector<LengthBucket*> largest_first;
+  for (auto& b : buckets) largest_first.push_back(&b);
+  std::sort(largest_first.begin(), largest_first.end(),
+            [](const LengthBucket* a, const LengthBucket* b) {
+              return a->members.size() > b->members.size();
+            });
+  const size_t grain =
+      logs.size() < kParallelLevel0Logs ? largest_first.size() : 1;
+  parallel_for(largest_first.size(), grain, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      cluster_bucket(*largest_first[i], options_.max_dist, classifier_);
     }
+  });
+
+  // Deterministic order: shorter patterns first, then creation order.
+  std::sort(buckets.begin(), buckets.end(),
+            [](const LengthBucket& a, const LengthBucket& b) {
+              return a.length < b.length;
+            });
+  std::vector<GrokPattern> out;
+  for (auto& b : buckets) {
+    for (auto& merged : b.patterns) out.emplace_back(std::move(merged));
   }
   return out;
 }

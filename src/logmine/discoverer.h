@@ -43,6 +43,19 @@ Datatype datatype_join(Datatype a, Datatype b);
 // 1 - total/length. Sequences of different length have distance 1.
 double token_distance(const std::vector<Token>& a, const std::vector<Token>& b);
 
+// Level 0's membership test, token_distance(a, b) <= max_dist, decided from
+// the half-score h = 2 x identical positions + same-type positions.
+// token_distance's expression is monotone in h, so per length n one
+// threshold decides membership exactly: min_half_score(n, max_dist) is the
+// smallest h in [0, 2n] it accepts, or 2n + 1 when it accepts none.
+size_t min_half_score(size_t n, double max_dist);
+
+// Same-length, non-empty `a` and `b`, with min_half from min_half_score:
+// stops comparing as soon as h reaches min_half or the positions left can
+// no longer lift it there.
+bool within_distance(const std::vector<Token>& a, const std::vector<Token>& b,
+                     size_t min_half);
+
 // Alignment-based distance between two patterns (used at levels >= 1):
 // 1 - 2*score/(len(a)+len(b)) where aligned identical tokens score 1,
 // same-datatype fields 0.5 and gaps 0.

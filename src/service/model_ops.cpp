@@ -1,11 +1,36 @@
 #include "service/model_ops.h"
 
+#include <algorithm>
+
 #include "common/clock.h"
+#include "common/parallel.h"
 
 namespace loglens {
 
-ModelBuilder::ModelBuilder(BuildOptions options)
-    : options_(std::move(options)) {}
+namespace {
+
+// Fewest training logs one re-parse thread takes on: each thread compiles
+// its own LogParser over the whole model first.
+constexpr size_t kParseGrain = 4096;
+
+// Seconds since the previous call (or construction).
+class PhaseTimer {
+ public:
+  double lap() {
+    const uint64_t now = trace_clock::now_us();
+    const double seconds = static_cast<double>(now - last_us_) / 1e6;
+    last_us_ = now;
+    return seconds;
+  }
+
+ private:
+  uint64_t last_us_ = trace_clock::now_us();
+};
+
+}  // namespace
+
+ModelBuilder::ModelBuilder(BuildOptions options, MetricsRegistry* metrics)
+    : options_(std::move(options)), metrics_(metrics) {}
 
 BuildResult ModelBuilder::build(
     const std::vector<std::string>& training_lines) const {
@@ -17,41 +42,54 @@ BuildResult ModelBuilder::build(
     std::vector<GrokPattern> known_patterns) const {
   BuildResult result;
   result.training_logs = training_lines.size();
-  const uint64_t t0 = trace_clock::now_us();
+  PhaseTimer timer;
 
-  auto pre = Preprocessor::create(options_.preprocessor);
-  if (!pre.ok()) pre = Preprocessor::create({});
-  Preprocessor& preprocessor = pre.value();
-
+  // Serial, in stream order: the timestamp recognizer's format cache makes
+  // how a line's date reads depend on the lines before it.
+  Preprocessor preprocessor =
+      make_preprocessor(options_.preprocessor, metrics_);
   std::vector<TokenizedLog> tokenized;
   tokenized.reserve(training_lines.size());
   for (const auto& line : training_lines) {
     tokenized.push_back(preprocessor.process(line));
   }
+  result.tokenize_s = timer.lap();
 
-  const uint64_t t1 = trace_clock::now_us();
   PatternDiscoverer discoverer(options_.discovery, preprocessor.classifier());
   result.model.patterns =
       known_patterns.empty()
           ? discoverer.discover(tokenized)
           : discoverer.discover_incremental(tokenized,
                                             std::move(known_patterns));
-  const uint64_t t2 = trace_clock::now_us();
-  result.discovery_seconds = static_cast<double>(t2 - t1) / 1e6;
+  result.discover_s = timer.lap();
 
   // Parse the training corpus with the discovered model to feed the
   // sequence learner (and as a sanity check: everything should parse).
-  LogParser parser(result.model.patterns, preprocessor.classifier());
-  std::vector<ParsedLog> parsed;
-  parsed.reserve(tokenized.size());
-  for (const auto& log : tokenized) {
-    auto outcome = parser.parse(log);
-    if (outcome.log.has_value()) {
-      parsed.push_back(std::move(*outcome.log));
-    } else {
-      ++result.unparsed_training_logs;
+  // LogParser::parse does not depend on earlier logs, so contiguous chunks
+  // on their own parsers fill the same slots a serial pass would.
+  const size_t n = tokenized.size();
+  std::vector<ParsedLog> parsed(n);
+  std::vector<char> ok(n, 0);
+  const size_t threads = parallel_threads();
+  const size_t chunk = std::max(kParseGrain, (n + threads - 1) / threads);
+  parallel_for(n, chunk, [&](size_t begin, size_t end) {
+    LogParser parser(result.model.patterns, preprocessor.classifier());
+    for (size_t i = begin; i < end; ++i) {
+      ok[i] = parser.parse_into(std::move(tokenized[i]), parsed[i]) ? 1 : 0;
     }
+  });
+  tokenized = {};  // the parsed logs own the raw lines now
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (!ok[i]) {
+      ++result.unparsed_training_logs;
+      continue;
+    }
+    if (kept != i) parsed[kept] = std::move(parsed[i]);
+    ++kept;
   }
+  parsed.resize(kept);
+  result.parse_s = timer.lap();
 
   result.model.sequence = learn_sequence_model(parsed, options_.learner);
 
@@ -65,9 +103,9 @@ BuildResult ModelBuilder::build(
     for (const auto& line : training_lines) keywords.observe_normal(line);
     result.model.keyword_model = keywords.to_json();
   }
-
+  result.learn_s = timer.lap();
   result.total_seconds =
-      static_cast<double>(trace_clock::now_us() - t0) / 1e6;
+      result.tokenize_s + result.discover_s + result.parse_s + result.learn_s;
   return result;
 }
 

@@ -45,13 +45,25 @@ struct BuildResult {
   CompositeModel model;
   size_t training_logs = 0;
   size_t unparsed_training_logs = 0;  // sanity: should be 0
-  double discovery_seconds = 0;       // pattern discovery wall time
+  // Wall time of each build phase, and of the whole build.
+  double tokenize_s = 0;  // preprocessing the training lines
+  double discover_s = 0;  // pattern discovery
+  double parse_s = 0;     // re-parsing the corpus with the patterns
+  double learn_s = 0;     // ID fields, automata, extension detectors
   double total_seconds = 0;
 };
 
+// Tokenization runs serially in stream order: the timestamp recognizer's
+// format cache lets earlier lines decide how an ambiguous date reads.
+// Level-0 discovery and the re-parse run on parallel_for threads; both write
+// index-addressed results combined in order, so the model does not depend
+// on the thread count (DESIGN.md, model builder).
 class ModelBuilder {
  public:
-  explicit ModelBuilder(BuildOptions options = {});
+  // `metrics` (nullptr -> the global registry) counts invalid preprocessor
+  // options replaced by the defaults.
+  explicit ModelBuilder(BuildOptions options = {},
+                        MetricsRegistry* metrics = nullptr);
 
   BuildResult build(const std::vector<std::string>& training_lines) const;
 
@@ -66,6 +78,7 @@ class ModelBuilder {
 
  private:
   BuildOptions options_;
+  MetricsRegistry* metrics_;
 };
 
 struct ModelInstruction {

@@ -123,8 +123,20 @@ LogLensService::~LogLensService() { stop(); }
 
 BuildResult LogLensService::train(
     const std::vector<std::string>& training_lines) {
-  ModelBuilder builder(options_.build);
+  ModelBuilder builder(options_.build, options_.metrics);
   BuildResult result = builder.build(training_lines);
+  MetricsRegistry& registry = registry_or_global(options_.metrics);
+  const std::pair<const char*, double> phases[] = {
+      {"tokenize", result.tokenize_s},
+      {"discover", result.discover_s},
+      {"parse", result.parse_s},
+      {"learn", result.learn_s}};
+  for (const auto& [phase, seconds] : phases) {
+    registry
+        .histogram("loglens_model_build_us", {{"phase", phase}},
+                   "Model build wall time per phase")
+        .record(static_cast<uint64_t>(seconds * 1e6));
+  }
   model_manager_->deploy(options_.model_name, result.model);
   if (!running_) drain();  // let the rebroadcast land immediately
   return result;
@@ -423,15 +435,15 @@ StatusOr<LogLensService::ReplayResult> LogLensService::replay_archive(
                                          source);
   }
 
-  auto pre = Preprocessor::create(options_.parser.preprocessor);
-  if (!pre.ok()) pre = Preprocessor::create({});
-  LogParser parser(model->patterns, pre->classifier());
+  Preprocessor pre =
+      make_preprocessor(options_.parser.preprocessor, options_.metrics);
+  LogParser parser(model->patterns, pre.classifier());
   SequenceDetector detector(model->sequence, options_.detector);
 
   ReplayResult result;
   int64_t max_ts = -1;
   for (const auto& line : lines) {
-    TokenizedLog tokenized = pre->process(line);
+    TokenizedLog tokenized = pre.process(line);
     if (tokenized.timestamp_ms >= 0 &&
         (tokenized.timestamp_ms < from_ms || tokenized.timestamp_ms > to_ms)) {
       continue;

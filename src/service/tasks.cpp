@@ -8,13 +8,6 @@ namespace loglens {
 
 namespace {
 
-Preprocessor make_preprocessor(PreprocessorOptions options) {
-  auto pre = Preprocessor::create(std::move(options));
-  if (pre.ok()) return std::move(pre.value());
-  // Invalid user split rules: degrade to defaults rather than dropping logs.
-  return std::move(Preprocessor::create({}).value());
-}
-
 // Counter delta since the last sync. The underlying stats structs reset to
 // zero when a parser/detector is rebuilt (model update, restore), in which
 // case the whole new value is the delta.
@@ -24,12 +17,25 @@ uint64_t stat_delta(uint64_t current, uint64_t last) {
 
 }  // namespace
 
+Preprocessor make_preprocessor(PreprocessorOptions options,
+                               MetricsRegistry* metrics) {
+  auto pre = Preprocessor::create(std::move(options));
+  if (pre.ok()) return std::move(pre.value());
+  // Invalid user split rules: degrade to defaults rather than dropping logs,
+  // but visibly.
+  registry_or_global(metrics)
+      .counter("loglens_preprocessor_invalid_options_total", {},
+               "Invalid preprocessor options replaced by the defaults")
+      .inc();
+  return std::move(Preprocessor::create({}).value());
+}
+
 ParserTask::ParserTask(std::shared_ptr<ModelBroadcast> model, size_t partition,
                        ParserTaskOptions options, MetricsRegistry* metrics)
     : model_(std::move(model)),
       partition_(partition),
       options_(std::move(options)),
-      preprocessor_(make_preprocessor(options_.preprocessor)) {
+      preprocessor_(make_preprocessor(options_.preprocessor, metrics)) {
   MetricsRegistry& registry = registry_or_global(metrics);
   MetricLabels labels{{"partition", std::to_string(partition)}};
   logs_total_ = &registry.counter("loglens_parser_logs_total", labels,

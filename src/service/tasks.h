@@ -34,6 +34,13 @@ struct ParserTaskOptions {
   KeywordDetectorOptions keywords;
 };
 
+// The preprocessor for `options`. Invalid options (a split rule that does
+// not compile) fall back to the defaults rather than dropping logs; each
+// fallback counts in loglens_preprocessor_invalid_options_total of
+// `metrics` (nullptr -> the global registry).
+Preprocessor make_preprocessor(PreprocessorOptions options,
+                               MetricsRegistry* metrics);
+
 class ParserTask : public PartitionTask {
  public:
   ParserTask(std::shared_ptr<ModelBroadcast> model, size_t partition,

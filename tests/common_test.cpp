@@ -1,5 +1,5 @@
 // Unit tests for the small common substrate: Status/StatusOr, FNV hashing,
-// and the seedable RNG every generator depends on.
+// the seedable RNG every generator depends on, and parallel_for.
 #include <gtest/gtest.h>
 
 // GCC 12 emits false-positive -Wmaybe-uninitialized warnings for moves of
@@ -9,9 +9,14 @@
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
+#include <algorithm>
+#include <atomic>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "common/hash.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -148,6 +153,35 @@ TEST(Rng, ChanceExtremes) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
   }
+}
+
+TEST(ParallelFor, RunsEveryIndexOnceInGrainBlocks) {
+  for (size_t n : {0, 1, 7, 1000}) {
+    for (size_t grain : {0, 1, 3, 64, 5000}) {
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<size_t> blocks{0};
+      parallel_for(n, grain, [&](size_t begin, size_t end) {
+        ASSERT_LT(begin, end);
+        ASSERT_LE(end - begin, std::max<size_t>(grain, 1));
+        ++blocks;
+        for (size_t i = begin; i < end; ++i) ++hits[i];
+      });
+      for (size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+      const size_t g = std::max<size_t>(grain, 1);
+      EXPECT_EQ(blocks.load(), (n + g - 1) / g);
+    }
+  }
+}
+
+TEST(ParallelFor, RethrowsABlocksException) {
+  std::atomic<size_t> ran{0};
+  EXPECT_THROW(parallel_for(64, 1,
+                            [&](size_t begin, size_t) {
+                              ++ran;
+                              if (begin == 5) throw std::runtime_error("x");
+                            }),
+               std::runtime_error);
+  EXPECT_GE(ran.load(), 6u);
 }
 
 }  // namespace

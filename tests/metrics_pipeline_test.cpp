@@ -161,6 +161,13 @@ TEST(MetricsPipelineTest, ModelUpdateCountsControlOps) {
           .counter("loglens_engine_control_ops_total", {{"stage", "parser"}})
           .value(),
       0u);
+  // Each train() records one sample per build phase.
+  for (const char* phase : {"tokenize", "discover", "parse", "learn"}) {
+    const Histogram* h =
+        registry.find_histogram("loglens_model_build_us", {{"phase", phase}});
+    ASSERT_NE(h, nullptr) << phase;
+    EXPECT_EQ(h->count(), 2u) << phase;
+  }
 }
 
 }  // namespace

@@ -31,7 +31,9 @@ TEST(ModelBuilder, BuildsWorkingModelFromD1) {
   EXPECT_EQ(result.model.sequence.automata.size(), 2u);
   EXPECT_EQ(result.model.sequence.id_fields.size(), 7u);
   EXPECT_GT(result.total_seconds, 0.0);
-  EXPECT_GT(result.discovery_seconds, 0.0);
+  EXPECT_GT(result.discover_s, 0.0);
+  EXPECT_GE(result.total_seconds, result.tokenize_s + result.discover_s +
+                                       result.parse_s + result.learn_s);
 }
 
 TEST(ModelBuilder, EmptyCorpus) {
@@ -39,6 +41,31 @@ TEST(ModelBuilder, EmptyCorpus) {
   BuildResult result = builder.build({});
   EXPECT_TRUE(result.model.patterns.empty());
   EXPECT_TRUE(result.model.sequence.automata.empty());
+}
+
+TEST(ModelBuilder, InvalidPreprocessorOptionsFallBackVisibly) {
+  // A split rule that does not compile: the builder and the parser stage
+  // both fall back to the default preprocessor, and each fallback counts.
+  MetricsRegistry registry;
+  Counter& fallbacks =
+      registry.counter("loglens_preprocessor_invalid_options_total");
+  Dataset d1 = make_d1(0.05);
+  BuildOptions opts;
+  opts.discovery = recommended_discovery("D1");
+  opts.preprocessor.split_rules.push_back({"([0-9]+", "$1"});
+  BuildResult result = ModelBuilder(opts, &registry).build(d1.training);
+  EXPECT_EQ(result.model.patterns.size(), 7u);
+  EXPECT_EQ(fallbacks.value(), 1u);
+
+  ParserTaskOptions task_opts;
+  task_opts.preprocessor = opts.preprocessor;
+  ParserTask task(std::make_shared<ModelBroadcast>(1, result.model, 1), 0,
+                  task_opts, &registry);
+  EXPECT_EQ(fallbacks.value(), 2u);
+
+  opts.preprocessor = {};
+  ModelBuilder(opts, &registry).build(d1.training);
+  EXPECT_EQ(fallbacks.value(), 2u);
 }
 
 class ControllerTest : public ::testing::Test {
