@@ -39,10 +39,10 @@ const Fixture& fixture_for(size_t templates) {
   return kCache->emplace(templates, std::move(f)).first->second;
 }
 
-void run(benchmark::State& state, IndexMode mode) {
+void BM_ParseWithIndex(benchmark::State& state) {
   const Fixture& f = fixture_for(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    LogParser parser(f.patterns, f.pre->classifier(), mode);
+    LogParser parser(f.patterns, f.pre->classifier());
     size_t parsed = 0;
     for (const auto& log : f.logs) {
       parsed += parser.parse(log).log.has_value() ? 1 : 0;
@@ -55,16 +55,34 @@ void run(benchmark::State& state, IndexMode mode) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(f.logs.size()));
 }
-
-void BM_ParseWithIndex(benchmark::State& state) {
-  run(state, IndexMode::kEnabled);
-}
 BENCHMARK(BM_ParseWithIndex)
     ->Arg(50)->Arg(100)->Arg(200)->Arg(301)
     ->Unit(benchmark::kMillisecond);
 
+// The naive side: every log tries the patterns in model order until one
+// parses it (Logstash-style), with the same reusable scratch the parser uses.
 void BM_ParseNaiveScan(benchmark::State& state) {
-  run(state, IndexMode::kDisabled);
+  const Fixture& f = fixture_for(static_cast<size_t>(state.range(0)));
+  GrokMatchScratch scratch;
+  JsonObject fields;
+  for (auto _ : state) {
+    size_t parsed = 0;
+    uint64_t attempts = 0;
+    for (const auto& log : f.logs) {
+      for (const auto& p : f.patterns) {
+        ++attempts;
+        if (p.match_into(log.tokens, f.pre->classifier(), &fields, scratch)) {
+          ++parsed;
+          break;
+        }
+      }
+    }
+    benchmark::DoNotOptimize(parsed);
+    state.counters["match_attempts_per_log"] =
+        static_cast<double>(attempts) / static_cast<double>(f.logs.size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(f.logs.size()));
 }
 BENCHMARK(BM_ParseNaiveScan)
     ->Arg(50)->Arg(100)->Arg(200)->Arg(301)

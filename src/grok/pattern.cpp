@@ -100,8 +100,9 @@ bool is_wildcard(const GrokToken& pt) {
   return pt.is_field && pt.field.type == Datatype::kAnyData;
 }
 
-}  // namespace
-
+// Single-token predicate for literals and non-ANYDATA fields: does pattern
+// token `pt` match log token `tok`? Depends only on the log token, never on
+// its position — the property that makes the wildcard scan complete.
 bool grok_token_matches(const GrokToken& pt, const Token& tok,
                         const DatatypeClassifier& classifier) {
   if (!pt.is_field) return tok.text == pt.literal;
@@ -111,6 +112,8 @@ bool grok_token_matches(const GrokToken& pt, const Token& tok,
   return tok.type != Datatype::kDateTime &&
          classifier.matches(tok.text, pt.field.type);
 }
+
+}  // namespace
 
 bool GrokPattern::match_tokens(const std::vector<Token>& tokens,
                                const DatatypeClassifier& classifier,

@@ -6,7 +6,7 @@
 
 #include "common/parallel.h"
 #include "grok/edit.h"
-#include "grok/set_matcher.h"
+#include "parser/log_parser.h"
 
 namespace loglens {
 
@@ -332,25 +332,13 @@ std::vector<GrokPattern> PatternDiscoverer::discover_incremental(
     std::vector<GrokPattern> known) const {
   if (known.empty()) return discover(logs);
 
-  // One token-level walk per log decides whether *any* known pattern parses
-  // it; only the novel remainder pays for clustering.
-  const GrokSetMatcher matcher = GrokSetMatcher::compile_tokens(known);
-  GrokSetScratch scratch;
+  // A line is novel iff the parser deployed over the known patterns cannot
+  // parse it; only the novel remainder pays for clustering.
+  LogParser parser(known, classifier_);
+  ParsedLog scratch;
   std::vector<TokenizedLog> novel;
   for (const auto& log : logs) {
-    bool covered = false;
-    if (matcher.match_tokens(log.tokens, classifier_, scratch)) {
-      covered = !scratch.result.empty();
-    } else {
-      // Active-set overflow: decide by the linear per-pattern scan instead.
-      for (const auto& p : known) {
-        if (p.match(log.tokens, classifier_)) {
-          covered = true;
-          break;
-        }
-      }
-    }
-    if (!covered) novel.push_back(log);
+    if (!parser.parse_into(log, scratch)) novel.push_back(log);
   }
   if (novel.empty()) return known;
 

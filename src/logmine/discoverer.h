@@ -77,10 +77,9 @@ class PatternDiscoverer {
   // given input order.
   std::vector<GrokPattern> discover(const std::vector<TokenizedLog>& logs) const;
 
-  // Incremental discovery against an existing model: logs some `known`
-  // pattern already parses are dropped up front — one set-matcher walk per
-  // log (grok/set_matcher.h), ~O(log length) instead of one match attempt
-  // per known pattern — and clustering runs only on the novel remainder.
+  // Incremental discovery against an existing model: logs a LogParser over
+  // the `known` patterns parses are dropped up front — the same decision the
+  // deployed parser makes — and clustering runs only on the novel remainder.
   // Returns `known` plus the newly discovered patterns, whose ids continue
   // after the highest known id. With `known` empty this is exactly
   // discover().

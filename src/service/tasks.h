@@ -77,9 +77,6 @@ class ParserTask : public PartitionTask {
   Counter* match_attempts_total_ = nullptr;
   Counter* stateless_anomalies_total_ = nullptr;
   Counter* regex_budget_exhausted_total_ = nullptr;
-  Counter* grok_set_prefilter_hits_total_ = nullptr;
-  Counter* grok_set_fallbacks_total_ = nullptr;
-  Histogram* grok_set_candidates_ = nullptr;
   Histogram* parse_latency_us_ = nullptr;
   ParserStats synced_;
   // Last regex budget-exhaustion total pushed (split rules; per-task

@@ -260,5 +260,53 @@ TEST_F(DiscovererTest, IncrementalAppendsNovelWithContinuedIds) {
   }
 }
 
+TEST_F(DiscovererTest, IncrementalDropsEveryLineAKnownPatternParses) {
+  // A line is novel iff no known pattern parses it: the wildcard pattern
+  // covers lines of several lengths (one index entry per length), and some
+  // lines only the second known pattern covers.
+  std::vector<GrokPattern> known;
+  for (const char* text :
+       {"start %{ANYDATA:body} end", "db %{WORD:op} %{IP:server}"}) {
+    auto p = GrokPattern::parse(text);
+    ASSERT_TRUE(p.ok()) << text;
+    p->assign_field_ids(static_cast<int>(known.size()) + 1);
+    known.push_back(std::move(p.value()));
+  }
+  const std::vector<std::string> covered = {
+      "start end",
+      "start a end",
+      "start a 42 end",
+      "start a b c d e f end",
+      "db connect 10.0.0.1",
+      "db close 10.0.0.2",
+  };
+  const std::vector<std::string> novel = {
+      "kernel panic code 42",
+      "kernel panic code 43",
+      "kernel panic code 44",
+  };
+  std::vector<std::string> lines;
+  for (size_t i = 0; i < novel.size(); ++i) {
+    lines.push_back(covered[i]);
+    lines.push_back(novel[i]);
+  }
+  lines.insert(lines.end(), covered.begin() + novel.size(), covered.end());
+
+  PatternDiscoverer d({}, pre_.classifier());
+  auto result = d.discover_incremental(tokenize(lines), known);
+  ASSERT_EQ(result.size(), 3u);
+  EXPECT_EQ(result[0], known[0]);
+  EXPECT_EQ(result[1], known[1]);
+  EXPECT_EQ(result[2].id(), 3);
+  for (const auto& line : novel) {
+    EXPECT_TRUE(result[2].match(pre_.process(line).tokens, pre_.classifier()))
+        << line;
+  }
+  for (const auto& line : covered) {
+    EXPECT_FALSE(result[2].match(pre_.process(line).tokens, pre_.classifier()))
+        << line;
+  }
+}
+
 }  // namespace
 }  // namespace loglens

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "datagen/datasets.h"
-#include "grok/set_matcher.h"
 #include "logmine/discoverer.h"
+#include "parser_reference.h"
 #include "tokenize/preprocessor.h"
 
 namespace loglens {
@@ -102,18 +102,6 @@ TEST_F(LogParserTest, EmptyCandidateGroupCachedToo) {
   EXPECT_EQ(parser.stats().unparsed, 10u);
 }
 
-TEST_F(LogParserTest, DisabledIndexScansModelOrder) {
-  LogParser parser(model({"%{NOTSPACE:a} %{NOTSPACE:b}",
-                          "%{WORD:a} %{NUMBER:b}"}),
-                   pre_.classifier(), IndexMode::kDisabled);
-  auto outcome = parser.parse(pre_.process("login 42"));
-  ASSERT_TRUE(outcome.log.has_value());
-  // Naive mode: first pattern in model order wins (Logstash-style), so the
-  // general pattern shadows the specific one.
-  EXPECT_EQ(outcome.log->pattern_id, 1);
-  EXPECT_EQ(parser.stats().groups_built, 0u);
-}
-
 TEST_F(LogParserTest, WildcardPatternViaIndex) {
   LogParser parser(model({"start %{ANYDATA:body} end"}), pre_.classifier());
   auto outcome = parser.parse(pre_.process("start a b c end"));
@@ -143,7 +131,7 @@ TEST_F(LogParserTest, EmptyModelParsesNothing) {
 
 TEST_F(LogParserTest, IndexEvictsLeastRecentlyUsedSignature) {
   LogParser parser(model({"%{WORD:a} %{NUMBER:b}"}), pre_.classifier(),
-                   IndexMode::kEnabled, /*index_capacity=*/2);
+                   /*index_capacity=*/2);
   EXPECT_EQ(parser.index_capacity(), 2u);
   // Three distinct signatures against capacity 2: the third insert evicts
   // the least recently used (the first).
@@ -161,7 +149,7 @@ TEST_F(LogParserTest, IndexEvictsLeastRecentlyUsedSignature) {
 
 TEST_F(LogParserTest, IndexHitRefreshesLruPosition) {
   LogParser parser(model({"%{WORD:a} %{NUMBER:b}"}), pre_.classifier(),
-                   IndexMode::kEnabled, /*index_capacity=*/2);
+                   /*index_capacity=*/2);
   parser.parse(pre_.process("login 42"));        // sig A
   parser.parse(pre_.process("login login"));     // sig B
   parser.parse(pre_.process("login 43"));        // hit A -> A becomes MRU
@@ -174,8 +162,7 @@ TEST_F(LogParserTest, IndexHitRefreshesLruPosition) {
 
 TEST_F(LogParserTest, EvictedGroupStillParsesCorrectly) {
   LogParser parser(model({"%{WORD:a} %{NUMBER:b}", "%{WORD:a} %{WORD:b}"}),
-                   pre_.classifier(), IndexMode::kEnabled,
-                   /*index_capacity=*/1);
+                   pre_.classifier(), /*index_capacity=*/1);
   for (int i = 0; i < 20; ++i) {
     // Alternate signatures so every parse evicts the other's entry.
     auto a = parser.parse(pre_.process("login " + std::to_string(i)));
@@ -187,18 +174,6 @@ TEST_F(LogParserTest, EvictedGroupStillParsesCorrectly) {
   }
   EXPECT_EQ(parser.index_size(), 1u);
   EXPECT_EQ(parser.stats().index_evictions, 39u);
-}
-
-TEST_F(LogParserTest, DisabledIndexCountsSignatureComparisons) {
-  LogParser parser(model({"%{IP:d} in", "%{WORD:a} %{NUMBER:b}"}),
-                   pre_.classifier(), IndexMode::kDisabled);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(parser.parse(pre_.process("login 42")).log.has_value());
-  }
-  // Every log pays the full model scan up to its match (2 patterns here),
-  // the cost the signature index amortizes away.
-  EXPECT_EQ(parser.stats().signature_comparisons, 20u);
-  EXPECT_EQ(parser.stats().match_attempts, 20u);
 }
 
 TEST_F(LogParserTest, ParseIntoMatchesParseOutput) {
@@ -232,8 +207,8 @@ TEST_F(LogParserTest, ResidentBytesGrowWithIndexEntries) {
   EXPECT_GT(parser.resident_bytes(), empty_index + 32 * sizeof(void*));
 }
 
-// The match route: a group is scanned unless it holds many more patterns
-// than its logs have tokens; only then does the whole-model token walk pay.
+// One route: a hit scans its whole group in order, however large the group
+// is against the log. This pins the cost of that route.
 std::string svc_name(size_t i) {
   std::string name = "svc";
   name += static_cast<char>('a' + i / 676 % 26);
@@ -242,7 +217,7 @@ std::string svc_name(size_t i) {
   return name;
 }
 
-TEST_F(LogParserTest, SharedSignatureGroupTakesTheTokenWalk) {
+TEST_F(LogParserTest, SharedSignatureGroupIsScannedInGroupOrder) {
   // 200 patterns, one 5-token signature: every log's group is the whole
   // model, 40 patterns per log token.
   std::vector<GrokPattern> m;
@@ -253,31 +228,28 @@ TEST_F(LogParserTest, SharedSignatureGroupTakesTheTokenWalk) {
     p->assign_field_ids(static_cast<int>(i) + 1);
     m.push_back(std::move(p.value()));
   }
+  const std::vector<uint32_t> order = group_order(m);
+  std::vector<uint64_t> rank(m.size());
+  for (size_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
+
   LogParser parser(m, pre_.classifier());
-
-  // The token matcher is compiled by the first walking log, not before.
-  const size_t before = parser.resident_bytes();
   ASSERT_TRUE(parser.parse(pre_.process("svcaaa worker start 0 done")).log);
-  EXPECT_GE(parser.resident_bytes() - before,
-            GrokSetMatcher::compile_tokens(m).resident_bytes());
-
-  parser.reset_stats();
+  EXPECT_EQ(parser.stats().groups_built, 1u);
   for (size_t i = 0; i < 50; ++i) {
+    const size_t pi = i * 7 % 200;
+    const uint64_t attempts_before = parser.stats().match_attempts;
     auto outcome = parser.parse(pre_.process(
-        svc_name(i * 7 % 200) + " worker start " + std::to_string(i) +
-        " done"));
+        svc_name(pi) + " worker start " + std::to_string(i) + " done"));
     ASSERT_TRUE(outcome.log);
-    EXPECT_EQ(outcome.log->pattern_id, static_cast<int>(i * 7 % 200) + 1);
+    EXPECT_EQ(outcome.log->pattern_id, static_cast<int>(pi) + 1);
+    EXPECT_EQ(parser.stats().match_attempts - attempts_before, rank[pi] + 1)
+        << svc_name(pi);
   }
   EXPECT_EQ(parser.stats().index_hits, 50u);
-  EXPECT_EQ(parser.stats().set_walks, parser.stats().index_hits);
-  EXPECT_EQ(parser.stats().match_attempts, 50u);  // one capture pass each
   EXPECT_EQ(parser.stats().set_fallbacks, 0u);
 }
 
-TEST_F(LogParserTest, D4GroupsAreScannedAndMatchTheLinearParser) {
-  // D4's groups hold 27-56 patterns, never more than ~6 per log token:
-  // under the walk's break-even, so every hit scans.
+TEST_F(LogParserTest, D4GroupsAreScannedAndMatchTheReference) {
   Dataset d4 = make_d4(/*scale=*/0.01);
   std::vector<TokenizedLog> training;
   for (const auto& line : d4.training) training.push_back(pre_.process(line));
@@ -286,32 +258,21 @@ TEST_F(LogParserTest, D4GroupsAreScannedAndMatchTheLinearParser) {
   const std::vector<GrokPattern> m = discoverer.discover(training);
   ASSERT_GT(m.size(), 1000u);
 
-  LogParser routed(m, pre_.classifier());
-  LogParser forced(m, pre_.classifier());
-  forced.force_set_walk(true);
-  LogParser linear(m, pre_.classifier(), IndexMode::kEnabled,
-                   LogParser::kDefaultIndexCapacity, SetMatchMode::kDisabled);
+  LogParser parser(m, pre_.classifier());
+  ReferenceParser reference(m, group_order(m), pre_.classifier());
   for (const auto& line : d4.testing) {
     const TokenizedLog log = pre_.process(line);
-    auto a = routed.parse(log);
-    auto b = linear.parse(log);
-    auto c = forced.parse(log);
+    auto a = parser.parse(log);
+    auto b = reference.parse(log);
     ASSERT_EQ(a.log.has_value(), b.log.has_value()) << line;
-    ASSERT_EQ(c.log.has_value(), b.log.has_value()) << line;
     if (a.log) {
       EXPECT_EQ(a.log->to_json().dump(), b.log->to_json().dump()) << line;
-      EXPECT_EQ(c.log->to_json().dump(), b.log->to_json().dump()) << line;
     }
   }
-  EXPECT_GT(routed.stats().index_hits, 0u);
-  EXPECT_EQ(routed.stats().set_walks, 0u);
-  EXPECT_EQ(routed.stats().match_attempts, linear.stats().match_attempts);
-  EXPECT_EQ(forced.stats().set_walks, forced.stats().logs);
-
-  // No walk, no token matcher: the forced parser holds the same index plus
-  // exactly the compiled token matcher.
-  EXPECT_EQ(forced.resident_bytes() - routed.resident_bytes(),
-            GrokSetMatcher::compile_tokens(m).resident_bytes());
+  EXPECT_GT(parser.stats().index_hits, 0u);
+  // The index's whole point: a group scan attempts a small fraction of the
+  // patterns the full-model scan does.
+  EXPECT_LT(parser.stats().match_attempts * 10, reference.match_attempts());
 }
 
 }  // namespace

@@ -23,8 +23,9 @@ Checks (see docs/STATIC_ANALYSIS.md):
      All regular-expression work goes through regexlite (src/regexlite/) —
      the budgeted backtracking engine whose step cap and sticky
      budget_exhausted flag keep pathological patterns from stalling the hot
-     path — or the set-level matcher (src/grok/set_matcher.h). std::regex
-     has no step budget and an order of magnitude more overhead.
+     path. GROK patterns match through their own token matcher
+     (src/grok/pattern.h). std::regex has no step budget and an order of
+     magnitude more overhead.
   6. Lock annotation coverage: every RankedMutex member declared in a
      concurrent-core header must be named by at least one LOGLENS_
      thread-safety annotation (GUARDED_BY/REQUIRES/EXCLUDES/ACQUIRE/...)
@@ -194,8 +195,7 @@ def lint_text(text, rel):
         if STD_REGEX.search(code):
             problems.append(
                 f"{rel}:{lineno}: std::regex/<regex>; use regexlite "
-                "(src/regexlite/regex.h) — it has a step budget — or the "
-                "set-level matcher (src/grok/set_matcher.h)"
+                "(src/regexlite/regex.h) — it has a step budget"
             )
 
     if rel.startswith("src/") and rel != CLOCK_SHIM:
