@@ -1,7 +1,10 @@
 #include "broker/broker.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <limits>
+#include <utility>
 
 #include "common/clock.h"
 #include "common/sched.h"
@@ -46,6 +49,18 @@ Broker::TopicData& Broker::topic_data_locked(const std::string& topic,
     it->second.batch_produces =
         &metrics_->counter("loglens_broker_batch_produces_total", labels,
                            "produce_batch calls that appended messages");
+    it->second.retained =
+        &metrics_->gauge("loglens_broker_retained_messages", labels,
+                         "Messages stored per topic (end minus low-water)");
+    it->second.low_water =
+        &metrics_->gauge("loglens_broker_low_water", labels,
+                         "Lowest partition low-water mark per topic");
+    it->second.freed =
+        &metrics_->counter("loglens_broker_freed_messages_total", labels,
+                           "Messages freed below the low-water mark");
+    it->second.fetch_below_horizon = &metrics_->counter(
+        "loglens_broker_fetch_below_horizon_total", labels,
+        "Fetches refused because they start below the low-water mark");
     metrics_
         ->gauge("loglens_broker_topics", {},
                 "Topics that exist on this broker")
@@ -64,6 +79,15 @@ const Broker::TopicData* Broker::find_topic(const std::string& topic) const {
   RankedMutexLock lock(mu_);
   auto it = topics_.find(topic);
   return it == topics_.end() ? nullptr : &it->second;
+}
+
+Broker::TopicData* Broker::find_topic(const std::string& topic) {
+  return const_cast<TopicData*>(std::as_const(*this).find_topic(topic));
+}
+
+Broker::TopicHolds& Broker::topic_holds(const std::string& topic) {
+  RankedMutexLock lock(mu_);
+  return holds_[topic];
 }
 
 Status Broker::create_topic(const std::string& topic, size_t partitions) {
@@ -141,14 +165,54 @@ void Broker::append(TopicData& data, std::span<Message> batch) {
     const size_t p = partition_of(batch[i]);
     Partition& part = *data.partitions[p];
     RankedMutexLock lock(part.mu);
+    uint64_t end = part.end.load(std::memory_order_relaxed);
     do {
+      if (part.chunks.empty() ||
+          part.chunks.back().size() == kChunkMessages) {
+        part.chunks.emplace_back().reserve(kChunkMessages);
+      }
       Message& m = batch[i];
-      if (m.seq < 0) m.seq = static_cast<int64_t>(part.log.size());
-      part.log.push_back(std::move(m));
+      if (m.seq < 0) m.seq = static_cast<int64_t>(end);
+      part.chunks.back().push_back(std::move(m));
+      ++end;
     } while (++i < batch.size() && partition_of(batch[i]) == p);
-    part.end.store(part.log.size(), std::memory_order_seq_cst);
+    part.end.store(end, std::memory_order_seq_cst);
     LOGLENS_SCHED_POINT("broker.end_publish");
   }
+  data.retained->add(static_cast<int64_t>(batch.size()));
+}
+
+void Broker::release_chunks(TopicData& data, size_t p,
+                            const std::list<std::vector<uint64_t>>& holds,
+                            std::vector<Chunk>* freed) {
+  if (holds.empty()) return;
+  uint64_t held = std::numeric_limits<uint64_t>::max();
+  for (const auto& hold : holds) {
+    held = std::min<uint64_t>(held, p < hold.size() ? hold[p] : 0);
+  }
+  // The mark only moves under the holds' lock, which the caller holds, and
+  // the end only grows, so both are read without the partition lock. The
+  // cap at the end keeps the chunk being appended to.
+  Partition& part = *data.partitions[p];
+  const uint64_t low = part.low.load(std::memory_order_relaxed);
+  const uint64_t end = part.end.load(std::memory_order_acquire);
+  const uint64_t new_low =
+      std::min(held, end) / kChunkMessages * kChunkMessages;
+  if (new_low <= low) return;
+  LOGLENS_SCHED_POINT("broker.release_chunks");
+  RankedMutexLock lock(part.mu);
+  for (uint64_t chunk = low; chunk < new_low; chunk += kChunkMessages) {
+    freed->push_back(std::move(part.chunks.front()));
+    part.chunks.pop_front();
+  }
+  part.low.store(new_low, std::memory_order_release);
+  data.freed->inc(new_low - low);
+  data.retained->add(-static_cast<int64_t>(new_low - low));
+  uint64_t lowest = new_low;
+  for (const auto& other : data.partitions) {
+    lowest = std::min(lowest, other->low.load(std::memory_order_relaxed));
+  }
+  data.low_water->set(static_cast<int64_t>(lowest));
 }
 
 Status Broker::produce(const std::string& topic, Message message) {
@@ -211,12 +275,23 @@ std::vector<Message> Broker::copy_out(const TopicData& data, size_t partition,
   const Partition& part = *data.partitions[partition];
   std::vector<Message> out;
   RankedMutexLock lock(part.mu);
-  const uint64_t end = part.log.size();
+  const uint64_t low = part.low.load(std::memory_order_relaxed);
+  if (offset < low) {
+    data.fetch_below_horizon->inc();
+    return out;
+  }
+  const uint64_t end = part.end.load(std::memory_order_relaxed);
   if (offset >= end || max == 0) return out;
   const uint64_t take = std::min<uint64_t>(end - offset, max);
   out.reserve(take);
-  for (uint64_t i = offset; i < offset + take; ++i) {
-    out.push_back(part.log[i]);
+  // Chunk-wise copy: chunks.front() holds [low, low + kChunkMessages).
+  for (uint64_t at = offset; at < offset + take;) {
+    const Chunk& chunk = part.chunks[(at - low) / kChunkMessages];
+    const uint64_t slot = (at - low) % kChunkMessages;
+    const uint64_t n = std::min(offset + take - at, kChunkMessages - slot);
+    out.insert(out.end(), chunk.begin() + static_cast<std::ptrdiff_t>(slot),
+               chunk.begin() + static_cast<std::ptrdiff_t>(slot + n));
+    at += n;
   }
   data.fetched->inc(out.size());
   return out;
@@ -318,6 +393,12 @@ uint64_t Broker::end_offset(const std::string& topic, size_t partition) const {
   return data->partitions[partition]->end.load(std::memory_order_acquire);
 }
 
+uint64_t Broker::low_water(const std::string& topic, size_t partition) const {
+  const TopicData* data = find_topic(topic);
+  if (data == nullptr || partition >= data->partitions.size()) return 0;
+  return data->partitions[partition]->low.load(std::memory_order_acquire);
+}
+
 std::vector<std::string> Broker::topics() const {
   RankedMutexLock lock(mu_);
   std::vector<std::string> out;
@@ -326,10 +407,82 @@ std::vector<std::string> Broker::topics() const {
   return out;
 }
 
+RetentionHold::RetentionHold(Broker& broker, std::string topic)
+    : broker_(broker),
+      topic_(std::move(topic)),
+      holds_(broker_.topic_holds(topic_)) {
+  const Broker::TopicData* data = topic_data();
+  RankedMutexLock lock(holds_.mu);
+  if (data != nullptr) {
+    for (const auto& part : data->partitions) {
+      start_.push_back(part->low.load(std::memory_order_relaxed));
+    }
+  }
+  self_ = holds_.holds.insert(holds_.holds.end(), start_);
+}
+
+Broker::TopicData* RetentionHold::topic_data() {
+  Broker::TopicData* data = data_.load(std::memory_order_acquire);
+  if (data == nullptr) {
+    data = broker_.find_topic(topic_);
+    data_.store(data, std::memory_order_release);
+  }
+  return data;
+}
+
+RetentionHold::~RetentionHold() {
+  std::vector<Broker::Chunk> freed;  // destroyed after the locks below
+  Broker::TopicData* data = topic_data();
+  RankedMutexLock lock(holds_.mu);
+  holds_.holds.erase(self_);
+  if (data == nullptr) return;
+  for (size_t p = 0; p < data->partitions.size(); ++p) {
+    Broker::release_chunks(*data, p, holds_.holds, &freed);
+  }
+}
+
+void RetentionHold::advance(size_t partition, uint64_t offset) {
+  std::vector<Broker::Chunk> freed;  // destroyed after the locks below
+  Broker::TopicData* data = topic_data();
+  RankedMutexLock lock(holds_.mu);
+  std::vector<uint64_t>& mine = *self_;
+  if (mine.size() <= partition) mine.resize(partition + 1, 0);
+  if (offset <= mine[partition]) return;
+  mine[partition] = offset;
+  if (data != nullptr && partition < data->partitions.size()) {
+    Broker::release_chunks(*data, partition, holds_.holds, &freed);
+  }
+}
+
+Status RetentionHold::move_to(const std::vector<uint64_t>& offsets) {
+  std::vector<Broker::Chunk> freed;  // destroyed after the locks below
+  Broker::TopicData* data = topic_data();
+  RankedMutexLock lock(holds_.mu);
+  const size_t parts = data == nullptr ? 0 : data->partitions.size();
+  for (size_t p = 0; p < offsets.size() && p < parts; ++p) {
+    const uint64_t low =
+        data->partitions[p]->low.load(std::memory_order_relaxed);
+    if (offsets[p] < low) {
+      const std::string where = topic_ + "/" + std::to_string(p);
+      return Status::Error("offset " + std::to_string(offsets[p]) +
+                           " is below the low-water mark of " + where);
+    }
+  }
+  std::vector<uint64_t>& mine = *self_;
+  if (mine.size() < offsets.size()) mine.resize(offsets.size(), 0);
+  std::copy(offsets.begin(), offsets.end(), mine.begin());
+  for (size_t p = 0; p < parts; ++p) {
+    Broker::release_chunks(*data, p, holds_.holds, &freed);
+  }
+  return Status::Ok();
+}
+
 Consumer::Consumer(Broker& broker, std::string topic,
                    MetricsRegistry* metrics)
-    : broker_(broker), topic_(std::move(topic)) {
-  offsets_.resize(std::max<size_t>(1, broker_.partition_count(topic_)), 0);
+    : broker_(broker), topic_(std::move(topic)), hold_(broker_, topic_) {
+  offsets_ = hold_.start();
+  const size_t parts = std::max<size_t>(1, broker_.partition_count(topic_));
+  if (offsets_.size() < parts) offsets_.resize(parts, 0);
   if (metrics != nullptr) {
     MetricLabels labels{{"topic", topic_}};
     queue_depth_ = &metrics->gauge(
@@ -356,8 +509,11 @@ std::vector<Message> Consumer::poll(size_t max) {
       // Batched offset commit: the whole fetch advances this partition's
       // offset once, inside one critical section — not one bookkeeping
       // write per message.
-      offsets_[p] += batch.size();
-      consumed_ += batch.size();
+      if (!batch.empty()) {
+        offsets_[p] += batch.size();
+        consumed_ += batch.size();
+        hold_.advance(p, offsets_[p]);
+      }
       if (out.empty()) {
         out = std::move(batch);
       } else {
@@ -420,10 +576,14 @@ std::vector<uint64_t> Consumer::offsets() const {
   return offsets_;
 }
 
-void Consumer::seek(const std::vector<uint64_t>& offsets) {
+Status Consumer::seek(const std::vector<uint64_t>& offsets) {
   RankedMutexLock lock(mu_);
+  // The hold moves first and refuses offsets below the low-water mark, so
+  // a refused seek leaves both where they were.
+  if (Status s = hold_.move_to(offsets); !s.ok()) return s;
   if (offsets_.size() < offsets.size()) offsets_.resize(offsets.size(), 0);
   for (size_t p = 0; p < offsets.size(); ++p) offsets_[p] = offsets[p];
+  return Status::Ok();
 }
 
 bool Consumer::caught_up() const {

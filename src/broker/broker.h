@@ -18,11 +18,22 @@
 // is registered — the uncontended produce pays one relaxed atomic load for
 // it. Partition end offsets are additionally published as atomics so lag
 // monitors read them without any lock.
+//
+// Retention: a partition log is a run of fixed-size chunks (kChunkMessages
+// messages each) that never move. Every Consumer registers a RetentionHold
+// on its topic, and callers may add more as pins. A partition's low-water
+// mark is the first offset it still stores: the smallest offset any hold
+// keeps, rounded down to a chunk boundary. Every whole chunk below it is
+// freed as soon as the last hold moves past it. A topic without holds
+// keeps everything. Offsets stay absolute: end offsets, lag and seq stamps
+// never shift; a fetch below the mark returns nothing and is counted.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <list>
 #include <map>
 #include <memory>
 #include <span>
@@ -39,8 +50,13 @@
 
 namespace loglens {
 
+class RetentionHold;
+
 class Broker {
  public:
+  // Messages per partition-log chunk, the unit the broker frees.
+  static constexpr uint64_t kChunkMessages = 4096;
+
   // `metrics`: where produce/fetch rates are reported (nullptr -> global).
   // `faults`: optional injector consulted at kFaultSiteProduce /
   // kFaultSiteFetch (nullptr -> no injection, no overhead).
@@ -81,7 +97,10 @@ class Broker {
       LOGLENS_EXCLUDES(mu_);
 
   // Copies up to `max` messages from [offset, ...) of a partition. Returns
-  // fewer (possibly zero) when the partition is short. Injected fetch faults
+  // fewer (possibly zero) when the partition is short, and nothing when
+  // `offset` lies below the partition's low-water mark (those messages are
+  // freed; loglens_broker_fetch_below_horizon_total counts such fetches).
+  // Injected fetch faults
   // surface as a delay (broker stall) or an empty result (transient fetch
   // error; offsets are caller-held, so the caller's next poll retries) —
   // never an exception. Only the one partition's mutex is taken.
@@ -108,16 +127,28 @@ class Broker {
   size_t partition_count(const std::string& topic) const LOGLENS_EXCLUDES(mu_);
   uint64_t end_offset(const std::string& topic, size_t partition) const
       LOGLENS_EXCLUDES(mu_);
+  // The first offset the partition still stores (see "Retention" above); 0
+  // for an unknown topic or partition.
+  uint64_t low_water(const std::string& topic, size_t partition) const
+      LOGLENS_EXCLUDES(mu_);
   std::vector<std::string> topics() const LOGLENS_EXCLUDES(mu_);
 
  private:
-  // One partition: an append-only ordered log under its own lock, with the
-  // end offset mirrored in an atomic (published after the append) so
-  // monitors and blocked waiters read progress without taking the lock.
+  friend class RetentionHold;
+
+  // A chunk is reserved to kChunkMessages when it is created, so appends
+  // never reallocate it.
+  using Chunk = std::vector<Message>;
+
+  // One partition: an append-only ordered log under its own lock. The end
+  // offset and the low-water mark are mirrored in atomics (published after
+  // the change, under the lock) so monitors and blocked waiters read
+  // progress without taking it. chunks.front() starts at offset `low`.
   struct Partition {
     mutable RankedMutex mu{lock_rank::kBrokerPartition};
-    std::vector<Message> log LOGLENS_GUARDED_BY(mu);
+    std::deque<Chunk> chunks LOGLENS_GUARDED_BY(mu);
     std::atomic<uint64_t> end{0};
+    std::atomic<uint64_t> low{0};
   };
 
   struct TopicData {
@@ -128,6 +159,23 @@ class Broker {
     Counter* produced = nullptr;
     Counter* fetched = nullptr;
     Counter* batch_produces = nullptr;
+    // Retention: messages stored (end minus low-water, over partitions),
+    // the lowest partition low-water mark, messages freed, and fetches
+    // refused below the mark.
+    Gauge* retained = nullptr;
+    Gauge* low_water = nullptr;
+    Counter* freed = nullptr;
+    Counter* fetch_below_horizon = nullptr;
+  };
+
+  // Every hold registered on one topic: each entry is a hold's next-read
+  // offset per partition, where a partition past the entry's size counts
+  // as held at 0. Low-water marks only move under `mu`, which a hold takes
+  // to register, commit, move and leave. Kept apart from TopicData because
+  // a consumer may register before its topic is created.
+  struct TopicHolds {
+    mutable RankedMutex mu{lock_rank::kBrokerRetention};
+    std::list<std::vector<uint64_t>> holds LOGLENS_GUARDED_BY(mu);
   };
 
   TopicData& topic_data_locked(const std::string& topic, size_t partitions)
@@ -136,9 +184,20 @@ class Broker {
   // topics are never deleted, so the pointer outlives the lock.
   TopicData* resolve_topic(const std::string& topic, size_t partitions)
       LOGLENS_EXCLUDES(mu_);
-  // Read-only resolve: nullptr when the topic does not exist.
+  // Resolve without creating: nullptr when the topic does not exist.
   const TopicData* find_topic(const std::string& topic) const
       LOGLENS_EXCLUDES(mu_);
+  TopicData* find_topic(const std::string& topic) LOGLENS_EXCLUDES(mu_);
+  // The hold registry of `topic`, created on first use; entries are never
+  // erased, so the reference outlives the lock.
+  TopicHolds& topic_holds(const std::string& topic) LOGLENS_EXCLUDES(mu_);
+  // Raises partition `p`'s low-water mark as far as `holds` allow (never
+  // past its end) and moves the chunks below it into `*freed`, so the
+  // caller destroys them after releasing every broker lock. No-op when
+  // `holds` is empty: a topic nobody reads keeps everything.
+  static void release_chunks(TopicData& data, size_t p,
+                             const std::list<std::vector<uint64_t>>& holds,
+                             std::vector<Chunk>* freed);
   // Copies [offset, offset+max) of one partition under that partition's
   // lock only, bumping the topic fetch counter.
   static std::vector<Message> copy_out(const TopicData& data, size_t partition,
@@ -170,6 +229,7 @@ class Broker {
   // kConsumer < kBroker < kMetrics.
   mutable RankedMutex mu_{lock_rank::kBroker};
   std::map<std::string, TopicData> topics_ LOGLENS_GUARDED_BY(mu_);
+  std::map<std::string, TopicHolds> holds_ LOGLENS_GUARDED_BY(mu_);
 
   // Blocking-read rendezvous. Waiters register themselves (waiters_), then
   // re-check partition end atomics under wait_mu_; producers take wait_mu_
@@ -180,6 +240,46 @@ class Broker {
   mutable RankedMutex wait_mu_{lock_rank::kBrokerWait};
   mutable std::condition_variable_any wait_cv_;
   mutable std::atomic<int> waiters_{0};
+};
+
+// A registered read position on one topic: while it lives, the broker frees
+// no message at or past its offsets (see "Retention" on Broker). Every
+// Consumer owns one; LogLensService pins checkpointed offsets with others.
+// Thread-safe: the broker serializes every hold of a topic.
+class RetentionHold {
+ public:
+  // Registers at the topic's current low-water marks.
+  RetentionHold(Broker& broker, std::string topic);
+  ~RetentionHold();
+  RetentionHold(const RetentionHold&) = delete;
+  RetentionHold& operator=(const RetentionHold&) = delete;
+
+  // Where the hold started: each partition's low-water mark at
+  // registration. Empty when the topic did not exist yet, which holds every
+  // partition at 0.
+  const std::vector<uint64_t>& start() const { return start_; }
+
+  // Commit: moves `partition` forward to `offset` (never back) and frees
+  // the whole chunks no hold needs any more.
+  void advance(size_t partition, uint64_t offset);
+
+  // Moves the hold to `offsets`, in either direction; a short vector leaves
+  // the other partitions where they are. Refused, with nothing moved, when
+  // an offset lies below its partition's low-water mark: those messages are
+  // gone.
+  Status move_to(const std::vector<uint64_t>& offsets);
+
+ private:
+  // The topic, once it exists (topics are never deleted, so the pointer is
+  // cached after the first successful lookup).
+  Broker::TopicData* topic_data();
+
+  Broker& broker_;
+  std::string topic_;
+  std::atomic<Broker::TopicData*> data_{nullptr};
+  Broker::TopicHolds& holds_;
+  std::list<std::vector<uint64_t>>::iterator self_;
+  std::vector<uint64_t> start_;
 };
 
 // A stateful reader tracking its own offsets across all partitions of one
@@ -196,7 +296,9 @@ class Broker {
 // holds per poll. When constructed with a registry it exports
 // `loglens_consumer_queue_depth{topic=...}` (lag after each poll) and
 // offset-commit counters (one commit per non-empty poll — batched, not
-// per-message).
+// per-message). Its RetentionHold follows the offsets: a new consumer starts
+// at the topic's low-water marks, each poll's commit lets the broker free
+// what every reader has passed, and destruction releases the hold.
 class Consumer {
  public:
   Consumer(Broker& broker, std::string topic,
@@ -222,9 +324,10 @@ class Consumer {
   // rewinds (or forwards) them. A consumer seeked to offsets saved before a
   // crash redelivers everything after that point, in order — at-least-once
   // replay (see docs/FAULTS.md). A short vector leaves the remaining
-  // partitions untouched.
+  // partitions untouched. A seek below a partition's low-water mark is
+  // refused and moves nothing: those messages are freed.
   std::vector<uint64_t> offsets() const LOGLENS_EXCLUDES(mu_);
-  void seek(const std::vector<uint64_t>& offsets) LOGLENS_EXCLUDES(mu_);
+  Status seek(const std::vector<uint64_t>& offsets) LOGLENS_EXCLUDES(mu_);
 
  private:
   // Re-reads lag and updates the queue-depth gauge (no-op without metrics).
@@ -232,6 +335,7 @@ class Consumer {
 
   Broker& broker_;
   std::string topic_;
+  RetentionHold hold_;
   // Held while fetching (kConsumer < kBroker) so a poll's
   // read-fetch-advance is atomic against seeks and lag reads.
   mutable RankedMutex mu_{lock_rank::kConsumer};

@@ -31,6 +31,7 @@ Slot g_slots[] = {
     {kConsumer, "kConsumer"},
     {kBrokerWait, "kBrokerWait"},
     {kBroker, "kBroker"},
+    {kBrokerRetention, "kBrokerRetention"},
     {kBrokerPartition, "kBrokerPartition"},
     {kStorageFlush, "kStorageFlush"},
     {kFaults, "kFaults"},

@@ -23,8 +23,8 @@
 //
 //   kServiceRecover < kEngineRun < kEngineControl < kBroadcastDriver,
 //   kBroadcastCache < kThreadPool < kConsumer < kBrokerWait < kBroker
-//   < kBrokerPartition < kStorageFlush < kFaults < kStorage < kJobState
-//   < kMetrics < kTrace
+//   < kBrokerRetention < kBrokerPartition < kStorageFlush < kFaults
+//   < kStorage < kJobState < kMetrics < kTrace
 //
 // Trace is the innermost rank because the metrics registry drains the span
 // collector (kTrace) while holding its own mutex (kMetrics), and every
@@ -89,6 +89,9 @@ inline constexpr int kConsumer = 650;         // Consumer::mu_
 // it wakes, so the waiter mutex must be acquirable first.
 inline constexpr int kBrokerWait = 690;       // Broker::wait_mu_
 inline constexpr int kBroker = 700;           // Broker::mu_ (topic map)
+// Above kBroker: a hold resolves its topic before taking the hold registry;
+// below kBrokerPartition: raising a low-water mark frees partition chunks.
+inline constexpr int kBrokerRetention = 705;  // Broker TopicHolds::mu
 inline constexpr int kBrokerPartition = 710;  // Broker Partition::mu
 // Below kFaults: the segment writer consults the FaultInjector (and then
 // takes kStorage to publish) while holding the flush lock.

@@ -202,6 +202,22 @@ const Histogram* MetricsRegistry::find_histogram(const std::string& name,
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
+const Counter* MetricsRegistry::find_counter(const std::string& name,
+                                             MetricLabels labels) const {
+  std::sort(labels.begin(), labels.end());
+  RankedMutexLock lock(mu_);
+  auto it = counters_.find(Key{name, std::move(labels)});
+  return it == counters_.end() ? nullptr : it->second.get();
+}
+
+const Gauge* MetricsRegistry::find_gauge(const std::string& name,
+                                         MetricLabels labels) const {
+  std::sort(labels.begin(), labels.end());
+  RankedMutexLock lock(mu_);
+  auto it = gauges_.find(Key{name, std::move(labels)});
+  return it == gauges_.end() ? nullptr : it->second.get();
+}
+
 void MetricsRegistry::record_span(std::string name, uint64_t start_us,
                                   uint64_t duration_us) {
   if (!trace::enabled()) return;

@@ -136,6 +136,12 @@ class MetricsRegistry {
   const Histogram* find_histogram(const std::string& name,
                                   MetricLabels labels = {}) const
       LOGLENS_EXCLUDES(mu_);
+  const Counter* find_counter(const std::string& name,
+                              MetricLabels labels = {}) const
+      LOGLENS_EXCLUDES(mu_);
+  const Gauge* find_gauge(const std::string& name,
+                          MetricLabels labels = {}) const
+      LOGLENS_EXCLUDES(mu_);
 
   // Files a completed span into the calling thread's lock-free buffer
   // (trace::SpanCollector) — no mutex on this path. The simple overload

@@ -1,6 +1,7 @@
 #include "service/dashboard.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <sstream>
 
@@ -81,6 +82,37 @@ std::string Dashboard::render_stage_latency() const {
     }
   }
   if (!any) out << "  no batches traced yet\n";
+  return out.str();
+}
+
+std::string Dashboard::render_broker_retention(
+    const std::vector<std::string>& topics) const {
+  std::ostringstream out;
+  out << "broker retention (messages)\n";
+  char line[160];
+  std::snprintf(line, sizeof(line), "  %-16s %10s %10s %10s %14s\n", "topic",
+                "stored", "low-water", "freed", "fetches below");
+  out << line;
+  for (const auto& topic : topics) {
+    const MetricLabels labels{{"topic", topic}};
+    const Gauge* stored =
+        metrics_->find_gauge("loglens_broker_retained_messages", labels);
+    const Gauge* low = metrics_->find_gauge("loglens_broker_low_water", labels);
+    const Counter* freed =
+        metrics_->find_counter("loglens_broker_freed_messages_total", labels);
+    const Counter* below = metrics_->find_counter(
+        "loglens_broker_fetch_below_horizon_total", labels);
+    if (stored == nullptr || low == nullptr || freed == nullptr ||
+        below == nullptr) {
+      continue;
+    }
+    std::snprintf(line, sizeof(line), "  %-16s %10lld %10lld %10llu %14llu\n",
+                  topic.c_str(), static_cast<long long>(stored->value()),
+                  static_cast<long long>(low->value()),
+                  static_cast<unsigned long long>(freed->value()),
+                  static_cast<unsigned long long>(below->value()));
+    out << line;
+  }
   return out.str();
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "metrics/metrics.h"
 #include "storage/stores.h"
@@ -37,6 +38,13 @@ class Dashboard {
   // duration, routing, pool wait, publish) from the tracing histograms the
   // jobs and engines record. Rows appear once a stage has processed a batch.
   std::string render_stage_latency() const;
+
+  // "Where is the broker's memory": per topic, the messages stored (end
+  // minus low-water), the lowest partition low-water mark, the messages
+  // freed below it, and fetches refused below it. Topics whose broker
+  // reported into another registry are skipped.
+  std::string render_broker_retention(
+      const std::vector<std::string>& topics) const;
 
   // Anomaly-count-per-bucket timeline over [from_ms, to_ms]; the text bar
   // chart that surfaces temporal anomaly clusters.

@@ -16,9 +16,16 @@
 // engine's custom partitioner then fans each heartbeat out to every
 // partition (engine.cpp), which triggers the open-state sweep.
 //
-// Thread-safety contract: unsynchronized by design — tick()/tick_advance()
-// are driven from a single caller (the service's control flow or a test).
-// The broker produce/fetch calls inside are themselves thread-safe.
+// Observation may run ahead of the ticks: observe() reads the new logs
+// without emitting, and the next tick starts from what it saw. Clocks only
+// depend on the logs in order, so observing in every drain round — which
+// LogLensService does, letting the broker free `parsed` behind the
+// detector — emits exactly the heartbeats tick-only observation would.
+//
+// Thread-safety contract: unsynchronized by design — observe()/tick()/
+// tick_advance() are driven from a single caller (the service's control
+// flow or a test). The broker produce/fetch calls inside are themselves
+// thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +53,9 @@ class HeartbeatController {
   // Observes new parsed logs (updating per-source clocks), then emits one
   // heartbeat per active source. Returns the number of heartbeats emitted.
   size_t tick();
+
+  // Observes new parsed logs without emitting (see the header comment).
+  void observe() { observe_new_logs(); }
 
   // Test/replay hook: force-advance all sources by `ms` of log time and emit.
   size_t tick_advance(int64_t ms);

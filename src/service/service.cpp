@@ -51,6 +51,9 @@ LogLensService::LogLensService(ServiceOptions options)
   if (!options_.dead_letter_topic.empty()) {
     broker_.create_topic(options_.dead_letter_topic, 1);
   }
+  if (!options_.checkpoint_path.empty()) {
+    anomalies_pin_ = std::make_unique<RetentionHold>(broker_, "anomalies");
+  }
   recoveries_total_ = &registry_or_global(options_.metrics)
                            .counter("loglens_service_recoveries_total", {},
                                     "Successful checkpoint recoveries");
@@ -232,6 +235,9 @@ void LogLensService::drain() {
       idle = parser_runner_->input_lag() == 0 &&
              detector_runner_->input_lag() == 0;
     }
+    // Every round, in both modes: the heartbeat's consumer would otherwise
+    // hold all of `parsed` until the next tick.
+    heartbeat_.observe();
     sink_drain();
     if (moved == 0 && !recovered && idle && log_manager_.input_lag() == 0 &&
         anomaly_sink_.caught_up() && round > 0) {
@@ -264,12 +270,25 @@ Status LogLensService::checkpoint(const std::string& path) {
     for (uint64_t o : offsets) arr.push_back(Json(static_cast<int64_t>(o)));
     return Json(std::move(arr));
   };
+  const std::vector<uint64_t> parser_offsets =
+      parser_runner_->consumer_offsets();
+  const std::vector<uint64_t> detector_offsets =
+      detector_runner_->consumer_offsets();
   JsonObject offsets;
-  offsets.emplace_back("parser",
-                       offsets_json(parser_runner_->consumer_offsets()));
-  offsets.emplace_back("detector",
-                       offsets_json(detector_runner_->consumer_offsets()));
+  offsets.emplace_back("parser", offsets_json(parser_offsets));
+  offsets.emplace_back("detector", offsets_json(detector_offsets));
   offsets.emplace_back("anomaly_sink", offsets_json(anomaly_sink_.offsets()));
+  // Pin what recover() would replay from this checkpoint. The previous
+  // pins stay until the rename publishes it: a failed or torn write leaves
+  // the previous file, and its offsets, in force.
+  std::unique_ptr<RetentionHold> logs_pin;
+  std::unique_ptr<RetentionHold> parsed_pin;
+  if (!options_.checkpoint_path.empty() && path == options_.checkpoint_path) {
+    logs_pin = std::make_unique<RetentionHold>(broker_, "logs");
+    parsed_pin = std::make_unique<RetentionHold>(broker_, "parsed");
+    if (Status s = logs_pin->move_to(parser_offsets); !s.ok()) return s;
+    if (Status s = parsed_pin->move_to(detector_offsets); !s.ok()) return s;
+  }
   obj.emplace_back("offsets", Json(std::move(offsets)));
 
   std::string payload = Json(std::move(obj)).dump() + "\n";
@@ -295,6 +314,10 @@ Status LogLensService::checkpoint(const std::string& path) {
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::Error("cannot publish checkpoint: " + path);
+  }
+  if (logs_pin != nullptr) {
+    logs_pin_ = std::move(logs_pin);
+    parsed_pin_ = std::move(parsed_pin);
   }
   return Status::Ok();
 }
@@ -368,8 +391,14 @@ Status LogLensService::restore_internal(const std::string& path,
     }
     return out;
   };
-  parser_runner_->seek(offsets_of("parser"));
-  detector_runner_->seek(offsets_of("detector"));
+  // The checkpoint pins keep these offsets stored; a refused seek means the
+  // file is not the checkpoint this service pinned.
+  if (Status s = parser_runner_->seek(offsets_of("parser")); !s.ok()) {
+    return Status::Error("cannot replay from checkpoint: " + s.message());
+  }
+  if (Status s = detector_runner_->seek(offsets_of("detector")); !s.ok()) {
+    return Status::Error("cannot replay from checkpoint: " + s.message());
+  }
 
   // Exactly-once output despite the at-least-once replay: roll the anomaly
   // store back to the checkpointed prefix of the topic and skip the sink

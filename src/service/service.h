@@ -82,7 +82,9 @@ class LogLensService {
   void start();
   void stop();
 
-  // Synchronous mode: process everything currently queued, end to end.
+  // Synchronous mode: process everything currently queued, end to end. The
+  // heartbeat controller observes the parsed logs in every round, so call
+  // drain() from the same control flow as heartbeat_tick().
   void drain();
 
   // Heartbeat controller ticks (also see HeartbeatController docs). Call
@@ -105,7 +107,10 @@ class LogLensService {
   // detector partition's open-event state to a JSON file, and restore it
   // into a (fresh) service — possibly with a different partition count; open
   // events are re-sharded by their event id. Call on a quiesced service
-  // (stopped or drained).
+  // (stopped or drained). A checkpoint to ServiceOptions::checkpoint_path
+  // pins the `logs` and `parsed` topics at the offsets it records, so the
+  // broker keeps what recover() replays; the pins move with each checkpoint
+  // that is published.
   Status checkpoint(const std::string& path);
   Status restore(const std::string& path);
 
@@ -163,6 +168,15 @@ class LogLensService {
   AnomalyStore anomaly_store_;
   Consumer anomaly_sink_;
   std::atomic<bool> running_{false};
+
+  // Retention pins, only with a checkpoint_path: `anomalies` is held whole
+  // (recover() re-reads its checkpointed prefix from offset 0); `logs` and
+  // `parsed` are held at the last published checkpoint's parser and
+  // detector offsets. Checkpoints come from the quiesced control flow, so
+  // the pins need no lock of their own.
+  std::unique_ptr<RetentionHold> anomalies_pin_;
+  std::unique_ptr<RetentionHold> logs_pin_;
+  std::unique_ptr<RetentionHold> parsed_pin_;
 
   // Crash supervisor (see ServiceOptions::supervise).
   std::thread supervisor_;

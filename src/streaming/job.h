@@ -74,11 +74,14 @@ class JobRunner {
 
   // Offset checkpointing passthrough (call only while the job is stopped):
   // what the service records in a checkpoint, and how recovery rewinds the
-  // job to it for at-least-once redelivery.
+  // job to it for at-least-once redelivery (refused below the input topic's
+  // low-water mark, see Consumer::seek).
   std::vector<uint64_t> consumer_offsets() const {
     return consumer_.offsets();
   }
-  void seek(const std::vector<uint64_t>& offsets) { consumer_.seek(offsets); }
+  Status seek(const std::vector<uint64_t>& offsets) {
+    return consumer_.seek(offsets);
+  }
 
   // The JSON health report emitted every `metrics_report_every` batches
   // (also handy for tests and ad-hoc inspection).

@@ -1,9 +1,10 @@
 // Pins the broker's retention cost to amortized O(1) per message. A global
 // counting operator new sums every byte allocated while one partition
-// grows message by message: geometric log growth allocates about
-// 2·N·sizeof(Message) in total, whereas sizing the log exactly on every
-// append (reserve(size() + n)) reallocates the whole partition each time —
-// about N²/2·sizeof(Message), quadratic in stream length.
+// grows message by message: the chunked log allocates each fixed-size
+// chunk once, about N·sizeof(Message) in total, whereas sizing the log
+// exactly on every append (reserve(size() + n)) reallocates the whole
+// partition each time — about N²/2·sizeof(Message), quadratic in stream
+// length.
 #include <atomic>
 #include <cstdlib>
 #include <new>

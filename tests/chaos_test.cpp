@@ -9,6 +9,7 @@
 // (checkpoint + recover() mid-run) and through the supervisor thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -441,6 +442,80 @@ TEST(ChaosTest, RecoverExactlyOnceWhenSegmentFlushDiesMidWrite) {
   EXPECT_GE(service.anomalies().docs().segment_count(), 1u);
   std::remove(path.c_str());
   std::filesystem::remove_all(dir);
+}
+
+// Truncate, then crash. The broker frees what every reader has consumed,
+// so a checkpoint's pins must keep exactly what recover() replays. The
+// stream runs more than three chunks past the checkpoint: `logs` and
+// `parsed` are truncated behind the pipeline, but never past the pins,
+// when the crash comes. A checkpoint torn mid-write in between must leave
+// the pins with the file still in force.
+TEST(ChaosTest, TruncateThenCrashRecoversExactlyOnce) {
+  const Dataset d = make_d1(1.25);
+  const size_t chunk = Broker::kChunkMessages;
+  const size_t cut = chunk + chunk / 4;
+  const size_t crash_at = cut + 3 * chunk + 100;
+  ASSERT_GT(d.testing.size(), crash_at);
+  std::string path = temp_path("loglens_chaos_truncate.json");
+
+  MetricsRegistry control_registry;
+  auto expected = run_pipeline(d, &control_registry, nullptr);
+
+  MetricsRegistry registry;
+  FaultInjector faults(5, &registry);
+  ServiceOptions opts;
+  opts.build.discovery = recommended_discovery("D1");
+  opts.metrics = &registry;
+  opts.faults = &faults;
+  opts.checkpoint_path = path;
+  LogLensService service(opts);
+  service.train(d.training);
+  Agent agent = service.make_agent("D1");
+  Broker& broker = service.broker();
+  auto lines = [&](size_t from, size_t to) {
+    return std::vector<std::string>(d.testing.begin() + from,
+                                    d.testing.begin() + to);
+  };
+
+  agent.replay(lines(0, cut));
+  service.drain();
+  ASSERT_TRUE(service.checkpoint(path).ok());
+  const size_t at_checkpoint = service.anomalies().count();
+  // Drained, so the checkpointed offsets are the topic ends.
+  const uint64_t logs_pin = broker.end_offset("logs", 0);
+  const uint64_t parsed_pin = broker.end_offset("parsed", 0);
+
+  for (size_t from = cut; from < crash_at; from += chunk) {
+    agent.replay(lines(from, std::min(from + chunk, crash_at)));
+    service.drain();
+  }
+  EXPECT_GT(broker.low_water("logs", 0), 0u);
+  EXPECT_GT(broker.low_water("parsed", 0), 0u);
+  EXPECT_LE(broker.low_water("logs", 0), logs_pin);
+  EXPECT_LE(broker.low_water("parsed", 0), parsed_pin);
+  EXPECT_GT(broker.low_water("ingest", 0), logs_pin);  // nothing pins it
+  EXPECT_EQ(broker.low_water("anomalies", 0), 0u);     // pinned whole
+
+  FaultSpec torn;
+  torn.action = FaultAction::kTornWrite;
+  torn.max_triggers = 1;
+  faults.arm(kFaultSiteCheckpointWrite, torn);
+  EXPECT_FALSE(service.checkpoint(path).ok());
+  EXPECT_LE(broker.low_water("logs", 0), logs_pin);
+  EXPECT_LE(broker.low_water("parsed", 0), parsed_pin);
+
+  // Crash: the replay starts at the pins, and the report converges to the
+  // fault-free run exactly once.
+  ASSERT_TRUE(service.recover().ok());
+  EXPECT_EQ(service.anomalies().count(), at_checkpoint);
+  agent.replay(lines(crash_at, d.testing.size()));
+  service.drain();
+  service.heartbeat_advance(kDayMs);
+  service.drain();
+  EXPECT_EQ(normalized(service.anomalies()), expected);
+  EXPECT_EQ(detected_ids(service.anomalies()), d.anomalous_event_ids);
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
 }
 
 TEST(ChaosTest, TornCheckpointWriteKeepsLastGoodFile) {

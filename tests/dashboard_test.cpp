@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "broker/broker.h"
+
 namespace loglens {
 namespace {
 
@@ -116,6 +118,37 @@ TEST_F(DashboardTest, SourceSpikesEmptyWindowSaysNone) {
   std::string out = dashboard_.render_source_spikes(
       AnomalyType::kOpenStateEvicted, 0, 3'600'000);
   EXPECT_NE(out.find("  none"), std::string::npos);
+}
+
+TEST(DashboardRetention, ListsStoredAndFreedMessagesPerTopic) {
+  MetricsRegistry registry;
+  Broker broker(&registry);
+  ASSERT_TRUE(broker.create_topic("logs", 1).ok());
+  ASSERT_TRUE(broker.create_topic("metrics", 1).ok());
+  Consumer reader(broker, "logs");
+  const uint64_t n = Broker::kChunkMessages + 3;
+  ASSERT_TRUE(broker.produce_batch("logs", std::vector<Message>(n)).ok());
+  ASSERT_TRUE(broker.produce("metrics", Message{}).ok());
+  ASSERT_EQ(reader.poll(n).size(), n);
+
+  AnomalyStore anomalies;
+  ModelStore models;
+  LogStore logs;
+  Dashboard dashboard(anomalies, models, logs, &registry);
+  const std::string panel =
+      dashboard.render_broker_retention({"logs", "metrics", "unknown"});
+  EXPECT_NE(panel.find("broker retention"), std::string::npos);
+  // logs: 3 stored, low-water at the chunk boundary, one chunk freed.
+  const std::string chunk = std::to_string(Broker::kChunkMessages);
+  EXPECT_NE(panel.find("logs                      3       " + chunk +
+                       "       " + chunk + "              0"),
+            std::string::npos)
+      << panel;
+  // metrics: nobody reads it, so it keeps everything.
+  EXPECT_NE(panel.find("metrics                   1          0          0"),
+            std::string::npos)
+      << panel;
+  EXPECT_EQ(panel.find("unknown"), std::string::npos);
 }
 
 TEST_F(DashboardTest, EmptyStoresRenderCleanly) {

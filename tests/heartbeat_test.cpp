@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "datagen/datasets.h"
 #include "service/wire.h"
+#include "tokenize/preprocessor.h"
 
 namespace loglens {
 namespace {
@@ -102,6 +108,46 @@ TEST(Heartbeat, IgnoresNonDataMessages) {
   broker.produce("parsed", own_hb);
   EXPECT_EQ(hb.tick(), 0u);  // no *data* sources observed
   EXPECT_EQ(hb.active_sources(), 0u);
+}
+
+// Observing in every drain round, as LogLensService::drain() does, emits
+// exactly the heartbeats that observing only at ticks does: the same count
+// and the same per-source timestamps. Two controllers watch one D1 stream
+// (spread over three sources) and emit to their own topics; only one of them
+// observes after every segment, and both tick on the same schedule.
+TEST(Heartbeat, PerRoundObservationEqualsTickOnly) {
+  const Dataset d1 = make_d1(0.1);
+  auto pre = Preprocessor::create();
+  ASSERT_TRUE(pre.ok());
+  Broker broker;
+  broker.create_topic("parsed", 1);
+  HeartbeatController per_round(broker, {"parsed", "hb_per_round", 1000});
+  HeartbeatController tick_only(broker, {"parsed", "hb_tick_only", 1000});
+  const char* sources[] = {"A", "B", "C"};
+  for (size_t i = 0; i < d1.testing.size(); ++i) {
+    const int64_t ts = pre->process(d1.testing[i]).timestamp_ms;
+    ASSERT_GE(ts, 0);
+    broker.produce("parsed", parsed(sources[i % 3], ts));
+    if (i % 50 == 49) per_round.observe();
+    if (i % 170 == 169) {
+      EXPECT_EQ(per_round.tick(), tick_only.tick());
+    }
+  }
+  for (int quiet = 0; quiet < 3; ++quiet) {
+    EXPECT_EQ(per_round.tick(), tick_only.tick());
+  }
+  auto emitted = [&broker](const std::string& topic) {
+    std::vector<std::pair<std::string, int64_t>> out;
+    for (const Message& m :
+         broker.fetch(topic, 0, 0, broker.end_offset(topic, 0))) {
+      EXPECT_EQ(m.tag, MessageTag::kHeartbeat);
+      out.emplace_back(m.source, m.timestamp_ms);
+    }
+    return out;
+  };
+  const auto expected = emitted("hb_tick_only");
+  EXPECT_GT(expected.size(), 3u * 3u);
+  EXPECT_EQ(emitted("hb_per_round"), expected);
 }
 
 TEST(Heartbeat, NoSourcesNoHeartbeats) {

@@ -482,6 +482,105 @@ TEST(SchedExplorer, RedeliveryVsOffsetCommit) {
           redelivery_vs_commit);
 }
 
+// --- scenario 5: chunk free on commit vs recover's seek vs in-flight fetch -
+//
+// A topic three chunks long, with a checkpoint pin inside chunk 1 and the
+// runner's consumer already at the end. A reader thread's commits free
+// chunk 0 once it passes it; a fetcher reads raw windows straddling the
+// chunk 0/1 boundary; the main thread plays recover(): it tries to rewind
+// the runner to offset 0, then rewinds it to the pin and replays.
+// Invariants: a fetch returns either nothing (its start was already freed)
+// or exactly the messages at its offsets; the rewind to 0 succeeds only
+// while nothing is freed, and then holds everything; the rewind to the pin
+// always succeeds and redelivers every offset from the pin on, in order;
+// the low-water mark never passes the pin.
+std::string free_vs_seek_vs_fetch() {
+  constexpr uint64_t kChunk = Broker::kChunkMessages;
+  constexpr uint64_t kTotal = 3 * kChunk;
+  constexpr uint64_t kPin = kChunk + 100;
+  Broker broker;
+  (void)broker.create_topic("t", 1);
+  Consumer runner(broker, "t");
+  Consumer reader(broker, "t");
+  RetentionHold pin(broker, "t");
+  if (!pin.move_to({kPin}).ok()) return "pin refused on an empty topic";
+  (void)broker.produce_batch("t", std::vector<Message>(kTotal));
+  while (!runner.poll(kTotal).empty()) continue;
+
+  std::thread read = sched::spawn_named("reader", [&reader] {
+    while (!reader.poll(kChunk / 2).empty()) continue;
+  });
+  std::string fetch_err;
+  std::thread fetch = sched::spawn_named("fetcher", [&broker, &fetch_err] {
+    for (uint64_t i = 0; i < 4 && fetch_err.empty(); ++i) {
+      const uint64_t from = kChunk - 256 + i * 128;
+      const auto got = broker.fetch("t", 0, from, 512);
+      if (got.empty()) {
+        // The mark only rises, so it must already have passed `from`.
+        if (broker.low_water("t", 0) <= from) {
+          fetch_err = "empty fetch at " + std::to_string(from) +
+                      " above the low-water mark";
+        }
+        continue;
+      }
+      if (got.size() != 512) fetch_err = "short fetch";
+      for (size_t k = 0; k < got.size(); ++k) {
+        if (got[k].seq != static_cast<int64_t>(from + k)) {
+          fetch_err = "fetch at " + std::to_string(from) + " returned seq " +
+                      std::to_string(got[k].seq) + " at index " +
+                      std::to_string(k);
+          break;
+        }
+      }
+      sched::sleep_for_ms(1);
+    }
+  });
+
+  std::string err;
+  if (runner.seek({0}).ok()) {
+    // The runner now holds offset 0: nothing may be freed from here on.
+    if (broker.low_water("t", 0) != 0) err = "rewound below a freed chunk";
+  } else if (broker.low_water("t", 0) == 0) {
+    err = "rewind to 0 refused while nothing was freed";
+  }
+  if (Status s = runner.seek({kPin}); !s.ok()) {
+    err = "rewind to the pin refused: " + s.message();
+  }
+  uint64_t next = kPin;
+  for (auto batch = runner.poll(kChunk / 2); !batch.empty() && err.empty();
+       batch = runner.poll(kChunk / 2)) {
+    for (const Message& m : batch) {
+      if (m.seq != static_cast<int64_t>(next)) {
+        err = "replay delivered seq " + std::to_string(m.seq) +
+              ", expected " + std::to_string(next);
+        break;
+      }
+      ++next;
+    }
+  }
+  {
+    sched::BlockingRegion joining;
+    read.join();
+    fetch.join();
+  }
+  if (!err.empty()) return err;
+  if (!fetch_err.empty()) return fetch_err;
+  if (next != kTotal) {
+    return "replay stopped at " + std::to_string(next) + " of " +
+           std::to_string(kTotal);
+  }
+  if (broker.low_water("t", 0) != kChunk) {
+    return "low-water mark " + std::to_string(broker.low_water("t", 0)) +
+           " after every reader passed chunk 0; the pin holds chunk 1";
+  }
+  return "";
+}
+
+TEST(SchedExplorer, ChunkFreeVsRecoverSeekVsFetch) {
+  explore("free_vs_seek_vs_fetch", 25, scenario_options(),
+          free_vs_seek_vs_fetch);
+}
+
 // --- replay determinism --------------------------------------------------
 //
 // One seed must name one interleaving: running the same scenario twice

@@ -8,9 +8,12 @@ once per seed in SEEDS, for SECONDS at SCALE. d1_long replays one long
 stream in ten equal segments and reports `tail_slowdown`: the last segment's
 per-log time over the first's.
 The gate fails (exit 1) unless every run is correct with no failed
-operations and the median `tail_slowdown` stays at or below MAX_SLOWDOWN. A
-pipeline whose per-log cost grows with how much it has already seen — a
-quadratic retention, an index that never stops growing — fails it.
+operations, the median `tail_slowdown` stays at or below MAX_SLOWDOWN, and
+the median `bytes_per_log` (RSS growth over a pass, per log) stays at or
+below MAX_BYTES_PER_LOG. A pipeline whose per-log cost grows with how much
+it has already seen — a quadratic retention, an index that never stops
+growing — fails the first bound; one that keeps every consumed message in
+the broker fails the second.
 """
 
 import json
@@ -24,6 +27,10 @@ SEEDS = (1, 2, 3)
 SECONDS = 5
 SCALE = 0.5
 MAX_SLOWDOWN = 1.25
+# The broker frees consumed messages, so RSS grows by the log archive and
+# the anomaly store: ~670 B per log at these settings (seeds 1-3, a 4-core
+# VM). Keeping every message in the broker reads ~2000 B.
+MAX_BYTES_PER_LOG = 1200
 
 
 def run_once(seed):
@@ -44,18 +51,22 @@ def run_once(seed):
 def main():
     failures = []
     slowdowns = []
+    bytes_per_log = []
     for seed in SEEDS:
         result, error = run_once(seed)
         if error:
             failures.append(error)
             continue
         slowdown = result["metrics"]["tail_slowdown"]["value"]
-        print("seed %d: correct=%s failed=%d tail_slowdown=%.3f" % (
-            seed, result["correct"], result["failed"], slowdown))
+        per_log = result["metrics"]["bytes_per_log"]["value"]
+        print("seed %d: correct=%s failed=%d tail_slowdown=%.3f "
+              "bytes_per_log=%.0f" % (seed, result["correct"],
+                                      result["failed"], slowdown, per_log))
         if not result["correct"] or result["failed"] != 0:
             failures.append("seed %d: correct=%s failed=%d" % (
                 seed, result["correct"], result["failed"]))
         slowdowns.append(slowdown)
+        bytes_per_log.append(per_log)
 
     if slowdowns:
         median = statistics.median(slowdowns)
@@ -64,6 +75,12 @@ def main():
         if median > MAX_SLOWDOWN:
             failures.append("median tail_slowdown %.3f > %.2f" % (
                 median, MAX_SLOWDOWN))
+        median = statistics.median(bytes_per_log)
+        print("median bytes_per_log %.0f (bound %d)" % (
+            median, MAX_BYTES_PER_LOG))
+        if median > MAX_BYTES_PER_LOG:
+            failures.append("median bytes_per_log %.0f > %d" % (
+                median, MAX_BYTES_PER_LOG))
     for f in failures:
         print("FAIL %s" % f)
     return 1 if failures else 0

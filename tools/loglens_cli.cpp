@@ -276,9 +276,11 @@ int cmd_dashboard(const CliOptions& cli, const std::string& model_path,
       spikes = dashboard.render_source_spikes(
           AnomalyType::kOpenStateEvicted, newest - 3600L * 1000, newest);
     }
-    std::printf("%s\n%s%s\n%s", dashboard.render().c_str(), spikes.c_str(),
-                dashboard.render_stage_latency().c_str(),
-                dashboard.render_metrics().c_str());
+    std::printf(
+        "%s\n%s%s\n%s\n%s", dashboard.render().c_str(), spikes.c_str(),
+        dashboard.render_stage_latency().c_str(),
+        dashboard.render_broker_retention(service.broker().topics()).c_str(),
+        dashboard.render_metrics().c_str());
   }
   return 0;
 }
