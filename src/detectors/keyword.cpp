@@ -1,30 +1,31 @@
 #include "detectors/keyword.h"
 
+#include <array>
+
 #include "common/strings.h"
 
 namespace loglens {
 
-KeywordDetector::KeywordDetector(KeywordDetectorOptions options)
-    : options_(std::move(options)) {
-  if (options_.case_insensitive) {
-    for (auto& k : options_.keywords) k = to_lower(k);
-  }
-}
+namespace {
 
-std::string KeywordDetector::normalize(std::string_view token) const {
-  return options_.case_insensitive ? to_lower(token) : std::string(token);
-}
+// The severity keywords, lower case.
+constexpr std::array<std::string_view, 9> kKeywords = {
+    "error", "fatal",    "exception", "fail",   "failed",
+    "panic", "critical", "corrupt",   "timeout"};
 
-std::string_view KeywordDetector::keyword_in(std::string_view token) const {
-  for (const auto& k : options_.keywords) {
+// Returns the first keyword contained in the case-folded `token`, or empty.
+std::string_view keyword_in(std::string_view token) {
+  for (std::string_view k : kKeywords) {
     if (token.find(k) != std::string_view::npos) return k;
   }
   return {};
 }
 
+}  // namespace
+
 void KeywordDetector::observe_normal(std::string_view raw) {
   for (std::string_view tok : split_any(raw, " \t")) {
-    std::string norm = normalize(tok);
+    std::string norm = to_lower(tok);
     if (!keyword_in(norm).empty()) {
       allowlist_.insert(std::move(norm));
     }
@@ -35,7 +36,7 @@ std::optional<Anomaly> KeywordDetector::check(std::string_view raw,
                                               std::string_view source,
                                               int64_t timestamp_ms) const {
   for (std::string_view tok : split_any(raw, " \t")) {
-    std::string norm = normalize(tok);
+    std::string norm = to_lower(tok);
     std::string_view keyword = keyword_in(norm);
     if (keyword.empty() || allowlist_.contains(norm)) continue;
     Anomaly a;
@@ -60,12 +61,11 @@ Json KeywordDetector::to_json() const {
   return Json(std::move(obj));
 }
 
-StatusOr<KeywordDetector> KeywordDetector::from_json(
-    const Json& j, KeywordDetectorOptions options) {
+StatusOr<KeywordDetector> KeywordDetector::from_json(const Json& j) {
   if (!j.is_object()) {
     return StatusOr<KeywordDetector>::Error("keyword model not an object");
   }
-  KeywordDetector d(std::move(options));
+  KeywordDetector d;
   if (const Json* allow = j.find("allowlist");
       allow != nullptr && allow->is_array()) {
     for (const auto& t : allow->as_array()) {

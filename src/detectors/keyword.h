@@ -13,23 +13,15 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "storage/anomaly.h"
 
 namespace loglens {
 
-struct KeywordDetectorOptions {
-  std::vector<std::string> keywords = {"error",  "fatal",    "exception",
-                                       "fail",   "failed",   "panic",
-                                       "critical", "corrupt", "timeout"};
-  bool case_insensitive = true;
-};
-
+// The keyword list is fixed (error, fatal, exception, fail, failed, panic,
+// critical, corrupt, timeout) and tokens are matched case-folded.
 class KeywordDetector {
  public:
-  explicit KeywordDetector(KeywordDetectorOptions options = {});
-
   // Training pass: tokens containing a keyword in normal logs are noise by
   // definition and get allowlisted.
   void observe_normal(std::string_view raw);
@@ -42,15 +34,9 @@ class KeywordDetector {
   size_t allowlist_size() const { return allowlist_.size(); }
 
   Json to_json() const;
-  static StatusOr<KeywordDetector> from_json(const Json& j,
-                                             KeywordDetectorOptions options = {});
+  static StatusOr<KeywordDetector> from_json(const Json& j);
 
  private:
-  // Returns the first keyword contained in `token`, or empty.
-  std::string_view keyword_in(std::string_view token) const;
-  std::string normalize(std::string_view token) const;
-
-  KeywordDetectorOptions options_;
   std::set<std::string> allowlist_;  // normalized tokens seen in normal runs
 };
 

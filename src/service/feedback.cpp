@@ -2,13 +2,11 @@
 
 #include <algorithm>
 
-#include "tokenize/preprocessor.h"
-
 namespace loglens {
 
-GrokPattern pattern_from_line(std::string_view raw, int pattern_id) {
-  Preprocessor pre = std::move(Preprocessor::create({}).value());
-  TokenizedLog log = pre.process(raw);
+GrokPattern pattern_from_line(const CompositeModel& model,
+                              std::string_view raw, int pattern_id) {
+  TokenizedLog log = model.make_preprocessor().process(raw);
   std::vector<GrokToken> tokens;
   tokens.reserve(log.tokens.size());
   for (const Token& t : log.tokens) {
@@ -52,7 +50,8 @@ Status apply_feedback(CompositeModel& model, const Anomaly& anomaly,
         for (const auto& p : model.patterns) {
           next_id = std::max(next_id, p.id() + 1);
         }
-        GrokPattern pattern = pattern_from_line(anomaly.logs.front(), next_id);
+        GrokPattern pattern =
+            pattern_from_line(model, anomaly.logs.front(), next_id);
         if (pattern.size() == 0) {
           fail("log line produced an empty pattern");
           return;
@@ -204,7 +203,10 @@ StatusOr<std::string> FeedbackHandler::accept_as_normal(
   std::string description;
   Status status = apply_feedback(model, anomaly, description);
   if (!status.ok()) return StatusOr<std::string>(status);
-  manager_.deploy(model_name_, model);  // new version, live rebroadcast
+  // A new version, live rebroadcast.
+  if (auto v = manager_.deploy(model_name_, model); !v.ok()) {
+    return StatusOr<std::string>(v.status());
+  }
   return description;
 }
 

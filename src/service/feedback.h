@@ -44,8 +44,10 @@ class FeedbackHandler {
 };
 
 // The pattern-learning half of UNPARSED_LOG feedback, exposed for reuse:
-// builds a GROK pattern from one raw line by keeping WORD tokens as literals
-// and generalizing everything else to its datatype.
-GrokPattern pattern_from_line(std::string_view raw, int pattern_id);
+// builds a GROK pattern from one raw line, tokenized with `model`'s
+// tokenizer, by keeping WORD tokens as literals and generalizing everything
+// else to its datatype.
+GrokPattern pattern_from_line(const CompositeModel& model,
+                              std::string_view raw, int pattern_id);
 
 }  // namespace loglens

@@ -1,5 +1,7 @@
 #include "service/model.h"
 
+#include <stdexcept>
+
 namespace loglens {
 
 Json patterns_to_json(const std::vector<GrokPattern>& patterns) {
@@ -29,12 +31,71 @@ StatusOr<std::vector<GrokPattern>> patterns_from_json(const Json& j) {
   return out;
 }
 
+namespace {
+
+Json tokenizer_to_json(const PreprocessorOptions& t) {
+  JsonArray rules;
+  for (const auto& r : t.split_rules) {
+    rules.emplace_back(
+        JsonObject{{"match", Json(r.match)}, {"rewrite", Json(r.rewrite)}});
+  }
+  JsonArray formats;
+  for (const auto& f : t.timestamp_formats) formats.emplace_back(f);
+  JsonObject obj;
+  obj.emplace_back("delimiters", Json(t.delimiters));
+  obj.emplace_back("split_rules", Json(std::move(rules)));
+  obj.emplace_back("timestamp_formats", Json(std::move(formats)));
+  return Json(std::move(obj));
+}
+
+// Absent keys keep their defaults. The split rules and timestamp formats
+// must compile: a model whose tokenizer cannot be built parses nothing.
+StatusOr<PreprocessorOptions> tokenizer_from_json(const Json& j) {
+  using Result = StatusOr<PreprocessorOptions>;
+  if (!j.is_object()) return Result::Error("tokenizer not an object");
+  PreprocessorOptions t;
+  if (const Json* d = j.find("delimiters"); d != nullptr) {
+    if (!d->is_string()) return Result::Error("delimiters not a string");
+    t.delimiters = d->as_string();
+  }
+  if (const Json* rules = j.find("split_rules"); rules != nullptr) {
+    if (!rules->is_array()) return Result::Error("split_rules not an array");
+    for (const auto& r : rules->as_array()) {
+      const Json* match = r.find("match");
+      const Json* rewrite = r.find("rewrite");
+      if (match == nullptr || !match->is_string() || rewrite == nullptr ||
+          !rewrite->is_string()) {
+        return Result::Error("split rule needs string match and rewrite");
+      }
+      t.split_rules.push_back({match->as_string(), rewrite->as_string()});
+    }
+  }
+  if (const Json* formats = j.find("timestamp_formats"); formats != nullptr) {
+    if (!formats->is_array()) {
+      return Result::Error("timestamp_formats not an array");
+    }
+    for (const auto& f : formats->as_array()) {
+      if (!f.is_string()) return Result::Error("timestamp format not a string");
+      t.timestamp_formats.push_back(f.as_string());
+    }
+  }
+  if (auto pre = Preprocessor::create(t); !pre.ok()) {
+    return Result(pre.status());
+  }
+  return t;
+}
+
+}  // namespace
+
 Json CompositeModel::to_json() const {
   JsonObject obj;
   obj.emplace_back("patterns", patterns_to_json(patterns));
   obj.emplace_back("sequence", sequence.to_json());
   obj.emplace_back("field_ranges", field_ranges.to_json());
   obj.emplace_back("keywords", keyword_model);
+  if (tokenizer != PreprocessorOptions{}) {
+    obj.emplace_back("tokenizer", tokenizer_to_json(tokenizer));
+  }
   return Json(std::move(obj));
 }
 
@@ -61,7 +122,18 @@ StatusOr<CompositeModel> CompositeModel::from_json(const Json& j) {
   if (const Json* kj = j.find("keywords"); kj != nullptr) {
     m.keyword_model = *kj;
   }
+  if (const Json* tj = j.find("tokenizer"); tj != nullptr) {
+    auto tokenizer = tokenizer_from_json(*tj);
+    if (!tokenizer.ok()) return StatusOr<CompositeModel>(tokenizer.status());
+    m.tokenizer = std::move(tokenizer.value());
+  }
   return m;
+}
+
+Preprocessor CompositeModel::make_preprocessor() const {
+  auto pre = Preprocessor::create(tokenizer);
+  if (!pre.ok()) throw std::invalid_argument(pre.status().message());
+  return std::move(pre.value());
 }
 
 }  // namespace loglens

@@ -4,6 +4,7 @@
 
 #include "common/clock.h"
 #include "common/parallel.h"
+#include "detectors/keyword.h"
 
 namespace loglens {
 
@@ -27,6 +28,21 @@ class PhaseTimer {
   uint64_t last_us_ = trace_clock::now_us();
 };
 
+// The preprocessor for `tokenizer`. One that does not compile (a bad split
+// rule) is reset to the defaults rather than dropping the build, but
+// visibly: each fallback counts in loglens_preprocessor_invalid_options_total.
+Preprocessor make_preprocessor(PreprocessorOptions& tokenizer,
+                               MetricsRegistry* metrics) {
+  auto pre = Preprocessor::create(tokenizer);
+  if (pre.ok()) return std::move(pre.value());
+  registry_or_global(metrics)
+      .counter("loglens_preprocessor_invalid_options_total", {},
+               "Invalid builder tokenizers replaced by the defaults")
+      .inc();
+  tokenizer = {};
+  return std::move(Preprocessor::create(tokenizer).value());
+}
+
 }  // namespace
 
 ModelBuilder::ModelBuilder(BuildOptions options, MetricsRegistry* metrics)
@@ -46,8 +62,9 @@ BuildResult ModelBuilder::build(
 
   // Serial, in stream order: the timestamp recognizer's format cache makes
   // how a line's date reads depend on the lines before it.
+  result.model.tokenizer = options_.preprocessor;
   Preprocessor preprocessor =
-      make_preprocessor(options_.preprocessor, metrics_);
+      make_preprocessor(result.model.tokenizer, metrics_);
   std::vector<TokenizedLog> tokenized;
   tokenized.reserve(training_lines.size());
   for (const auto& line : training_lines) {
@@ -99,7 +116,7 @@ BuildResult ModelBuilder::build(
     result.model.field_ranges = std::move(ranges);
   }
   if (options_.learn_keywords) {
-    KeywordDetector keywords(options_.keywords);
+    KeywordDetector keywords;
     for (const auto& line : training_lines) keywords.observe_normal(line);
     result.model.keyword_model = keywords.to_json();
   }
@@ -138,11 +155,18 @@ Status ModelController::apply(const ModelInstruction& instruction) {
 ModelManager::ModelManager(ModelStore& store, ModelController& controller)
     : store_(store), controller_(controller) {}
 
-int ModelManager::deploy(const std::string& name, const CompositeModel& model) {
-  int version = store_.put(name, model.to_json());
-  controller_.apply({version == 1 ? ModelInstruction::Op::kAdd
-                                  : ModelInstruction::Op::kUpdate,
-                     name});
+StatusOr<int> ModelManager::deploy(const std::string& name,
+                                   const CompositeModel& model) {
+  Json blob = model.to_json();
+  if (auto loads = CompositeModel::from_json(blob); !loads.ok()) {
+    return StatusOr<int>(loads.status());
+  }
+  const int version = store_.put(name, std::move(blob));
+  Status applied = controller_.apply(
+      {version == 1 ? ModelInstruction::Op::kAdd
+                    : ModelInstruction::Op::kUpdate,
+       name});
+  if (!applied.ok()) return StatusOr<int>(applied);
   return version;
 }
 
@@ -153,8 +177,7 @@ Status ModelManager::edit(
   if (!current.ok()) return current.status();
   CompositeModel model = std::move(current.value());
   mutate(model);
-  deploy(name, model);
-  return Status::Ok();
+  return deploy(name, model).status();
 }
 
 StatusOr<BuildResult> ModelManager::rebuild(const std::string& name,
@@ -167,7 +190,9 @@ StatusOr<BuildResult> ModelManager::rebuild(const std::string& name,
                                         source);
   }
   BuildResult result = builder.build(lines);
-  deploy(name, result.model);
+  if (auto v = deploy(name, result.model); !v.ok()) {
+    return StatusOr<BuildResult>(v.status());
+  }
   return result;
 }
 
@@ -179,12 +204,18 @@ StatusOr<BuildResult> ModelManager::rebuild_incremental(
     return StatusOr<BuildResult>::Error("no archived logs for source: " +
                                         source);
   }
+  auto current = get(name);
   std::vector<GrokPattern> known;
-  if (auto current = get(name); current.ok()) {
-    known = std::move(current.value().patterns);
-  }
+  if (current.ok()) known = std::move(current.value().patterns);
   BuildResult result = builder.build(lines, std::move(known));
-  deploy(name, result.model);
+  if (current.ok() && result.model.tokenizer != current.value().tokenizer) {
+    return StatusOr<BuildResult>::Error(
+        "builder tokenizer differs from the deployed model's: rebuild '" +
+        name + "' from scratch instead");
+  }
+  if (auto v = deploy(name, result.model); !v.ok()) {
+    return StatusOr<BuildResult>(v.status());
+  }
   return result;
 }
 

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "detectors/keyword.h"
 #include "logmine/discoverer.h"
 #include "service/model.h"
 #include "service/tasks.h"
@@ -31,6 +30,7 @@ namespace loglens {
 
 struct BuildOptions {
   DiscoveryOptions discovery;
+  // The tokenizer to train with; the built model records the one it used.
   PreprocessorOptions preprocessor;
   LearnerOptions learner;
   // Extension detectors (opt-in): learn KPI ranges per (pattern, field) and
@@ -38,7 +38,6 @@ struct BuildOptions {
   bool learn_field_ranges = false;
   bool learn_keywords = false;
   FieldRangeOptions field_ranges;
-  KeywordDetectorOptions keywords;
 };
 
 struct BuildResult {
@@ -60,8 +59,10 @@ struct BuildResult {
 // on the thread count (DESIGN.md, model builder).
 class ModelBuilder {
  public:
-  // `metrics` (nullptr -> the global registry) counts invalid preprocessor
-  // options replaced by the defaults.
+  // A tokenizer that does not compile (a bad split rule) is replaced by the
+  // defaults rather than failing the build; the model records the defaults,
+  // and each fallback counts in loglens_preprocessor_invalid_options_total
+  // of `metrics` (nullptr -> the global registry).
   explicit ModelBuilder(BuildOptions options = {},
                         MetricsRegistry* metrics = nullptr);
 
@@ -113,8 +114,10 @@ class ModelManager {
  public:
   ModelManager(ModelStore& store, ModelController& controller);
 
-  // Stores a model version and pushes an update instruction.
-  int deploy(const std::string& name, const CompositeModel& model);
+  // Stores a model version and pushes an update instruction; returns the
+  // version. A model that would not load back (from_json rejects it, e.g. a
+  // split rule that does not compile) is an error and is not stored.
+  StatusOr<int> deploy(const std::string& name, const CompositeModel& model);
 
   // Human/automated edit: load latest, mutate, store, push update.
   Status edit(const std::string& name,
@@ -129,7 +132,9 @@ class ModelManager {
   // Like rebuild, but seeds discovery with the latest deployed version's
   // patterns (when one exists): stable pattern ids survive the relearn, and
   // discovery cost scales with the *novel* portion of the archive, not its
-  // size. Falls back to a full build for a model never deployed.
+  // size. Falls back to a full build for a model never deployed. The known
+  // patterns were discovered under the deployed model's tokenizer, so a
+  // builder whose tokenizer differs is an error and nothing is deployed.
   StatusOr<BuildResult> rebuild_incremental(const std::string& name,
                                             LogStore& logs,
                                             const std::string& source,

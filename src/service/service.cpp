@@ -340,7 +340,10 @@ Status LogLensService::restore_internal(const std::string& path,
   }
   auto model = CompositeModel::from_json(*model_blob);
   if (!model.ok()) return model.status();
-  model_manager_->deploy(options_.model_name, model.value());
+  if (auto v = model_manager_->deploy(options_.model_name, model.value());
+      !v.ok()) {
+    return v.status();
+  }
   if (!running_.load()) {
     // Land the rebroadcast without consuming queued input: control ops are
     // applied at the head of a batch, so empty batches suffice (a plain
@@ -464,8 +467,7 @@ StatusOr<LogLensService::ReplayResult> LogLensService::replay_archive(
                                          source);
   }
 
-  Preprocessor pre =
-      make_preprocessor(options_.parser.preprocessor, options_.metrics);
+  Preprocessor pre = model->make_preprocessor();
   LogParser parser(model->patterns, pre.classifier());
   SequenceDetector detector(model->sequence, options_.detector);
 

@@ -44,9 +44,11 @@ struct ServiceOptions {
   BuildOptions build;
   // Observability: registry every component reports into (nullptr -> the
   // process-wide global one) and how often each JobRunner publishes a JSON
-  // health report to the "metrics" topic (0 disables the reports).
+  // health report to the "metrics" topic (0, the default, disables them).
+  // Nothing reads that topic, so it is never freed: a service that turns
+  // the reports on stores every one of them for its lifetime.
   MetricsRegistry* metrics = nullptr;
-  size_t metrics_report_every = 64;
+  size_t metrics_report_every = 0;
   // Fault tolerance (docs/FAULTS.md). `faults` is threaded into the broker
   // and both engines; poison messages land on `dead_letter_topic`.
   // `checkpoint_path` names the file checkpoint()/recover() use; with

@@ -17,25 +17,9 @@ uint64_t stat_delta(uint64_t current, uint64_t last) {
 
 }  // namespace
 
-Preprocessor make_preprocessor(PreprocessorOptions options,
-                               MetricsRegistry* metrics) {
-  auto pre = Preprocessor::create(std::move(options));
-  if (pre.ok()) return std::move(pre.value());
-  // Invalid user split rules: degrade to defaults rather than dropping logs,
-  // but visibly.
-  registry_or_global(metrics)
-      .counter("loglens_preprocessor_invalid_options_total", {},
-               "Invalid preprocessor options replaced by the defaults")
-      .inc();
-  return std::move(Preprocessor::create({}).value());
-}
-
 ParserTask::ParserTask(std::shared_ptr<ModelBroadcast> model, size_t partition,
-                       ParserTaskOptions options, MetricsRegistry* metrics)
-    : model_(std::move(model)),
-      partition_(partition),
-      options_(std::move(options)),
-      preprocessor_(make_preprocessor(options_.preprocessor, metrics)) {
+                       ParserTaskOptions /*unused*/, MetricsRegistry* metrics)
+    : model_(std::move(model)), partition_(partition) {
   MetricsRegistry& registry = registry_or_global(metrics);
   MetricLabels labels{{"partition", std::to_string(partition)}};
   logs_total_ = &registry.counter("loglens_parser_logs_total", labels,
@@ -69,16 +53,20 @@ void ParserTask::refresh_model(size_t partition) {
   auto fresh = model_->value(partition);
   if (fresh == current_ && parser_ != nullptr) return;
   if (parser_ != nullptr) sync_stats();  // flush before the stats reset
+  if (current_ == nullptr || fresh->tokenizer != current_->tokenizer) {
+    parser_.reset();  // it refers to the old preprocessor's classifier
+    preprocessor_ = std::make_unique<Preprocessor>(fresh->make_preprocessor());
+    synced_regex_exhausted_ = 0;
+  }
   current_ = std::move(fresh);
   parser_ = std::make_unique<LogParser>(current_->patterns,
-                                        preprocessor_.classifier());
+                                        preprocessor_->classifier());
   synced_ = {};
   id_fields_ = current_->sequence.id_fields;
   keywords_.reset();
   if (current_->keyword_model.is_object() &&
       !current_->keyword_model.as_object().empty()) {
-    auto detector =
-        KeywordDetector::from_json(current_->keyword_model, options_.keywords);
+    auto detector = KeywordDetector::from_json(current_->keyword_model);
     if (detector.ok()) {
       keywords_ =
           std::make_unique<KeywordDetector>(std::move(detector.value()));
@@ -101,7 +89,7 @@ void ParserTask::sync_stats() {
   synced_ = stats;
   // Budget exhaustion lives on the split-rule regexes this task owns, never
   // on a global, so summing per task cannot double-count across partitions.
-  const uint64_t exhausted = preprocessor_.split_rule_budget_exhausted_total();
+  const uint64_t exhausted = preprocessor_->split_rule_budget_exhausted_total();
   regex_budget_exhausted_total_->inc(
       stat_delta(exhausted, synced_regex_exhausted_));
   synced_regex_exhausted_ = exhausted;
@@ -132,7 +120,7 @@ void ParserTask::process(const Message& message, TaskContext& ctx) {
     ctx.emit(std::move(m));
   };
 
-  preprocessor_.process_into(message.value, tokenized_);
+  preprocessor_->process_into(message.value, tokenized_);
 
   // Extension: stateless keyword detection on the raw line.
   if (keywords_ != nullptr) {

@@ -3,7 +3,8 @@
 //
 // Each task reads the composite model through a rebroadcastable Broadcast
 // variable. A task detects a model update by pointer identity of the pulled
-// value: the parser stage rebuilds its (stateless) LogParser; the detector
+// value: the parser stage rebuilds its (stateless) LogParser, and its
+// preprocessor only when the model's tokenizer changed; the detector
 // stage calls SequenceDetector::update_model, which swaps rules while
 // preserving every open state — the zero-downtime behaviour of Section V-A.
 #pragma once
@@ -26,25 +27,17 @@ namespace loglens {
 
 using ModelBroadcast = Broadcast<CompositeModel>;
 
-// The extension detectors run whenever the model carries them (field
-// ranges, a keyword model); the signature index keeps LogParser's default
-// bound.
-struct ParserTaskOptions {
-  PreprocessorOptions preprocessor;
-  KeywordDetectorOptions keywords;
-};
-
-// The preprocessor for `options`. Invalid options (a split rule that does
-// not compile) fall back to the defaults rather than dropping logs; each
-// fallback counts in loglens_preprocessor_invalid_options_total of
-// `metrics` (nullptr -> the global registry).
-Preprocessor make_preprocessor(PreprocessorOptions options,
-                               MetricsRegistry* metrics);
+// No settings: the model carries the tokenizer, the keyword list is a
+// constant, and the extension detectors run whenever the model carries them
+// (field ranges, a keyword model). The empty struct, ServiceOptions::parser
+// and ParserTask's third parameter stay only because perfbench/ passes them
+// (ROADMAP item 4 queues their removal).
+struct ParserTaskOptions {};
 
 class ParserTask : public PartitionTask {
  public:
   ParserTask(std::shared_ptr<ModelBroadcast> model, size_t partition,
-             ParserTaskOptions options = {},
+             ParserTaskOptions /*unused*/ = {},
              MetricsRegistry* metrics = nullptr);
 
   void process(const Message& message, TaskContext& ctx) override;
@@ -60,9 +53,12 @@ class ParserTask : public PartitionTask {
 
   std::shared_ptr<ModelBroadcast> model_;
   size_t partition_;
-  ParserTaskOptions options_;
-  Preprocessor preprocessor_;
   std::shared_ptr<const CompositeModel> current_;
+  // Built from current_->tokenizer and kept across redeploys of an equal
+  // tokenizer, so the timestamp recognizer's format cache (which decides how
+  // an ambiguous date reads) survives them. parser_ holds a reference to its
+  // classifier: the two are replaced together.
+  std::unique_ptr<Preprocessor> preprocessor_;
   std::unique_ptr<LogParser> parser_;
   IdFieldMap id_fields_;
   std::unique_ptr<KeywordDetector> keywords_;

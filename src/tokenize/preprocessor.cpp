@@ -16,6 +16,12 @@ StatusOr<Preprocessor> Preprocessor::create(PreprocessorOptions options) {
     }
     rules.push_back({std::move(re.value()), spec.rewrite});
   }
+  for (const auto& format : options.timestamp_formats) {
+    if (auto f = TimestampFormat::compile(format); !f.ok()) {
+      return StatusOr<Preprocessor>::Error("bad timestamp format '" + format +
+                                           "': " + f.status().message());
+    }
+  }
   return Preprocessor(std::move(options), std::move(rules));
 }
 
@@ -23,7 +29,7 @@ Preprocessor::Preprocessor(PreprocessorOptions options,
                            std::vector<CompiledRule> rules)
     : options_(std::move(options)),
       rules_(std::move(rules)),
-      recognizer_(options_.timestamp, options_.timestamp_formats) {
+      recognizer_({}, options_.timestamp_formats) {
   for (unsigned char c : options_.delimiters) is_delim_[c] = true;
 }
 

@@ -34,17 +34,24 @@ namespace loglens {
 struct SplitRuleSpec {
   std::string match;
   std::string rewrite;
+
+  friend bool operator==(const SplitRuleSpec&, const SplitRuleSpec&) = default;
 };
 
+// The tokenizer a model is trained and parsed with; CompositeModel carries
+// it (service/model.h), so the two can never differ.
 struct PreprocessorOptions {
   std::string delimiters = " \t\r\n";        // user-overridable
   std::vector<SplitRuleSpec> split_rules;
-  RecognizerOptions timestamp;
   std::vector<std::string> timestamp_formats;  // replaces predefined if set
+
+  friend bool operator==(const PreprocessorOptions&,
+                         const PreprocessorOptions&) = default;
 };
 
 class Preprocessor {
  public:
+  // Fails on a split rule or a timestamp format that does not compile.
   static StatusOr<Preprocessor> create(PreprocessorOptions options = {});
 
   TokenizedLog process(std::string_view raw);

@@ -247,7 +247,8 @@ TEST(BrokerRetention, LowWaterGaugeIsTheLowestPartition) {
 // The service frees behind its slowest reader, the heartbeat controller
 // included: after every drain, each topic that has a reader stores at most
 // the chunk being appended to, per partition, and streaming D1 ten times
-// over leaves as many stored chunks as streaming it once.
+// over leaves as many stored chunks as streaming it once. The stock service
+// stores nothing on the reader-less "metrics" topic.
 TEST(BrokerRetention, ServiceRetainsAtMostOneChunkPerPartition) {
   const Dataset d1 = make_d1(0.3);
   ASSERT_GT(d1.testing.size(), kChunk);
@@ -257,7 +258,6 @@ TEST(BrokerRetention, ServiceRetainsAtMostOneChunkPerPartition) {
     ServiceOptions opts;
     opts.build.discovery = recommended_discovery("D1");
     opts.metrics = &registry;
-    opts.metrics_report_every = 0;
     LogLensService service(opts);
     service.train(d1.training);
     Agent agent = service.make_agent("D1");
@@ -292,6 +292,9 @@ TEST(BrokerRetention, ServiceRetainsAtMostOneChunkPerPartition) {
       }
     }
     EXPECT_GE(broker.end_offset("logs", 0), repeats * n);
+    // The "metrics" topic has no reader, so nothing ever frees it: a stock
+    // service must not publish to it at all.
+    EXPECT_EQ(broker.end_offset("metrics", 0), 0u) << repeats;
     return chunks;
   };
   const auto once = stored_chunks(1);

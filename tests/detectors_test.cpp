@@ -45,14 +45,6 @@ TEST(Keyword, TrainingAllowlistsNormalTokens) {
   EXPECT_TRUE(d.check("write failed on disk 3", "s", 0).has_value());
 }
 
-TEST(Keyword, CustomKeywordSet) {
-  KeywordDetectorOptions opts;
-  opts.keywords = {"oom"};
-  KeywordDetector d(opts);
-  EXPECT_TRUE(d.check("kernel OOM killer invoked", "s", 0).has_value());
-  EXPECT_FALSE(d.check("plain error line", "s", 0).has_value());  // not in set
-}
-
 TEST(Keyword, SerializationRoundTrip) {
   KeywordDetector d;
   d.observe_normal("failover ok");

@@ -217,12 +217,46 @@ TEST_F(FeedbackTest, OpenStateEvictionHasNoModelEdit) {
 
 TEST_F(FeedbackTest, PatternFromLineShape) {
   GrokPattern p = pattern_from_line(
+      CompositeModel{},
       "2016/02/23 09:00:31 worker started job j-17 on 10.0.0.8 in 250 ms",
       7);
   EXPECT_EQ(p.id(), 7);
   EXPECT_EQ(p.to_string(),
             "%{DATETIME:P7F1} worker started job %{NOTSPACE:P7F2} on "
             "%{IP:P7F3} in %{NUMBER:P7F4} ms");
+}
+
+// A pattern learned from an unparsed line is tokenized with the model's own
+// tokenizer: under the split rule "123KB" -> "123 KB" it parses the line
+// that taught it, and its siblings.
+TEST(Feedback, UnparsedLogOnASplitRuleModelLearnsAParsingPattern) {
+  ServiceOptions opts;
+  opts.build.discovery.max_dist = 0.34;
+  opts.build.preprocessor.split_rules.push_back({"([0-9]+)(KB)", "$1 $2"});
+  LogLensService service(opts);
+  std::vector<std::string> lines;
+  for (int i = 0; i < 50; ++i) {
+    lines.push_back("2016/02/23 09:00:" + std::to_string(10 + i % 50) +
+                    " cache read " + std::to_string(100 + i) + "KB from node" +
+                    std::to_string(i % 5));
+  }
+  ASSERT_EQ(service.train(lines).unparsed_training_logs, 0u);
+  Agent agent = service.make_agent("fb");
+  agent.send_line("2016/02/24 09:00:00 spill wrote 55KB to 10.0.0.7");
+  service.drain();
+  auto unparsed = service.anomalies().by_type(AnomalyType::kUnparsedLog);
+  ASSERT_EQ(unparsed.size(), 1u);
+
+  FeedbackHandler handler(service.models(), service.model_name());
+  auto result = handler.accept_as_normal(unparsed[0]);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_NE(result->find("spill wrote %{NUMBER:P2F2} KB to %{IP:P2F3}"),
+            std::string::npos)
+      << *result;
+  agent.send_line("2016/02/24 09:00:00 spill wrote 55KB to 10.0.0.7");
+  agent.send_line("2016/02/24 10:11:12 spill wrote 4096KB to 10.0.0.9");
+  service.drain();
+  EXPECT_EQ(service.anomalies().count_by_type(AnomalyType::kUnparsedLog), 1u);
 }
 
 }  // namespace

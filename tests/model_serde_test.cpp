@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "service/wire.h"
 
 namespace loglens {
@@ -82,6 +84,67 @@ TEST(CompositeModelSerde, EmptyModel) {
 TEST(CompositeModelSerde, MissingPatternsRejected) {
   EXPECT_FALSE(CompositeModel::from_json(Json(JsonObject{})).ok());
   EXPECT_FALSE(CompositeModel::from_json(Json(7)).ok());
+}
+
+TEST(CompositeModelSerde, TokenizerRoundTrips) {
+  CompositeModel m;
+  m.patterns = sample_patterns();
+  m.tokenizer.delimiters = " ,;";
+  m.tokenizer.split_rules = {{"([0-9]+)(KB)", "$1 $2"}, {"(x)=(y)", "$1 $2"}};
+  m.tokenizer.timestamp_formats = {"yyyy.MM.dd-HH:mm:ss"};
+  auto text_back = Json::parse(m.to_json().dump());
+  ASSERT_TRUE(text_back.ok());
+  auto back = CompositeModel::from_json(text_back.value());
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(back->tokenizer, m.tokenizer);
+  // The model parses with it: "123KB" splits, ',' delimits.
+  TokenizedLog log = back->make_preprocessor().process("read,123KB");
+  ASSERT_EQ(log.tokens.size(), 3u);
+  EXPECT_EQ(log.tokens[1].text, "123");
+  EXPECT_EQ(log.tokens[2].text, "KB");
+}
+
+// A default tokenizer writes no section, so default-tokenizer models keep
+// the JSON (and digests) they had before models carried one, and model
+// files written before then load with the defaults.
+TEST(CompositeModelSerde, ModelWithoutTokenizerLoadsDefaults) {
+  CompositeModel m;
+  m.patterns = sample_patterns();
+  m.sequence = sample_sequence();
+  Json j = m.to_json();
+  EXPECT_EQ(j.find("tokenizer"), nullptr);
+  auto back = CompositeModel::from_json(j);
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(back->tokenizer, PreprocessorOptions{});
+  // A partial section keeps the defaults for the keys it leaves out.
+  j.set("tokenizer",
+        Json(JsonObject{{"timestamp_formats", Json(JsonArray{Json("yyyy")})}}));
+  back = CompositeModel::from_json(j);
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(back->tokenizer.delimiters, PreprocessorOptions{}.delimiters);
+  EXPECT_EQ(back->tokenizer.timestamp_formats,
+            std::vector<std::string>{"yyyy"});
+}
+
+TEST(CompositeModelSerde, BadTokenizerRejected) {
+  CompositeModel m;
+  m.patterns = sample_patterns();
+  m.tokenizer.split_rules = {{"([0-9]+", "$1"}};
+  EXPECT_FALSE(CompositeModel::from_json(m.to_json()).ok());
+  EXPECT_THROW(m.make_preprocessor(), std::invalid_argument);
+
+  Json j = CompositeModel{}.to_json();
+  j.set("tokenizer", Json("nope"));
+  EXPECT_FALSE(CompositeModel::from_json(j).ok());
+  j.set("tokenizer",
+        Json(JsonObject{{"split_rules",
+                         Json(JsonArray{Json(JsonObject{{"match", Json(1)}})})}}));
+  EXPECT_FALSE(CompositeModel::from_json(j).ok());
+  j.set("tokenizer", Json(JsonObject{{"delimiters", Json(7)}}));
+  EXPECT_FALSE(CompositeModel::from_json(j).ok());
+  j.set("tokenizer",
+        Json(JsonObject{{"timestamp_formats", Json(JsonArray{Json("")})}}));
+  EXPECT_FALSE(CompositeModel::from_json(j).ok());
 }
 
 TEST(Wire, ParsedLogRoundTrip) {

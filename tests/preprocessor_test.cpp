@@ -106,6 +106,12 @@ TEST(Preprocess, BadSplitRuleReported) {
   EXPECT_FALSE(Preprocessor::create(std::move(opts)).ok());
 }
 
+TEST(Preprocess, BadTimestampFormatReported) {
+  PreprocessorOptions opts;
+  opts.timestamp_formats = {"yyyy/MM/dd", ""};
+  EXPECT_FALSE(Preprocessor::create(std::move(opts)).ok());
+}
+
 TEST(Preprocess, UserTimestampFormats) {
   PreprocessorOptions opts;
   opts.timestamp_formats = {"yyyy.MM.dd-HH:mm:ss"};

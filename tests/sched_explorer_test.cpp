@@ -386,7 +386,6 @@ class RecoverScenario {
     opts.parser_partitions = 1;
     opts.detector_partitions = 1;
     opts.workers = 1;
-    opts.metrics_report_every = 0;
     opts.checkpoint_path = checkpoint_path;
     return opts;
   }

@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/time.h"
 #include "datagen/datasets.h"
 #include "json/json.h"
 #include "service/service.h"
@@ -113,6 +114,40 @@ TEST(ServiceE2E, UnparsedLogsReportedAsStatelessAnomalies) {
   ASSERT_EQ(stored[0].logs.size(), 1u);
   EXPECT_EQ(stored[0].logs[0], "totally unknown log format &&& 123");
   EXPECT_EQ(stored[0].source, "D1");
+}
+
+// The paper's split rule ("123KB" -> "123 KB"), given only to the builder,
+// reaches the parser stage and the archive replay through the model: the
+// stream parses as the training corpus did.
+TEST(ServiceE2E, BuilderSplitRuleParsesTheStream) {
+  auto corpus = [](int from, int n) {
+    std::vector<std::string> out;
+    for (int i = from; i < from + n; ++i) {
+      const std::string ts = format_canonical(1456218000000 + i * 1000LL);
+      out.push_back(ts + " read " + std::to_string(100 + i) + "KB from disk" +
+                    std::to_string(i % 4));
+      out.push_back(ts + " wrote " + std::to_string(7 + i) + "KB to cache c" +
+                    std::to_string(i % 3));
+    }
+    return out;
+  };
+  ServiceOptions opts = d1_options();
+  opts.build.preprocessor.split_rules.push_back({"([0-9]+)(KB)", "$1 $2"});
+  LogLensService service(opts);
+  BuildResult build = service.train(corpus(0, 200));
+  ASSERT_EQ(build.unparsed_training_logs, 0u);
+  ASSERT_EQ(build.model.patterns.size(), 2u);
+  EXPECT_EQ(build.model.tokenizer, opts.build.preprocessor);
+
+  Agent agent = service.make_agent("kb");
+  agent.replay(corpus(200, 50));
+  service.drain();
+  EXPECT_EQ(service.anomalies().count_by_type(AnomalyType::kUnparsedLog), 0u);
+
+  auto replay = service.replay_archive("kb");
+  ASSERT_TRUE(replay.ok()) << replay.status().message();
+  EXPECT_EQ(replay->logs, 100u);
+  EXPECT_EQ(replay->unparsed, 0u);
 }
 
 // Every message has one body: text in `value` (log lines, metrics reports)

@@ -43,6 +43,11 @@ Checks (see docs/STATIC_ANALYSIS.md):
      `.payload`/`->payload` member. Everything else goes through the wire.h
      accessors, so the one-body rule (a message carries `value` text or a
      typed payload, never both) is enforced in one module.
+  9. One tokenizer per model: under src/ and tools/, only tokenize/,
+     service/model.{h,cpp} and service/model_ops.cpp may call
+     Preprocessor::create. Everything else that parses with a model takes
+     its preprocessor from CompositeModel::make_preprocessor(), so a model
+     is always parsed with the tokenizer it was trained with.
 
 Usage:
   tools/lint.py              lint the repo (exit 1 on any violation)
@@ -126,6 +131,15 @@ PAYLOAD_OWNERS = (
 PAYLOAD_ACCESS = re.compile(
     r"\b(MessagePayload|ParsedPayload|AnomalyPayload)\b|(\.|->)\s*payload\b"
 )
+
+# Rule 9: the model owns its tokenizer. The builder (model_ops.cpp) makes
+# the one it trains with; everything else asks the model.
+TOKENIZER_OWNERS = (
+    "src/service/model.h",
+    "src/service/model.cpp",
+    "src/service/model_ops.cpp",
+)
+PREPROCESSOR_CREATE = re.compile(r"\bPreprocessor::create\b")
 
 LINE_COMMENT = re.compile(r"//.*$")
 
@@ -241,6 +255,20 @@ def lint_text(text, rel):
                     "service/wire.{h,cpp}; read and build messages through "
                     "the wire.h accessors (parsed_payload_view, "
                     "anomaly_from_message, ...)"
+                )
+
+    if (
+        rel.startswith(("src/", "tools/"))
+        and not rel.startswith("src/tokenize/")
+        and rel not in TOKENIZER_OWNERS
+    ):
+        for lineno, code in lines:
+            if PREPROCESSOR_CREATE.search(code):
+                problems.append(
+                    f"{rel}:{lineno}: Preprocessor::create outside the "
+                    "model; take the preprocessor from "
+                    "CompositeModel::make_preprocessor() so the model is "
+                    "parsed with the tokenizer it was trained with"
                 )
 
     if ANNOTATION.search(text) and rel != "src/common/thread_annotations.h":
@@ -472,6 +500,48 @@ SELF_TEST_CASES = [
     (
         "tests/fixture_payload.cpp",
         "TEST(X, Y) { EXPECT_EQ(m.payload, nullptr); }\n",
+        None,
+    ),
+    # A preprocessor built outside the model can disagree with the
+    # tokenizer the model was trained with: in a stage...
+    (
+        "src/service/fixture_tokenizer.cpp",
+        "Preprocessor pre = std::move(Preprocessor::create({}).value());\n",
+        "Preprocessor::create outside the model",
+    ),
+    # ...or in a tool.
+    (
+        "tools/fixture_cli.cpp",
+        "auto pre = Preprocessor::create(options);\n",
+        "Preprocessor::create outside the model",
+    ),
+    # The tokenizer module, the model and the builder may build one; tests,
+    # benches and prose may too.
+    (
+        "src/tokenize/preprocessor.cpp",
+        "StatusOr<Preprocessor> Preprocessor::create(PreprocessorOptions o) "
+        "{ return Preprocessor(o); }\n",
+        None,
+    ),
+    (
+        "src/service/model.cpp",
+        "auto pre = Preprocessor::create(tokenizer);\n",
+        None,
+    ),
+    (
+        "src/service/model_ops.cpp",
+        "auto pre = Preprocessor::create(tokenizer);\n",
+        None,
+    ),
+    (
+        "tests/fixture_preprocessor.cpp",
+        "auto pre = std::move(Preprocessor::create({}).value());\n",
+        None,
+    ),
+    (
+        "src/service/fixture_tokenizer_comment.cpp",
+        "// never call Preprocessor::create here\n"
+        "Preprocessor pre = model.make_preprocessor();\n",
         None,
     ),
     # Negative control: idiomatic code must pass clean.

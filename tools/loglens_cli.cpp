@@ -25,7 +25,8 @@
 //       Writes the edited model back in place (print with `show`).
 //
 //   loglens show <model.json>
-//       Print a model summary: patterns, automata, extension detectors.
+//       Print a model summary: patterns, automata, extension detectors, and
+//       the tokenizer when it is not the default.
 //
 //   loglens dashboard <model.json> <logs.log>
 //       Run the full pipeline over a log file, then print the status
@@ -192,7 +193,7 @@ int cmd_parse(const CliOptions&, const std::string& model_path,
     std::fprintf(stderr, "error: %s\n", lines.status().message().c_str());
     return 1;
   }
-  Preprocessor pre = std::move(Preprocessor::create({}).value());
+  Preprocessor pre = model->make_preprocessor();
   LogParser parser(model->patterns, pre.classifier());
   size_t anomalies = 0;
   for (const auto& line : lines.value()) {
@@ -304,6 +305,18 @@ int cmd_show(const std::string& model_path) {
   std::printf("id fields: %zu, tracked KPI fields: %zu\n",
               model->sequence.id_fields.size(),
               model->field_ranges.tracked_fields());
+  const PreprocessorOptions& tokenizer = model->tokenizer;
+  if (tokenizer != PreprocessorOptions{}) {
+    std::printf("tokenizer: delimiters %s\n",
+                Json(tokenizer.delimiters).dump().c_str());
+    for (const auto& rule : tokenizer.split_rules) {
+      std::printf("  split rule: %s => %s\n", rule.match.c_str(),
+                  rule.rewrite.c_str());
+    }
+    for (const auto& format : tokenizer.timestamp_formats) {
+      std::printf("  timestamp format: %s\n", format.c_str());
+    }
+  }
   return 0;
 }
 
