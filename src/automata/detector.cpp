@@ -347,22 +347,11 @@ std::vector<Anomaly> SequenceDetector::maybe_evict(int64_t close_time_ms) {
 std::vector<Anomaly> SequenceDetector::on_log(const ParsedLog& log,
                                               std::string_view source) {
   ++stats_.logs_seen;
-  auto field_it = model_.id_fields.find(log.pattern_id);
-  if (field_it == model_.id_fields.end()) return {};
-  if (!pattern_known(log.pattern_id)) return {};
-
-  const Json* id_value = nullptr;
-  for (const auto& [k, v] : log.fields) {
-    if (k == field_it->second) {
-      id_value = &v;
-      break;
-    }
-  }
-  if (id_value == nullptr || !id_value->is_string() ||
-      id_value->as_string().empty()) {
+  const std::string* id = event_id_of(log, model_.id_fields);
+  if (id == nullptr || id->empty() || !pattern_known(log.pattern_id)) {
     return {};
   }
-  const std::string& event_id = id_value->as_string();
+  const std::string& event_id = *id;
 
   ++stats_.logs_tracked;
   auto [map_it, inserted] = open_.try_emplace(event_id);

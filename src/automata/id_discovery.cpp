@@ -294,4 +294,14 @@ IdFieldMap discover_id_fields(const std::vector<ParsedLog>& training,
   return result;
 }
 
+const std::string* event_id_of(const ParsedLog& log,
+                               const IdFieldMap& id_fields) {
+  auto it = id_fields.find(log.pattern_id);
+  if (it == id_fields.end()) return nullptr;
+  for (const auto& [k, v] : log.fields) {
+    if (k == it->second) return v.is_string() ? &v.as_string() : nullptr;
+  }
+  return nullptr;
+}
+
 }  // namespace loglens

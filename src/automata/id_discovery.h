@@ -47,4 +47,11 @@ using IdFieldMap = std::map<int, std::string>;
 IdFieldMap discover_id_fields(const std::vector<ParsedLog>& training,
                               const IdDiscoveryOptions& options = {});
 
+// The event ID `log` carries under `id_fields`: its string value of the field
+// mapped to its pattern. nullptr when the pattern has no ID field or the log
+// has no string value for it. An empty ID is returned as is; each caller
+// decides what it means.
+const std::string* event_id_of(const ParsedLog& log,
+                               const IdFieldMap& id_fields);
+
 }  // namespace loglens

@@ -150,18 +150,10 @@ SequenceModel learn_sequence_model(const std::vector<ParsedLog>& training,
   };
   std::map<std::string, Instance> instances;
   for (const auto& log : training) {
-    auto it = model.id_fields.find(log.pattern_id);
-    if (it == model.id_fields.end()) continue;
-    const Json* id_value = nullptr;
-    for (const auto& [k, v] : log.fields) {
-      if (k == it->second) {
-        id_value = &v;
-        break;
-      }
-    }
-    if (id_value == nullptr || !id_value->is_string()) continue;
-    instances[id_value->as_string()].logs.emplace_back(log.pattern_id,
-                                                       log.timestamp_ms);
+    // Unlike the detector, the learner groups logs with an empty ID too.
+    const std::string* id = event_id_of(log, model.id_fields);
+    if (id == nullptr) continue;
+    instances[*id].logs.emplace_back(log.pattern_id, log.timestamp_ms);
   }
 
   // Merge instances by distinct-pattern-set into automata.

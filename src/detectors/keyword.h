@@ -31,10 +31,16 @@ class KeywordDetector {
   std::optional<Anomaly> check(std::string_view raw, std::string_view source,
                                int64_t timestamp_ms) const;
 
+  // Feedback: a token a human accepted as normal stops alerting.
+  void allow(std::string token) { allowlist_.insert(std::move(token)); }
+
   size_t allowlist_size() const { return allowlist_.size(); }
 
   Json to_json() const;
   static StatusOr<KeywordDetector> from_json(const Json& j);
+
+  friend bool operator==(const KeywordDetector&,
+                         const KeywordDetector&) = default;
 
  private:
   std::set<std::string> allowlist_;  // normalized tokens seen in normal runs

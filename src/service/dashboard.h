@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "metrics/metrics.h"
+#include "service/model.h"
 #include "storage/stores.h"
 
 namespace loglens {

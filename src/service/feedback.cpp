@@ -151,15 +151,14 @@ Status apply_feedback(CompositeModel& model, const Anomaly& anomaly,
           fail("missing token detail");
           return;
         }
-        if (!model.keyword_model.is_object()) {
-          model.keyword_model = Json(JsonObject{});
+        // Creating a keyword model here would switch keyword detection on
+        // with a one-token allowlist: every other keyword token would alert.
+        if (!model.keyword_model.has_value()) {
+          fail("the model has no keyword detector (the alert came from an "
+               "earlier version); rebuild with keyword learning instead");
+          return;
         }
-        const Json* allow = model.keyword_model.find("allowlist");
-        JsonArray list = allow != nullptr && allow->is_array()
-                             ? allow->as_array()
-                             : JsonArray{};
-        list.emplace_back(token);
-        model.keyword_model.set("allowlist", Json(std::move(list)));
+        model.keyword_model->allow(std::string(token));
         description = "allowlisted keyword token '" + std::string(token) + "'";
         return;
       }
@@ -199,7 +198,7 @@ StatusOr<std::string> FeedbackHandler::accept_as_normal(
     const Anomaly& anomaly) {
   auto current = manager_.get(model_name_);
   if (!current.ok()) return StatusOr<std::string>(current.status());
-  CompositeModel model = std::move(current.value());
+  CompositeModel model = *current.value();
   std::string description;
   Status status = apply_feedback(model, anomaly, description);
   if (!status.ok()) return StatusOr<std::string>(status);

@@ -18,7 +18,8 @@
 //   OCCURRENCE_VIOLATION    -> widen the state's min/max to the observed count
 //   DURATION_VIOLATION      -> widen the automaton's duration window
 //   UNKNOWN_TRANSITION      -> add the observed transition
-//   KEYWORD_ALERT           -> allowlist the offending token
+//   KEYWORD_ALERT           -> allowlist the offending token (refused when
+//                              the model has no keyword detector)
 //   VALUE_OUT_OF_RANGE      -> widen the field's learned range
 #pragma once
 

@@ -92,7 +92,9 @@ Json CompositeModel::to_json() const {
   obj.emplace_back("patterns", patterns_to_json(patterns));
   obj.emplace_back("sequence", sequence.to_json());
   obj.emplace_back("field_ranges", field_ranges.to_json());
-  obj.emplace_back("keywords", keyword_model);
+  obj.emplace_back("keywords", keyword_model.has_value()
+                                   ? keyword_model->to_json()
+                                   : Json(JsonObject{}));
   if (tokenizer != PreprocessorOptions{}) {
     obj.emplace_back("tokenizer", tokenizer_to_json(tokenizer));
   }
@@ -119,8 +121,12 @@ StatusOr<CompositeModel> CompositeModel::from_json(const Json& j) {
     if (!ranges.ok()) return StatusOr<CompositeModel>(ranges.status());
     m.field_ranges = std::move(ranges.value());
   }
-  if (const Json* kj = j.find("keywords"); kj != nullptr) {
-    m.keyword_model = *kj;
+  // An empty object is a model without keyword detection.
+  if (const Json* kj = j.find("keywords");
+      kj != nullptr && !(kj->is_object() && kj->as_object().empty())) {
+    auto keywords = KeywordDetector::from_json(*kj);
+    if (!keywords.ok()) return StatusOr<CompositeModel>(keywords.status());
+    m.keyword_model = std::move(keywords.value());
   }
   if (const Json* tj = j.find("tokenizer"); tj != nullptr) {
     auto tokenizer = tokenizer_from_json(*tj);
@@ -134,6 +140,53 @@ Preprocessor CompositeModel::make_preprocessor() const {
   auto pre = Preprocessor::create(tokenizer);
   if (!pre.ok()) throw std::invalid_argument(pre.status().message());
   return std::move(pre.value());
+}
+
+int ModelStore::put(std::string_view name,
+                    std::shared_ptr<const CompositeModel> model) {
+  RankedMutexLock lock(mu_);
+  Versions& v = models_[std::string(name)];
+  v.models.push_back(std::move(model));
+  if (v.models.size() > kKeptVersions) v.models.pop_front();
+  v.deleted = false;
+  return ++v.latest;
+}
+
+std::optional<ModelStore::Entry> ModelStore::latest(
+    std::string_view name) const {
+  RankedMutexLock lock(mu_);
+  auto it = models_.find(name);
+  if (it == models_.end() || it->second.deleted) return std::nullopt;
+  return Entry{it->second.latest, it->second.models.back()};
+}
+
+std::optional<ModelStore::Entry> ModelStore::version(std::string_view name,
+                                                     int version) const {
+  RankedMutexLock lock(mu_);
+  auto it = models_.find(name);
+  if (it == models_.end() || version < 1 || version > it->second.latest) {
+    return std::nullopt;
+  }
+  const Versions& v = it->second;
+  const auto back = static_cast<size_t>(v.latest - version);  // 0: latest
+  if (back >= v.models.size()) return std::nullopt;
+  return Entry{version, v.models[v.models.size() - 1 - back]};
+}
+
+void ModelStore::remove(std::string_view name) {
+  RankedMutexLock lock(mu_);
+  if (auto it = models_.find(name); it != models_.end()) {
+    it->second.deleted = true;
+  }
+}
+
+std::vector<std::string> ModelStore::names() const {
+  RankedMutexLock lock(mu_);
+  std::vector<std::string> out;
+  for (const auto& [name, v] : models_) {
+    if (!v.deleted) out.push_back(name);
+  }
+  return out;
 }
 
 }  // namespace loglens

@@ -4,7 +4,6 @@
 
 #include "common/clock.h"
 #include "common/parallel.h"
-#include "detectors/keyword.h"
 
 namespace loglens {
 
@@ -116,9 +115,8 @@ BuildResult ModelBuilder::build(
     result.model.field_ranges = std::move(ranges);
   }
   if (options_.learn_keywords) {
-    KeywordDetector keywords;
+    KeywordDetector& keywords = result.model.keyword_model.emplace();
     for (const auto& line : training_lines) keywords.observe_normal(line);
-    result.model.keyword_model = keywords.to_json();
   }
   result.learn_s = timer.lap();
   result.total_seconds =
@@ -130,23 +128,18 @@ ModelController::ModelController(ModelStore& store, std::vector<Target> targets)
     : store_(store), targets_(std::move(targets)) {}
 
 Status ModelController::apply(const ModelInstruction& instruction) {
-  CompositeModel model;  // kDelete deploys an empty model
+  static const auto kEmpty = std::make_shared<const CompositeModel>();
+  std::shared_ptr<const CompositeModel> model = kEmpty;
   if (instruction.op != ModelInstruction::Op::kDelete) {
     auto entry = store_.latest(instruction.model_name);
     if (!entry.has_value()) {
       return Status::Error("model not found: " + instruction.model_name);
     }
-    auto parsed = CompositeModel::from_json(entry->blob);
-    if (!parsed.ok()) return parsed.status();
-    model = std::move(parsed.value());
+    model = std::move(entry->model);
   }
   for (auto& target : targets_) {
-    auto broadcast = target.broadcast;
-    CompositeModel copy = model;
     target.engine->enqueue_control(
-        [broadcast, copy = std::move(copy)]() mutable {
-          broadcast->update(std::move(copy));
-        });
+        [broadcast = target.broadcast, model] { broadcast->update(model); });
   }
   ++applied_;
   return Status::Ok();
@@ -157,11 +150,10 @@ ModelManager::ModelManager(ModelStore& store, ModelController& controller)
 
 StatusOr<int> ModelManager::deploy(const std::string& name,
                                    const CompositeModel& model) {
-  Json blob = model.to_json();
-  if (auto loads = CompositeModel::from_json(blob); !loads.ok()) {
-    return StatusOr<int>(loads.status());
-  }
-  const int version = store_.put(name, std::move(blob));
+  auto loaded = CompositeModel::from_json(model.to_json());
+  if (!loaded.ok()) return StatusOr<int>(loaded.status());
+  const int version = store_.put(
+      name, std::make_shared<const CompositeModel>(std::move(loaded.value())));
   Status applied = controller_.apply(
       {version == 1 ? ModelInstruction::Op::kAdd
                     : ModelInstruction::Op::kUpdate,
@@ -175,7 +167,7 @@ Status ModelManager::edit(
     const std::function<void(CompositeModel&)>& mutate) {
   auto current = get(name);
   if (!current.ok()) return current.status();
-  CompositeModel model = std::move(current.value());
+  CompositeModel model = *current.value();
   mutate(model);
   return deploy(name, model).status();
 }
@@ -206,9 +198,9 @@ StatusOr<BuildResult> ModelManager::rebuild_incremental(
   }
   auto current = get(name);
   std::vector<GrokPattern> known;
-  if (current.ok()) known = std::move(current.value().patterns);
+  if (current.ok()) known = current.value()->patterns;
   BuildResult result = builder.build(lines, std::move(known));
-  if (current.ok() && result.model.tokenizer != current.value().tokenizer) {
+  if (current.ok() && result.model.tokenizer != current.value()->tokenizer) {
     return StatusOr<BuildResult>::Error(
         "builder tokenizer differs from the deployed model's: rebuild '" +
         name + "' from scratch instead");
@@ -219,12 +211,14 @@ StatusOr<BuildResult> ModelManager::rebuild_incremental(
   return result;
 }
 
-StatusOr<CompositeModel> ModelManager::get(const std::string& name) const {
+StatusOr<std::shared_ptr<const CompositeModel>> ModelManager::get(
+    const std::string& name) const {
   auto entry = store_.latest(name);
   if (!entry.has_value()) {
-    return StatusOr<CompositeModel>::Error("model not found: " + name);
+    return StatusOr<std::shared_ptr<const CompositeModel>>::Error(
+        "model not found: " + name);
   }
-  return CompositeModel::from_json(entry->blob);
+  return std::move(entry->model);
 }
 
 void ModelManager::remove(const std::string& name) {

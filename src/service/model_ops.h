@@ -10,7 +10,9 @@
 //
 // Controller: translates add/update/delete instructions into rebroadcasts
 // applied to the running engines between micro-batches — the zero-downtime
-// model update of Section V-A.
+// model update of Section V-A. A deployed model is loaded once, by deploy();
+// the store, the broadcasts and every task then share that one immutable
+// object.
 #pragma once
 
 #include <chrono>
@@ -98,8 +100,9 @@ class ModelController {
 
   ModelController(ModelStore& store, std::vector<Target> targets);
 
-  // Reads the named model from the store and schedules the rebroadcast; the
-  // engines pick it up before their next micro-batch.
+  // Reads the named model from the store and schedules the rebroadcast of
+  // that same object to every target; the engines pick it up before their
+  // next micro-batch. kDelete broadcasts an empty model.
   Status apply(const ModelInstruction& instruction);
 
   uint64_t instructions_applied() const { return applied_; }
@@ -115,8 +118,10 @@ class ModelManager {
   ModelManager(ModelStore& store, ModelController& controller);
 
   // Stores a model version and pushes an update instruction; returns the
-  // version. A model that would not load back (from_json rejects it, e.g. a
-  // split rule that does not compile) is an error and is not stored.
+  // version. The model is checked by one JSON round trip, and what is stored
+  // and broadcast is the model as loaded back: exactly what a checkpoint of
+  // it restores. A model that would not load back (from_json rejects it,
+  // e.g. a split rule that does not compile) is an error and is not stored.
   StatusOr<int> deploy(const std::string& name, const CompositeModel& model);
 
   // Human/automated edit: load latest, mutate, store, push update.
@@ -140,7 +145,9 @@ class ModelManager {
                                             const std::string& source,
                                             const ModelBuilder& builder);
 
-  StatusOr<CompositeModel> get(const std::string& name) const;
+  // The latest stored version: the deployed object itself, not a copy.
+  StatusOr<std::shared_ptr<const CompositeModel>> get(
+      const std::string& name) const;
   void remove(const std::string& name);
 
  private:

@@ -250,7 +250,7 @@ Status LogLensService::checkpoint(const std::string& path) {
   JsonObject obj;
   obj.emplace_back("model_name", Json(options_.model_name));
   auto entry = model_store_.latest(options_.model_name);
-  obj.emplace_back("model", entry ? entry->blob : Json(nullptr));
+  obj.emplace_back("model", entry ? entry->model->to_json() : Json(nullptr));
   JsonArray events;
   for (size_t p = 0; p < detector_engine_->partitions(); ++p) {
     auto* task = dynamic_cast<DetectorTask*>(&detector_engine_->task(p));
@@ -459,17 +459,18 @@ Status LogLensService::recover() {
 
 StatusOr<LogLensService::ReplayResult> LogLensService::replay_archive(
     const std::string& source, int64_t from_ms, int64_t to_ms) {
-  auto model = model_manager_->get(options_.model_name);
-  if (!model.ok()) return StatusOr<ReplayResult>(model.status());
+  auto deployed = model_manager_->get(options_.model_name);
+  if (!deployed.ok()) return StatusOr<ReplayResult>(deployed.status());
+  const CompositeModel& model = *deployed.value();
   std::vector<std::string> lines = log_manager_.log_store().fetch(source);
   if (lines.empty()) {
     return StatusOr<ReplayResult>::Error("no archived logs for source: " +
                                          source);
   }
 
-  Preprocessor pre = model->make_preprocessor();
-  LogParser parser(model->patterns, pre.classifier());
-  SequenceDetector detector(model->sequence, options_.detector);
+  Preprocessor pre = model.make_preprocessor();
+  LogParser parser(model.patterns, pre.classifier());
+  SequenceDetector detector(model.sequence, options_.detector);
 
   ReplayResult result;
   int64_t max_ts = -1;

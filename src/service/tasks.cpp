@@ -15,6 +15,12 @@ uint64_t stat_delta(uint64_t current, uint64_t last) {
   return current >= last ? current - last : current;
 }
 
+Histogram& model_update_pause(MetricsRegistry& registry, const char* stage) {
+  return registry.histogram(
+      "loglens_model_update_pause_us", {{"stage", stage}},
+      "Time a task spends adopting a new model version, per partition");
+}
+
 }  // namespace
 
 ParserTask::ParserTask(std::shared_ptr<ModelBroadcast> model, size_t partition,
@@ -47,11 +53,13 @@ ParserTask::ParserTask(std::shared_ptr<ModelBroadcast> model, size_t partition,
   parse_latency_us_ =
       &registry.histogram("loglens_parser_parse_latency_us", labels,
                           "Per-log parse latency (index lookup + matching)");
+  model_update_pause_us_ = &model_update_pause(registry, "parser");
 }
 
-void ParserTask::refresh_model(size_t partition) {
-  auto fresh = model_->value(partition);
+void ParserTask::on_batch_start(TaskContext& /*ctx*/) {
+  auto fresh = model_->value(partition_);
   if (fresh == current_ && parser_ != nullptr) return;
+  ScopedTimer pause(model_update_pause_us_);
   if (parser_ != nullptr) sync_stats();  // flush before the stats reset
   if (current_ == nullptr || fresh->tokenizer != current_->tokenizer) {
     parser_.reset();  // it refers to the old preprocessor's classifier
@@ -62,16 +70,6 @@ void ParserTask::refresh_model(size_t partition) {
   parser_ = std::make_unique<LogParser>(current_->patterns,
                                         preprocessor_->classifier());
   synced_ = {};
-  id_fields_ = current_->sequence.id_fields;
-  keywords_.reset();
-  if (current_->keyword_model.is_object() &&
-      !current_->keyword_model.as_object().empty()) {
-    auto detector = KeywordDetector::from_json(current_->keyword_model);
-    if (detector.ok()) {
-      keywords_ =
-          std::make_unique<KeywordDetector>(std::move(detector.value()));
-    }
-  }
 }
 
 void ParserTask::sync_stats() {
@@ -105,8 +103,6 @@ void ParserTask::process(const Message& message, TaskContext& ctx) {
     return;
   }
 
-  refresh_model(partition_);
-
   // Delivery identity for emitted children: 32 seq slots per input log keep
   // child seqs per-source monotonic, so the detector's dedup guard can
   // recognize a redelivered copy after an at-least-once replay. Inputs
@@ -123,9 +119,9 @@ void ParserTask::process(const Message& message, TaskContext& ctx) {
   preprocessor_->process_into(message.value, tokenized_);
 
   // Extension: stateless keyword detection on the raw line.
-  if (keywords_ != nullptr) {
-    if (auto alert = keywords_->check(message.value, message.source,
-                                      tokenized_.timestamp_ms)) {
+  if (current_->keyword_model.has_value()) {
+    if (auto alert = current_->keyword_model->check(
+            message.value, message.source, tokenized_.timestamp_ms)) {
       stateless_anomalies_total_->inc();
       emit(anomaly_to_message(std::move(*alert)));
     }
@@ -160,15 +156,8 @@ void ParserTask::process(const Message& message, TaskContext& ctx) {
 
   // Keyed partitioning for the stateful stage: use the event id when this
   // pattern has one, so an event's logs land on one detector partition.
-  std::string key = message.source;
-  if (auto it = id_fields_.find(parsed.pattern_id); it != id_fields_.end()) {
-    for (const auto& [k, v] : parsed.fields) {
-      if (k == it->second && v.is_string() && !v.as_string().empty()) {
-        key = v.as_string();
-        break;
-      }
-    }
-  }
+  const std::string* id = event_id_of(parsed, current_->sequence.id_fields);
+  std::string key = id != nullptr && !id->empty() ? *id : message.source;
   // Moving the scratch ParsedLog into the payload is safe: the next
   // parse_into fully rewrites it (emit_fields resizes, raw/ids reassigned).
   emit(parsed_to_message(std::move(parsed_), std::move(key), message.source));
@@ -214,11 +203,13 @@ DetectorTask::DetectorTask(std::shared_ptr<ModelBroadcast> model,
   deadline_heap_size_ = &registry.gauge(
       "loglens_detector_deadline_heap_size", labels,
       "Deadline-heap entries (live + stale) at the last batch end");
+  model_update_pause_us_ = &model_update_pause(registry, "detector");
 }
 
-void DetectorTask::refresh_model(size_t partition) {
-  auto fresh = model_->value(partition);
+void DetectorTask::on_batch_start(TaskContext& /*ctx*/) {
+  auto fresh = model_->value(partition_);
   if (fresh == current_ && detector_ != nullptr) return;
+  ScopedTimer pause(model_update_pause_us_);
   current_ = std::move(fresh);
   if (detector_ == nullptr) {
     detector_ =
@@ -271,7 +262,6 @@ void DetectorTask::process(const Message& message, TaskContext& ctx) {
     ctx.emit(message);  // stateless anomalies pass through to the sink
     return;
   }
-  refresh_model(partition_);
 
   std::vector<Anomaly> anomalies;
   if (message.tag == MessageTag::kHeartbeat) {

@@ -1,12 +1,14 @@
 // The two streaming stages as partition tasks: the stateless parser stage
 // and the stateful sequence-detector stage.
 //
-// Each task reads the composite model through a rebroadcastable Broadcast
-// variable. A task detects a model update by pointer identity of the pulled
-// value: the parser stage rebuilds its (stateless) LogParser, and its
-// preprocessor only when the model's tokenizer changed; the detector
-// stage calls SequenceDetector::update_model, which swaps rules while
-// preserving every open state — the zero-downtime behaviour of Section V-A.
+// Each task pulls the composite model from a rebroadcastable Broadcast once
+// per micro-batch, in on_batch_start (rebroadcasts land only at a batch's
+// head), and detects an update by pointer identity: the parser stage
+// rebuilds its (stateless) LogParser, and its preprocessor only when the
+// model's tokenizer changed; the detector stage calls
+// SequenceDetector::update_model, which swaps rules while preserving every
+// open state — the zero-downtime behaviour of Section V-A. Both adoptions
+// are timed in loglens_model_update_pause_us{stage}.
 #pragma once
 
 #include <map>
@@ -14,8 +16,6 @@
 #include <string>
 
 #include "automata/detector.h"
-#include "detectors/field_range.h"
-#include "detectors/keyword.h"
 #include "metrics/metrics.h"
 #include "parser/log_parser.h"
 #include "service/model.h"
@@ -40,6 +40,7 @@ class ParserTask : public PartitionTask {
              ParserTaskOptions /*unused*/ = {},
              MetricsRegistry* metrics = nullptr);
 
+  void on_batch_start(TaskContext& ctx) override;
   void process(const Message& message, TaskContext& ctx) override;
   void on_batch_end(TaskContext& ctx) override;
 
@@ -48,7 +49,6 @@ class ParserTask : public PartitionTask {
   }
 
  private:
-  void refresh_model(size_t partition);
   void sync_stats();
 
   std::shared_ptr<ModelBroadcast> model_;
@@ -60,8 +60,6 @@ class ParserTask : public PartitionTask {
   // classifier: the two are replaced together.
   std::unique_ptr<Preprocessor> preprocessor_;
   std::unique_ptr<LogParser> parser_;
-  IdFieldMap id_fields_;
-  std::unique_ptr<KeywordDetector> keywords_;
 
   // Metric handles + the last ParserStats values already pushed to them
   // (the parser is rebuilt on model updates, which resets its stats).
@@ -74,6 +72,7 @@ class ParserTask : public PartitionTask {
   Counter* stateless_anomalies_total_ = nullptr;
   Counter* regex_budget_exhausted_total_ = nullptr;
   Histogram* parse_latency_us_ = nullptr;
+  Histogram* model_update_pause_us_ = nullptr;
   ParserStats synced_;
   // Last regex budget-exhaustion total pushed (split rules; per-task
   // counters, so the sync cannot double-count across partitions).
@@ -91,6 +90,7 @@ class DetectorTask : public PartitionTask {
                DetectorOptions options = {},
                MetricsRegistry* metrics = nullptr);
 
+  void on_batch_start(TaskContext& ctx) override;
   void process(const Message& message, TaskContext& ctx) override;
   void on_batch_end(TaskContext& ctx) override;
 
@@ -105,7 +105,7 @@ class DetectorTask : public PartitionTask {
   Status restore_state(const Json& j, const CompositeModel& model) {
     if (detector_ == nullptr) {
       detector_ = std::make_unique<SequenceDetector>(model.sequence, options_);
-      current_.reset();  // next refresh re-pulls and update_model()s
+      current_.reset();  // the next batch re-pulls and update_model()s
     }
     // After a state rollback the replayed copies ARE the authoritative
     // input again — forget the watermarks or they would all be skipped.
@@ -117,7 +117,6 @@ class DetectorTask : public PartitionTask {
   }
 
  private:
-  void refresh_model(size_t partition);
   void sync_stats();
 
   std::shared_ptr<ModelBroadcast> model_;
@@ -145,6 +144,7 @@ class DetectorTask : public PartitionTask {
   Counter* dedup_skipped_total_ = nullptr;
   Gauge* open_events_ = nullptr;
   Gauge* deadline_heap_size_ = nullptr;
+  Histogram* model_update_pause_us_ = nullptr;
   DetectorStats synced_;
 };
 

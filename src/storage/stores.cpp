@@ -1,7 +1,5 @@
 #include "storage/stores.h"
 
-#include <algorithm>
-
 namespace loglens {
 
 void LogStore::add(std::string_view source, std::string_view raw,
@@ -25,63 +23,6 @@ std::vector<std::string> LogStore::fetch(std::string_view source,
   std::vector<std::string> out;
   for (const auto& doc : store_.query(q)) {
     out.emplace_back(doc.get_string("raw"));
-  }
-  return out;
-}
-
-int ModelStore::put(std::string_view name, Json blob) {
-  RankedMutexLock lock(mu_);
-  int version = 0;
-  for (const auto& e : entries_) {
-    if (e.name == name) version = std::max(version, e.version);
-  }
-  entries_.push_back(Entry{std::string(name), version + 1, std::move(blob)});
-  // Re-adding a model revives it after deletion.
-  std::erase(deleted_, std::string(name));
-  return version + 1;
-}
-
-std::optional<ModelStore::Entry> ModelStore::latest(
-    std::string_view name) const {
-  RankedMutexLock lock(mu_);
-  if (std::find(deleted_.begin(), deleted_.end(), name) != deleted_.end()) {
-    return std::nullopt;
-  }
-  const Entry* best = nullptr;
-  for (const auto& e : entries_) {
-    if (e.name == name && (best == nullptr || e.version > best->version)) {
-      best = &e;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return *best;
-}
-
-std::optional<ModelStore::Entry> ModelStore::version(std::string_view name,
-                                                     int version) const {
-  RankedMutexLock lock(mu_);
-  for (const auto& e : entries_) {
-    if (e.name == name && e.version == version) return e;
-  }
-  return std::nullopt;
-}
-
-void ModelStore::remove(std::string_view name) {
-  RankedMutexLock lock(mu_);
-  if (std::find(deleted_.begin(), deleted_.end(), name) == deleted_.end()) {
-    deleted_.emplace_back(name);
-  }
-}
-
-std::vector<std::string> ModelStore::names() const {
-  RankedMutexLock lock(mu_);
-  std::vector<std::string> out;
-  for (const auto& e : entries_) {
-    if (std::find(out.begin(), out.end(), e.name) != out.end()) continue;
-    if (std::find(deleted_.begin(), deleted_.end(), e.name) != deleted_.end()) {
-      continue;
-    }
-    out.push_back(e.name);
   }
   return out;
 }

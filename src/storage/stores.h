@@ -1,14 +1,12 @@
-// Role-specific facades over DocumentStore: the paper's Log Storage, Model
-// Storage, and Anomaly Storage components (Figure 1).
+// Role-specific facades over DocumentStore: the paper's Log Storage and
+// Anomaly Storage components (Figure 1). Model Storage keeps loaded models,
+// not documents, and lives with them (service/model.h).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/lock_rank.h"
-#include "common/thread_annotations.h"
 #include "storage/anomaly.h"
 #include "storage/document_store.h"
 
@@ -34,38 +32,6 @@ class LogStore {
 
  private:
   DocumentStore store_;
-};
-
-// Versioned named models (Model Storage). A model blob is an arbitrary JSON
-// document (pattern model, sequence model, or a composite).
-class ModelStore {
- public:
-  struct Entry {
-    std::string name;
-    int version = 0;
-    Json blob;
-  };
-
-  // Stores a new version of `name`; returns the version number (1-based).
-  int put(std::string_view name, Json blob) LOGLENS_EXCLUDES(mu_);
-
-  // Latest version, or nullopt if the model does not exist / was deleted.
-  std::optional<Entry> latest(std::string_view name) const
-      LOGLENS_EXCLUDES(mu_);
-  std::optional<Entry> version(std::string_view name, int version) const
-      LOGLENS_EXCLUDES(mu_);
-
-  // Marks the model deleted (latest() stops returning it).
-  void remove(std::string_view name) LOGLENS_EXCLUDES(mu_);
-
-  std::vector<std::string> names() const LOGLENS_EXCLUDES(mu_);
-
- private:
-  // Same storage tier as DocumentStore: written under the service's
-  // recovery lock, never while holding anything ranked deeper.
-  mutable RankedMutex mu_{lock_rank::kStorage};
-  std::vector<Entry> entries_ LOGLENS_GUARDED_BY(mu_);
-  std::vector<std::string> deleted_ LOGLENS_GUARDED_BY(mu_);
 };
 
 // Anomalies awaiting human validation (Anomaly Storage).

@@ -6,11 +6,12 @@
 // copy, so the next getValue() on a worker misses its cache and pulls the
 // fresh value from the driver — while the job (and its state) keeps running.
 //
-// We reproduce the same protocol: a Broadcast<T> holds a driver-side value
-// with a version counter and one cache slot per partition. `value(p)` is the
-// worker-side getValue(): it serves the cached copy when the version still
-// matches and performs a "pull" (counted in stats) otherwise. `update()` is
-// the driver-side rebroadcast; the StreamEngine applies it between
+// We reproduce the same protocol: a Broadcast<T> holds an immutable,
+// shared driver-side value with a version counter and one cache slot per
+// partition. `value(p)` is the worker-side getValue(): it serves the cached
+// pointer when the version still matches and performs a "pull" (counted in
+// stats) otherwise. `update()` is the driver-side rebroadcast, a pointer
+// swap whatever the value's size; the StreamEngine applies it between
 // micro-batches under the control lock, so a batch never observes two model
 // versions. The broadcast's identity (`id()`) is stable across updates,
 // mirroring the paper's "maintain the same ID for the updated BV".
@@ -27,28 +28,18 @@
 
 namespace loglens {
 
-class BroadcastBase {
- public:
-  virtual ~BroadcastBase() = default;
-  uint64_t id() const { return id_; }
-
- protected:
-  explicit BroadcastBase(uint64_t id) : id_(id) {}
-
- private:
-  uint64_t id_;
-};
-
 template <typename T>
-class Broadcast : public BroadcastBase {
+class Broadcast {
  public:
   Broadcast(uint64_t id, T value, size_t num_partitions)
-      : BroadcastBase(id),
+      : id_(id),
         driver_value_(std::make_shared<const T>(std::move(value))),
         caches_(num_partitions) {}
 
+  uint64_t id() const { return id_; }
+
   // Worker-side getValue() for one partition. Returns the partition's cached
-  // copy on version match; otherwise pulls from the driver and re-caches.
+  // pointer on version match; otherwise pulls from the driver and re-caches.
   // The cache and driver locks are never nested (the first cache probe is
   // released before the driver pull) — the distinct kBroadcastDriver /
   // kBroadcastCache ranks verify that stays true.
@@ -82,9 +73,9 @@ class Broadcast : public BroadcastBase {
   // Driver-side rebroadcast: swap the value and bump the version, which
   // logically invalidates every partition cache. Call via
   // StreamEngine::enqueue_control so it lands between micro-batches.
-  void update(T value) LOGLENS_EXCLUDES(driver_mu_) {
+  void update(std::shared_ptr<const T> value) LOGLENS_EXCLUDES(driver_mu_) {
     RankedMutexLock lock(driver_mu_);
-    driver_value_ = std::make_shared<const T>(std::move(value));
+    driver_value_ = std::move(value);
     LOGLENS_SCHED_POINT("broadcast.update");
     version_.fetch_add(1, std::memory_order_release);
   }
@@ -100,6 +91,7 @@ class Broadcast : public BroadcastBase {
     uint64_t version LOGLENS_GUARDED_BY(mu) = 0;
   };
 
+  const uint64_t id_;
   // Taken by control ops running under the engine's control phase, pinning
   // kEngineControl < kBroadcastDriver.
   RankedMutex driver_mu_{lock_rank::kBroadcastDriver};

@@ -121,13 +121,6 @@ class StreamEngine {
   // (the engine drains the queue outside control_mu_).
   void enqueue_control(std::function<void()> op) LOGLENS_EXCLUDES(control_mu_);
 
-  // Creates a broadcast variable sized for this engine's partitions.
-  template <typename T>
-  std::shared_ptr<Broadcast<T>> create_broadcast(T value) {
-    return std::make_shared<Broadcast<T>>(
-        next_broadcast_id_++, std::move(value), options_.partitions);
-  }
-
   size_t partitions() const { return options_.partitions; }
   uint64_t batches_run() const {
     return batch_number_.load(std::memory_order_relaxed);
@@ -192,7 +185,6 @@ class StreamEngine {
   // Monotonic batch counter: written under run_mu_, read lock-free by
   // batches_run() (dashboard/monitoring threads), hence atomic.
   std::atomic<uint64_t> batch_number_{0};
-  std::atomic<uint64_t> next_broadcast_id_{1};
 };
 
 }  // namespace loglens

@@ -28,7 +28,7 @@ TEST(Broadcast, RebroadcastInvalidatesEveryPartitionCache) {
   Broadcast<std::string> bv(1, "v1", 3);
   for (size_t p = 0; p < 3; ++p) bv.value(p);
   uint64_t pulls_before = bv.pulls();
-  bv.update("v2");
+  bv.update(std::make_shared<const std::string>("v2"));
   EXPECT_EQ(bv.version(), 1u);
   for (size_t p = 0; p < 3; ++p) {
     EXPECT_EQ(*bv.value(p), "v2");
@@ -39,8 +39,8 @@ TEST(Broadcast, RebroadcastInvalidatesEveryPartitionCache) {
 TEST(Broadcast, IdentityStableAcrossUpdates) {
   Broadcast<int> bv(42, 1, 2);
   uint64_t id = bv.id();
-  bv.update(2);
-  bv.update(3);
+  bv.update(std::make_shared<const int>(2));
+  bv.update(std::make_shared<const int>(3));
   EXPECT_EQ(bv.id(), id);  // the paper: same BV id after rebroadcast
   EXPECT_EQ(bv.version(), 2u);
   EXPECT_EQ(*bv.value(0), 3);
@@ -49,7 +49,7 @@ TEST(Broadcast, IdentityStableAcrossUpdates) {
 TEST(Broadcast, OldSharedPtrRemainsValidAfterUpdate) {
   Broadcast<std::string> bv(1, "old", 1);
   auto old = bv.value(0);
-  bv.update("new");
+  bv.update(std::make_shared<const std::string>("new"));
   EXPECT_EQ(*old, "old");  // a batch holding the old model keeps it alive
   EXPECT_EQ(*bv.value(0), "new");
 }
@@ -68,7 +68,8 @@ TEST(Broadcast, ConcurrentReadersDuringUpdates) {
     });
   }
   for (int i = 0; i < 50; ++i) {
-    bv.update(i % 2 == 0 ? "b" : "c");
+    bv.update(
+        std::make_shared<const std::string>(i % 2 == 0 ? "b" : "c"));
   }
   stop = true;
   for (auto& t : readers) t.join();

@@ -13,6 +13,7 @@
 #include <set>
 
 #include "automata/detector.h"
+#include "common/hash.h"
 #include "datagen/datasets.h"
 #include "service/service.h"
 
@@ -146,6 +147,34 @@ TEST(ServiceCheckpoint, ResumeOnFreshServiceFindsRemainingAnomalies) {
   // Union of pre-crash and post-restore detections covers the ground truth
   // with no false positives — nothing was lost at the crash boundary.
   EXPECT_EQ(detected, d1.anomalous_event_ids);
+}
+
+// The checkpoint file of an unedited model is pinned byte for byte (an
+// FNV-1a digest): the model with a learned keyword allowlist and field
+// ranges, the open events and the offsets of a half-streamed D1.
+TEST(ServiceCheckpoint, FileBytesArePinned) {
+  Dataset d1 = make_d1(0.05);
+  ServiceOptions opts;
+  opts.build.discovery = recommended_discovery("D1");
+  opts.build.learn_keywords = true;
+  opts.build.learn_field_ranges = true;
+  LogLensService service(opts);
+  service.train(d1.training);
+  Agent agent = service.make_agent("D1");
+  agent.replay(std::vector<std::string>(
+      d1.testing.begin(), d1.testing.begin() + d1.testing.size() / 2));
+  service.drain();
+  ASSERT_GT(service.open_events(), 0u);
+  const std::string path = temp_path("loglens_ckpt_bytes_test.json");
+  ASSERT_TRUE(service.checkpoint(path).ok());
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(fnv1a(text)));
+  EXPECT_EQ(std::string(digest), "b1860f90c0484560");
 }
 
 TEST(ServiceCheckpoint, RestoreErrors) {

@@ -33,8 +33,8 @@ class DashboardTest : public ::testing::Test {
 TEST_F(DashboardTest, RenderSummaryCounts) {
   logs_.add("D1", "raw", 0);
   logs_.add("D1", "raw2", 1);
-  models_.put("default", Json("blob"));
-  models_.put("default", Json("blob2"));
+  models_.put("default", std::make_shared<const CompositeModel>());
+  models_.put("default", std::make_shared<const CompositeModel>());
   add_anomaly(AnomalyType::kMissingEndState, 100, "D1");
   add_anomaly(AnomalyType::kMissingEndState, 200, "D1");
   add_anomaly(AnomalyType::kUnparsedLog, 300, "D2", "medium");

@@ -220,32 +220,5 @@ TEST(LogStore, FetchBySourceAndTime) {
   EXPECT_EQ(store.fetch("web", INT64_MIN, INT64_MAX, 1).size(), 1u);
 }
 
-TEST(ModelStore, VersioningAndDelete) {
-  ModelStore store;
-  EXPECT_EQ(store.put("m", Json("v1")), 1);
-  EXPECT_EQ(store.put("m", Json("v2")), 2);
-  auto latest = store.latest("m");
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->version, 2);
-  EXPECT_EQ(latest->blob.as_string(), "v2");
-  auto v1 = store.version("m", 1);
-  ASSERT_TRUE(v1.has_value());
-  EXPECT_EQ(v1->blob.as_string(), "v1");
-  store.remove("m");
-  EXPECT_FALSE(store.latest("m").has_value());
-  EXPECT_TRUE(store.names().empty());
-  // Re-adding revives with the next version.
-  EXPECT_EQ(store.put("m", Json("v3")), 3);
-  EXPECT_TRUE(store.latest("m").has_value());
-}
-
-TEST(ModelStore, IndependentNames) {
-  ModelStore store;
-  store.put("a", Json(1));
-  store.put("b", Json(2));
-  EXPECT_EQ(store.names().size(), 2u);
-  EXPECT_FALSE(store.latest("c").has_value());
-}
-
 }  // namespace
 }  // namespace loglens

@@ -132,7 +132,8 @@ TEST(Engine, RebroadcastAppliedBeforeNextBatch) {
   });
   auto r1 = engine.run_batch({msg("a", "x"), msg("b", "y")});
   for (const auto& m : r1.outputs) EXPECT_EQ(m.value, "m1");
-  engine.enqueue_control([&bv] { bv->update("m2"); });
+  engine.enqueue_control(
+      [&bv] { bv->update(std::make_shared<const std::string>("m2")); });
   auto r2 = engine.run_batch({msg("a", "x"), msg("b", "y")});
   for (const auto& m : r2.outputs) EXPECT_EQ(m.value, "m2");
 }

@@ -226,6 +226,32 @@ TEST_F(FeedbackTest, PatternFromLineShape) {
             "%{IP:P7F3} in %{NUMBER:P7F4} ms");
 }
 
+// Accepting a keyword alert on a model without a keyword detector (an alert
+// from an earlier version) must not create one: a one-token allowlist would
+// switch keyword detection on, and every other keyword token would alert.
+TEST(Feedback, KeywordAlertOnAModelWithoutKeywordsIsRefused) {
+  ServiceOptions opts;
+  opts.build.discovery.max_dist = 0.34;
+  LogLensService service(opts);
+  service.train(training());
+  Anomaly alert;
+  alert.type = AnomalyType::kKeywordAlert;
+  alert.details = Json(JsonObject{{"token", Json("failfast")}});
+  FeedbackHandler handler(service.models(), service.model_name());
+  auto result = handler.accept_as_normal(alert);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("no keyword detector"),
+            std::string::npos)
+      << result.status().message();
+  EXPECT_EQ(service.model_store().latest(service.model_name())->version, 1);
+
+  Agent agent = service.make_agent("fb");
+  agent.send_line(
+      "2016/03/04 09:00:00 OpenFlow flow wf-k1 from 10.0.0.1 panic");
+  service.drain();
+  EXPECT_EQ(service.anomalies().count_by_type(AnomalyType::kKeywordAlert), 0u);
+}
+
 // A pattern learned from an unparsed line is tokenized with the model's own
 // tokenizer: under the split rule "123KB" -> "123 KB" it parses the line
 // that taught it, and its siblings.

@@ -76,6 +76,32 @@ TEST(ModelBuildIdentity, IncrementalDigestMatchesTheSerialBuilder) {
   EXPECT_EQ(digest(r), "1f46cbba7b942f74");
 }
 
+// The extension detectors are pinned too: a keyword allowlist learned from
+// lines with keyword-bearing tokens, and KPI field ranges. The model JSON
+// loads back to the same bytes.
+TEST(ModelBuildIdentity, ExtensionDetectorDigestsMatchTheSerialBuilder) {
+  std::vector<std::string> lines = make_d1(0.2).training;
+  for (int i = 0; i < 20; ++i) {
+    lines.push_back("2016/02/23 09:10:" + std::to_string(10 + i) +
+                    " failover-manager rotated errorlog in " +
+                    std::to_string(100 + i) + " ms");
+  }
+  BuildOptions opts;
+  opts.discovery = recommended_discovery("D1");
+  opts.learn_keywords = true;
+  opts.learn_field_ranges = true;
+  const BuildResult r = ModelBuilder(opts).build(lines);
+  EXPECT_EQ(r.unparsed_training_logs, 0u);
+  const std::string json = r.model.to_json().dump();
+  EXPECT_NE(json.find("\"allowlist\":[\"errorlog\",\"failover-manager\"]"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(digest(r), "512f45fb131802c7");
+  auto back = CompositeModel::from_json(r.model.to_json());
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(back->to_json().dump(), json);
+}
+
 TEST(ModelBuildIdentity, AmbiguousDatesReadInStreamOrder) {
   // A few 25/04/2016 events fix the day-first reading; then thousands of
   // events start on 03/04/2016, which a fresh preprocessor reads month-first

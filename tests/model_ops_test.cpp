@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/datasets.h"
+#include "service/service.h"
 #include "service/wire.h"
 
 namespace loglens {
@@ -94,12 +95,14 @@ TEST(ParserTaskRedeploy, KeepsThePreprocessorOnlyForAnEqualTokenizer) {
   auto bv = std::make_shared<ModelBroadcast>(1, model, 1);
   MetricsRegistry registry;
   ParserTask task(bv, 0, {}, &registry);
+  // One batch per line, as the engine drives the task.
   auto parse = [&](const std::string& line) {
     Message m;
     m.tag = MessageTag::kData;
     m.source = "s";
     m.value = line;
     TaskContext ctx(0, 0);
+    task.on_batch_start(ctx);
     task.process(m, ctx);
     EXPECT_EQ(ctx.outputs().size(), 1u) << line;
     const ParsedLog* parsed = parsed_payload_view(ctx.outputs().at(0));
@@ -107,12 +110,12 @@ TEST(ParserTaskRedeploy, KeepsThePreprocessorOnlyForAnEqualTokenizer) {
     return parsed == nullptr ? int64_t{-1} : parsed->timestamp_ms;
   };
   parse(lines[0]);
-  bv->update(model);  // an equal tokenizer
+  bv->update(std::make_shared<const CompositeModel>(model));  // equal tokenizer
   EXPECT_EQ(parse(lines[1]), day_first);
 
   CompositeModel retokenized = model;
   retokenized.tokenizer.split_rules = {{"([0-9]+)(KB)", "$1 $2"}};
-  bv->update(retokenized);
+  bv->update(std::make_shared<const CompositeModel>(std::move(retokenized)));
   EXPECT_EQ(parse(lines[3]), month_first);
 }
 
@@ -242,7 +245,171 @@ TEST_F(ControllerTest, IncrementalRebuildRefusesAnotherTokenizer) {
       manager_->rebuild_incremental("m", logs, "D1", ModelBuilder(opts));
   EXPECT_FALSE(other.ok());
   EXPECT_EQ(store_.latest("m")->version, 2);
-  EXPECT_EQ(manager_->get("m")->tokenizer, PreprocessorOptions{});
+  EXPECT_EQ(manager_->get("m").value()->tokenizer, PreprocessorOptions{});
+}
+
+TEST(ModelStore, VersioningAndDelete) {
+  ModelStore store;
+  auto v1 = std::make_shared<const CompositeModel>();
+  auto v2 = std::make_shared<const CompositeModel>();
+  EXPECT_EQ(store.put("m", v1), 1);
+  EXPECT_EQ(store.put("m", v2), 2);
+  auto latest = store.latest("m");
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->version, 2);
+  EXPECT_EQ(latest->model, v2);
+  auto first = store.version("m", 1);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->model, v1);
+  store.remove("m");
+  EXPECT_FALSE(store.latest("m").has_value());
+  EXPECT_TRUE(store.names().empty());
+  // Re-adding revives with the next version.
+  EXPECT_EQ(store.put("m", v1), 3);
+  EXPECT_TRUE(store.latest("m").has_value());
+}
+
+// A name keeps its last kKeptVersions loaded models, so redeploying does not
+// grow the store with the service's run time.
+TEST(ModelStore, KeepsOnlyTheLastVersions) {
+  ModelStore store;
+  auto model = std::make_shared<const CompositeModel>();
+  for (int v = 1; v <= 5; ++v) EXPECT_EQ(store.put("m", model), v);
+  EXPECT_EQ(ModelStore::kKeptVersions, 2u);
+  EXPECT_EQ(store.latest("m")->version, 5);
+  EXPECT_TRUE(store.version("m", 5).has_value());
+  EXPECT_TRUE(store.version("m", 4).has_value());
+  EXPECT_FALSE(store.version("m", 3).has_value());
+  EXPECT_FALSE(store.version("m", 6).has_value());
+  EXPECT_FALSE(store.version("m", 0).has_value());
+  EXPECT_EQ(model.use_count(), 3);  // the two kept versions + this one
+}
+
+TEST(ModelStore, IndependentNames) {
+  ModelStore store;
+  store.put("a", std::make_shared<const CompositeModel>());
+  store.put("b", std::make_shared<const CompositeModel>());
+  EXPECT_EQ(store.names().size(), 2u);
+  EXPECT_FALSE(store.latest("c").has_value());
+}
+
+CompositeModel d1_model() {
+  BuildOptions opts;
+  opts.discovery = recommended_discovery("D1");
+  opts.learn_keywords = true;
+  opts.learn_field_ranges = true;
+  return ModelBuilder(opts).build(make_d1(0.02).training).model;
+}
+
+// deploy loads the model once. The store's latest version, both stages'
+// broadcasts and ModelManager::get then hold that one object: the
+// controller neither parses nor copies it.
+TEST(ModelSharing, StoreAndBothStagesHoldTheDeployedObject) {
+  EngineOptions opts;
+  opts.partitions = 2;
+  opts.workers = 1;
+  auto parser_bv = std::make_shared<ModelBroadcast>(1, CompositeModel{}, 2);
+  auto detector_bv = std::make_shared<ModelBroadcast>(2, CompositeModel{}, 2);
+  StreamEngine parser(opts, [&](size_t p) -> std::unique_ptr<PartitionTask> {
+    return std::make_unique<ParserTask>(parser_bv, p);
+  });
+  StreamEngine detector(opts, [&](size_t p) -> std::unique_ptr<PartitionTask> {
+    return std::make_unique<DetectorTask>(detector_bv, p);
+  });
+  ModelStore store;
+  ModelController controller(
+      store, {{&parser, parser_bv}, {&detector, detector_bv}});
+  ModelManager manager(store, controller);
+
+  const CompositeModel model = d1_model();
+  ASSERT_TRUE(model.keyword_model.has_value());
+  ASSERT_TRUE(manager.deploy("m", model).ok());
+  parser.run_batch({});
+  detector.run_batch({});
+  const CompositeModel* stored = store.latest("m")->model.get();
+  EXPECT_EQ(*stored, model);
+  EXPECT_EQ(manager.get("m").value().get(), stored);
+  for (size_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(parser_bv->value(p).get(), stored);
+    EXPECT_EQ(detector_bv->value(p).get(), stored);
+  }
+
+  // A delete broadcasts one empty model to both stages.
+  manager.remove("m");
+  parser.run_batch({});
+  detector.run_batch({});
+  EXPECT_TRUE(parser_bv->value(0)->patterns.empty());
+  EXPECT_EQ(parser_bv->value(0).get(), detector_bv->value(1).get());
+}
+
+// Both stages read the model once per batch, at its head, whether or not a
+// partition gets input: partitions x batches reads in all, not one a log.
+TEST(ModelSharing, TasksReadTheModelOncePerPartitionPerBatch) {
+  const CompositeModel model = d1_model();
+  EngineOptions opts;
+  opts.partitions = 2;
+  opts.workers = 1;
+  auto parser_bv = std::make_shared<ModelBroadcast>(1, model, 2);
+  auto detector_bv = std::make_shared<ModelBroadcast>(2, model, 2);
+  StreamEngine parser(opts, [&](size_t p) -> std::unique_ptr<PartitionTask> {
+    return std::make_unique<ParserTask>(parser_bv, p);
+  });
+  StreamEngine detector(opts, [&](size_t p) -> std::unique_ptr<PartitionTask> {
+    return std::make_unique<DetectorTask>(detector_bv, p);
+  });
+  const Dataset d1 = make_d1(0.02);
+  constexpr size_t kBatches = 5;
+  constexpr size_t kLogs = 7;
+  size_t parsed = 0;
+  for (size_t b = 0; b < kBatches; ++b) {
+    std::vector<Message> batch;
+    for (size_t i = 0; i < kLogs; ++i) {
+      Message m;
+      m.tag = MessageTag::kData;
+      m.source = "D1";
+      m.value = d1.testing.at(b * kLogs + i);
+      batch.push_back(std::move(m));
+    }
+    BatchResult r = parser.run_batch(std::move(batch));
+    parsed += r.outputs.size();
+    detector.run_batch(std::move(r.outputs));
+  }
+  EXPECT_GE(parsed, kBatches * kLogs);
+  EXPECT_EQ(parser_bv->pulls() + parser_bv->cache_hits(), 2 * kBatches);
+  EXPECT_EQ(detector_bv->pulls() + detector_bv->cache_hits(), 2 * kBatches);
+  EXPECT_EQ(parser_bv->pulls(), 2u);  // no rebroadcast: one pull a partition
+}
+
+// Adopting a new model version is timed once per partition per deploy, in
+// each stage: the parser's LogParser rebuild, the detector's update_model.
+TEST(ModelSharing, UpdatePauseIsRecordedPerPartitionPerDeploy) {
+  MetricsRegistry registry;
+  ServiceOptions opts;
+  opts.metrics = &registry;
+  opts.parser_partitions = 2;
+  opts.detector_partitions = 3;
+  opts.build.discovery = recommended_discovery("D1");
+  LogLensService service(opts);
+  const Dataset d1 = make_d1(0.02);
+  const CompositeModel model = service.train(d1.training).model;
+  Agent agent = service.make_agent("D1");
+  auto stream = [&](size_t from) {
+    agent.replay(std::vector<std::string>(d1.testing.begin() + from,
+                                          d1.testing.begin() + from + 20));
+    service.drain();
+  };
+  Histogram& parser_pause = registry.histogram(
+      "loglens_model_update_pause_us", {{"stage", "parser"}});
+  Histogram& detector_pause = registry.histogram(
+      "loglens_model_update_pause_us", {{"stage", "detector"}});
+  stream(0);
+  EXPECT_EQ(parser_pause.count(), 2u);
+  EXPECT_EQ(detector_pause.count(), 3u);
+  ASSERT_TRUE(service.models().deploy(service.model_name(), model).ok());
+  stream(20);
+  stream(40);  // no deploy in between: nothing to adopt
+  EXPECT_EQ(parser_pause.count(), 2u * 2);
+  EXPECT_EQ(detector_pause.count(), 3u * 2);
 }
 
 }  // namespace

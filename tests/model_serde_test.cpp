@@ -86,6 +86,33 @@ TEST(CompositeModelSerde, MissingPatternsRejected) {
   EXPECT_FALSE(CompositeModel::from_json(Json(7)).ok());
 }
 
+// No keyword model writes "keywords": {} and loads back as none; a learned
+// one writes KeywordDetector::to_json and loads back equal.
+TEST(CompositeModelSerde, KeywordModelRoundTrips) {
+  CompositeModel m;
+  EXPECT_EQ(m.to_json().find("keywords")->dump(), "{}");
+  auto back = CompositeModel::from_json(m.to_json());
+  ASSERT_TRUE(back.ok());
+  EXPECT_FALSE(back->keyword_model.has_value());
+
+  KeywordDetector& keywords = m.keyword_model.emplace();
+  keywords.observe_normal("failover-manager rotated errorlog");
+  EXPECT_EQ(m.to_json().find("keywords")->dump(), keywords.to_json().dump());
+  back = CompositeModel::from_json(m.to_json());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->keyword_model, m.keyword_model);
+
+  // An empty allowlist is still a keyword model: every keyword token alerts.
+  m.keyword_model.emplace();
+  back = CompositeModel::from_json(m.to_json());
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back->keyword_model.has_value());
+
+  Json bad = m.to_json();
+  bad.set("keywords", Json(7));
+  EXPECT_FALSE(CompositeModel::from_json(bad).ok());
+}
+
 TEST(CompositeModelSerde, TokenizerRoundTrips) {
   CompositeModel m;
   m.patterns = sample_patterns();

@@ -123,19 +123,22 @@ TEST(Robustness, AnomalyWithWeirdContentRoundTrips) {
   EXPECT_EQ(back.value(), a);
 }
 
-TEST(Robustness, ModelStoreSurvivesCorruptBlob) {
-  // A corrupt model blob in the store must fail apply() cleanly, leaving
-  // the running model in place.
+TEST(Robustness, RefusedDeployLeavesTheRunningModelServing) {
+  // The store holds only models that loaded back, so a corrupt version
+  // cannot be stored: an edit to a split rule that does not compile is
+  // refused, and the running model stays in place.
   Dataset d1 = make_d1(0.02);
   ServiceOptions opts;
   opts.build.discovery = recommended_discovery("D1");
   LogLensService service(opts);
   service.train(d1.training);
-  service.model_store().put(service.model_name(), Json("corrupt blob"));
-  // The next edit attempt reads the corrupt latest version and fails.
-  EXPECT_FALSE(
-      service.models().edit(service.model_name(), [](CompositeModel&) {})
-          .ok());
+  EXPECT_FALSE(service.models()
+                   .edit(service.model_name(),
+                         [](CompositeModel& m) {
+                           m.tokenizer.split_rules.push_back({"([0-9]+", "$1"});
+                         })
+                   .ok());
+  EXPECT_EQ(service.model_store().latest(service.model_name())->version, 1);
   // The pipeline still runs with the previously deployed model.
   Agent agent = service.make_agent("D1");
   agent.replay({d1.testing.front()});

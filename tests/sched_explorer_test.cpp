@@ -254,7 +254,8 @@ std::string control_drain_vs_run_batch() {
   });
   std::thread updater = sched::spawn_named("updater", [&] {
     for (int k = 1; k <= kUpdates; ++k) {
-      engine.enqueue_control([&model, k] { model.update(k); });
+      engine.enqueue_control(
+          [&model, k] { model.update(std::make_shared<const int>(k)); });
       sched::sleep_for_ms(1);
     }
   });

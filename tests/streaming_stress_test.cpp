@@ -202,8 +202,10 @@ TEST(StreamingStress, RebroadcastUnderLoadNeverTearsValue) {
     return std::make_unique<Reader>(bv, p, &bad);
   });
   for (int i = 0; i < 200; ++i) {
-    engine.enqueue_control(
-        [bv, i] { bv->update(std::string(1000, i % 2 == 0 ? 'b' : 'c')); });
+    engine.enqueue_control([bv, i] {
+      bv->update(
+          std::make_shared<const std::string>(1000, i % 2 == 0 ? 'b' : 'c'));
+    });
     std::vector<Message> batch;
     for (int k = 0; k < 8; ++k) batch.push_back(msg("k" + std::to_string(k), "v"));
     engine.run_batch(std::move(batch));

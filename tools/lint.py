@@ -48,6 +48,13 @@ Checks (see docs/STATIC_ANALYSIS.md):
      Preprocessor::create. Everything else that parses with a model takes
      its preprocessor from CompositeModel::make_preprocessor(), so a model
      is always parsed with the tokenizer it was trained with.
+ 10. One loaded model: under src/ and tools/, CompositeModel::from_json
+     appears only where a model enters the process — service/model.cpp,
+     deploy's round-trip check (service/model_ops.cpp), checkpoint restore
+     (service/service.cpp) and the CLI's model files (tools/loglens_cli.cpp)
+     — and KeywordDetector::from_json only in service/model.cpp (and its
+     own definition). Everything else shares the deployed CompositeModel
+     instead of parsing it again.
 
 Usage:
   tools/lint.py              lint the repo (exit 1 on any violation)
@@ -140,6 +147,20 @@ TOKENIZER_OWNERS = (
     "src/service/model_ops.cpp",
 )
 PREPROCESSOR_CREATE = re.compile(r"\bPreprocessor::create\b")
+
+# Rule 10: a model is parsed where it enters the process, then shared.
+MODEL_LOADERS = {
+    re.compile(r"\bCompositeModel::from_json\b"): (
+        "src/service/model.cpp",
+        "src/service/model_ops.cpp",
+        "src/service/service.cpp",
+        "tools/loglens_cli.cpp",
+    ),
+    re.compile(r"\bKeywordDetector::from_json\b"): (
+        "src/service/model.cpp",
+        "src/detectors/keyword.cpp",
+    ),
+}
 
 LINE_COMMENT = re.compile(r"//.*$")
 
@@ -270,6 +291,19 @@ def lint_text(text, rel):
                     "CompositeModel::make_preprocessor() so the model is "
                     "parsed with the tokenizer it was trained with"
                 )
+
+    if rel.startswith(("src/", "tools/")):
+        for pattern, loaders in MODEL_LOADERS.items():
+            if rel in loaders:
+                continue
+            for lineno, code in lines:
+                if pattern.search(code):
+                    problems.append(
+                        f"{rel}:{lineno}: {pattern.pattern[2:-2]} outside "
+                        "the model loaders; share the deployed model "
+                        "(ModelStore, ModelBroadcast, ModelManager::get) "
+                        "instead of parsing it again"
+                    )
 
     if ANNOTATION.search(text) and rel != "src/common/thread_annotations.h":
         if '#include "common/thread_annotations.h"' not in text:
@@ -542,6 +576,70 @@ SELF_TEST_CASES = [
         "src/service/fixture_tokenizer_comment.cpp",
         "// never call Preprocessor::create here\n"
         "Preprocessor pre = model.make_preprocessor();\n",
+        None,
+    ),
+    # A stage or a tool that parses a model again, instead of sharing the
+    # deployed one...
+    (
+        "src/service/fixture_reparse.cpp",
+        "auto m = CompositeModel::from_json(entry.blob);\n",
+        "CompositeModel::from_json outside the model loaders",
+    ),
+    (
+        "tools/fixture_model_tool.cpp",
+        "auto m = CompositeModel::from_json(j);\n",
+        "CompositeModel::from_json outside the model loaders",
+    ),
+    # ...or rebuilds the keyword detector from JSON, is flagged...
+    (
+        "src/service/tasks.cpp",
+        "auto d = KeywordDetector::from_json(model.keywords);\n",
+        "KeywordDetector::from_json outside the model loaders",
+    ),
+    (
+        "src/service/model_ops.cpp",
+        "auto d = KeywordDetector::from_json(j);\n",
+        "KeywordDetector::from_json outside the model loaders",
+    ),
+    # ...but the loaders, the definitions, prose, tests and examples are
+    # fine.
+    (
+        "src/service/model.cpp",
+        "auto k = KeywordDetector::from_json(*kj);\n"
+        "StatusOr<CompositeModel> CompositeModel::from_json(const Json& j);\n",
+        None,
+    ),
+    (
+        "src/service/service.cpp",
+        "auto model = CompositeModel::from_json(*model_blob);\n",
+        None,
+    ),
+    (
+        "tools/loglens_cli.cpp",
+        "return CompositeModel::from_json(j.value());\n",
+        None,
+    ),
+    (
+        "src/detectors/keyword.cpp",
+        "StatusOr<KeywordDetector> KeywordDetector::from_json(const Json& j) "
+        "{\n",
+        None,
+    ),
+    (
+        "src/service/fixture_reparse_comment.cpp",
+        "// never call CompositeModel::from_json here\n"
+        "const CompositeModel& m = *entry.model;\n",
+        None,
+    ),
+    (
+        "tests/fixture_model_serde.cpp",
+        "auto back = CompositeModel::from_json(m.to_json());\n"
+        "auto k = KeywordDetector::from_json(d.to_json());\n",
+        None,
+    ),
+    (
+        "examples/fixture_restore.cpp",
+        "auto restored = CompositeModel::from_json(blob);\n",
         None,
     ),
     # Negative control: idiomatic code must pass clean.
