@@ -9,6 +9,10 @@
 //   parser_adversarial_wildcard  msgs/sec for a 3-wildcard pattern against a
 //                              200-token log it cannot match (pre-rewrite
 //                              this ran at ~1 msg/sec)
+//   parser_shared_signature    msgs/sec and attempts/log for 200 patterns
+//                              that share one signature and differ in their
+//                              first literal (the literal sub-index keeps
+//                              attempts_per_log at 1)
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -71,7 +75,8 @@ std::vector<GrokPattern> make_model() {
 struct StageResult {
   std::string stage;
   double msgs_per_sec = 0;
-  double allocs_per_log = -1;  // < 0: not measured for this stage
+  double allocs_per_log = -1;    // < 0: not measured for this stage
+  double attempts_per_log = -1;  // < 0: not measured for this stage
 };
 
 StageResult run_hot_path() {
@@ -139,6 +144,55 @@ StageResult run_adversarial() {
   return r;
 }
 
+std::string svc_name(size_t i) {
+  std::string name = "svc";
+  name += static_cast<char>('a' + i / 676 % 26);
+  name += static_cast<char>('a' + i / 26 % 26);
+  name += static_cast<char>('a' + i % 26);
+  return name;
+}
+
+StageResult run_shared_signature() {
+  auto pre = std::move(Preprocessor::create({}).value());
+  std::vector<GrokPattern> model;
+  for (size_t i = 0; i < 200; ++i) {
+    auto p = GrokPattern::parse(svc_name(i) +
+                                " worker %{WORD:op} %{NUMBER:n} done");
+    p->assign_field_ids(static_cast<int>(i) + 1);
+    model.push_back(std::move(p.value()));
+  }
+  std::vector<TokenizedLog> logs;
+  for (size_t i = 0; i < 4096; ++i) {
+    logs.push_back(pre.process(svc_name(i * 7 % 200) + " worker start " +
+                               std::to_string(i) + " done"));
+  }
+  LogParser parser(std::move(model), pre.classifier());
+  ParsedLog parsed;
+  size_t ok = 0;
+  for (const auto& l : logs) ok += parser.parse_into(l, parsed);  // warm
+  parser.reset_stats();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  size_t n = 0;
+  for (int it = 0; it < 200; ++it) {
+    for (const auto& l : logs) {
+      ok += parser.parse_into(l, parsed);
+      ++n;
+    }
+  }
+  const double secs = seconds_since(t0);
+
+  StageResult r;
+  r.stage = "parser_shared_signature";
+  r.msgs_per_sec = static_cast<double>(n) / secs;
+  r.attempts_per_log = static_cast<double>(parser.stats().match_attempts) /
+                       static_cast<double>(n);
+  std::printf("parser_shared_signature: %zu logs in %.3fs = %.0f msgs/sec, "
+              "%.2f attempts/log (parsed %zu)\n",
+              n, secs, r.msgs_per_sec, r.attempts_per_log, ok);
+  return r;
+}
+
 void write_bench_json(const std::vector<StageResult>& results) {
   JsonObject root;
   root.emplace_back("benchmark", Json("bench_parser_hot_path"));
@@ -149,6 +203,9 @@ void write_bench_json(const std::vector<StageResult>& results) {
     obj.emplace_back("msgs_per_sec", Json(r.msgs_per_sec));
     if (r.allocs_per_log >= 0) {
       obj.emplace_back("allocs_per_log", Json(r.allocs_per_log));
+    }
+    if (r.attempts_per_log >= 0) {
+      obj.emplace_back("attempts_per_log", Json(r.attempts_per_log));
     }
     stages.push_back(Json(std::move(obj)));
   }
@@ -164,6 +221,7 @@ int main() {
   std::vector<loglens::StageResult> results;
   results.push_back(loglens::run_hot_path());
   results.push_back(loglens::run_adversarial());
+  results.push_back(loglens::run_shared_signature());
   loglens::write_bench_json(results);
   return 0;
 }

@@ -1,5 +1,7 @@
 #include "grok/pattern.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 
 namespace loglens {
@@ -70,7 +72,7 @@ std::string GrokPattern::signature(const DatatypeClassifier& classifier) const {
 
 bool GrokPattern::has_wildcard() const {
   for (const auto& t : tokens_) {
-    if (t.is_field && t.field.type == Datatype::kAnyData) return true;
+    if (t.is_wildcard()) return true;
   }
   return false;
 }
@@ -95,10 +97,6 @@ void GrokPattern::assign_field_ids(int pattern_id) {
 }
 
 namespace {
-
-bool is_wildcard(const GrokToken& pt) {
-  return pt.is_field && pt.field.type == Datatype::kAnyData;
-}
 
 // Single-token predicate for literals and non-ANYDATA fields: does pattern
 // token `pt` match log token `tok`? Depends only on the log token, never on
@@ -133,7 +131,7 @@ bool GrokPattern::match_tokens(const std::vector<Token>& tokens,
   // Anchoring it first both rejects unmatchable tails in O(suffix) and caps
   // the region the wildcard scan has to cover.
   size_t tail = m;
-  while (tail > 0 && !is_wildcard(tokens_[tail - 1])) --tail;
+  while (tail > 0 && !tokens_[tail - 1].is_wildcard()) --tail;
   const size_t tail_len = m - tail;
 
   if (tail == 0) {
@@ -171,7 +169,7 @@ bool GrokPattern::match_tokens(const std::vector<Token>& tokens,
     ++scratch.steps;
     if (pi < tail) {
       const GrokToken& pt = tokens_[pi];
-      if (is_wildcard(pt)) {
+      if (pt.is_wildcard()) {
         starts[pi] = static_cast<uint32_t>(ti);
         star_pi = pi;
         star_ti = ti;
@@ -197,6 +195,13 @@ void GrokPattern::emit_fields(const std::vector<Token>& tokens,
                               const GrokMatchScratch& scratch,
                               JsonObject* out) const {
   const auto& starts = scratch.starts;
+  if (out->empty()) {
+    // A fresh record (one moved out into a payload) grows once, not once
+    // per doubling.
+    out->reserve(static_cast<size_t>(std::count_if(
+        tokens_.begin(), tokens_.end(),
+        [](const GrokToken& t) { return t.is_field; })));
+  }
   size_t nf = 0;
   for (size_t pi = 0; pi < tokens_.size(); ++pi) {
     const GrokToken& pt = tokens_[pi];

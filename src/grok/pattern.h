@@ -56,6 +56,11 @@ struct GrokToken {
     return t;
   }
 
+  // An ANYDATA field: spans zero or more log tokens.
+  bool is_wildcard() const {
+    return is_field && field.type == Datatype::kAnyData;
+  }
+
   friend bool operator==(const GrokToken&, const GrokToken&) = default;
 };
 

@@ -8,6 +8,14 @@
 //      m pattern signatures, sort it by datatype generality then length, and
 //      cache it (an empty group is cached too),
 //   3. scan the group's patterns in order until one parses the log.
+// Step 3 narrows further when a group holds several patterns: the group's
+// signature fixes the log's length, which pins each pattern's literals
+// before its first ANYDATA and after its last to fixed log positions. The
+// group is keyed by the literal at one such position, and a log scans only
+// the patterns whose literal there equals its token, plus those with no
+// literal there, still in group order. A literal matches by exact equality,
+// so every skipped pattern would have failed: the first pattern that parses
+// cannot change.
 // A log no pattern parses is an anomaly (type kUnparsedLog). This is the
 // parser's only route: every pattern that parses a log also passes
 // Algorithm 1 for it, so a full-model scan in group order picks the same
@@ -109,6 +117,15 @@ class LogParser {
     int generality = 0;
   };
 
+  // The patterns of a group whose literal at the key position hashes to
+  // `hash`: their group ranks are IndexEntry::keyed[begin, end).
+  struct LiteralList {
+    uint64_t hash = 0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+  static constexpr uint32_t kNoKey = static_cast<uint32_t>(-1);
+
   // One cached signature -> candidate-group mapping. The entry owns the
   // signature storage; the index map's span key points into it (std::list
   // nodes are stable under splice, so the span stays valid for the entry's
@@ -116,6 +133,13 @@ class LogParser {
   struct IndexEntry {
     std::vector<Datatype> sig;
     std::vector<uint32_t> group;
+    // Literal sub-index (build_literal_key); key_pos == kNoKey scans the
+    // whole group. A log scans the list its token at key_pos selects merged
+    // with `unkeyed` by group rank, so each pattern is stored once.
+    uint32_t key_pos = kNoKey;
+    std::vector<LiteralList> lists;  // sorted by hash
+    std::vector<uint32_t> keyed;     // group ranks, ascending within a list
+    std::vector<uint32_t> unkeyed;   // ranks with no literal at key_pos
   };
   using LruList = std::list<IndexEntry>;
 
@@ -134,7 +158,16 @@ class LogParser {
   // Looks up (and on miss builds + caches) the candidate group for `sig`,
   // refreshing its LRU position. The returned reference is valid until the
   // next candidate_group call.
-  const std::vector<uint32_t>& candidate_group(std::span<const Datatype> sig);
+  const IndexEntry& candidate_group(std::span<const Datatype> sig);
+
+  // Picks the key position whose longest list is shortest and fills the
+  // entry's sub-index; leaves key_pos == kNoKey for a group of one pattern
+  // or when no position shortens the longest list below the whole group.
+  void build_literal_key(IndexEntry& entry) const;
+
+  // One match attempt; on success fills out.pattern_id / timestamp_ms /
+  // fields.
+  bool attempt(uint32_t pi, const TokenizedLog& log, ParsedLog& out);
 
   // Shared matching core: fills out.pattern_id / timestamp_ms / fields on
   // success, leaving out.raw for the caller to settle.

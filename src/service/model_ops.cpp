@@ -152,6 +152,12 @@ StatusOr<int> ModelManager::deploy(const std::string& name,
                                    const CompositeModel& model) {
   auto loaded = CompositeModel::from_json(model.to_json());
   if (!loaded.ok()) return StatusOr<int>(loaded.status());
+  // An unchanged model is already what every stage runs: rebroadcasting it
+  // would only make each partition rebuild its parser and its detector.
+  if (auto latest = store_.latest(name);
+      latest.has_value() && *latest->model == loaded.value()) {
+    return latest->version;
+  }
   const int version = store_.put(
       name, std::make_shared<const CompositeModel>(std::move(loaded.value())));
   Status applied = controller_.apply(

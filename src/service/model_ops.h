@@ -122,6 +122,8 @@ class ModelManager {
   // and broadcast is the model as loaded back: exactly what a checkpoint of
   // it restores. A model that would not load back (from_json rejects it,
   // e.g. a split rule that does not compile) is an error and is not stored.
+  // A model equal to the latest stored version is neither stored nor
+  // rebroadcast: deploy returns that version.
   StatusOr<int> deploy(const std::string& name, const CompositeModel& model);
 
   // Human/automated edit: load latest, mutate, store, push update.

@@ -26,6 +26,25 @@ class LogParserTest : public ::testing::Test {
     return out;
   }
 
+  // Parses `line` with `parser` and with the full-model scan, expects both
+  // to pick `pattern_id` (0: neither parses) with the same to_json, and
+  // returns the parser's match attempts for the line.
+  uint64_t expect_reference(LogParser& parser, ReferenceParser& reference,
+                            const std::string& line, int pattern_id) {
+    const TokenizedLog log = pre_.process(line);
+    const uint64_t before = parser.stats().match_attempts;
+    auto a = parser.parse(log);
+    auto b = reference.parse(log);
+    EXPECT_EQ(a.log.has_value(), pattern_id != 0) << line;
+    EXPECT_EQ(b.log.has_value(), pattern_id != 0) << line;
+    if (a.log && b.log) {
+      EXPECT_EQ(a.log->pattern_id, pattern_id) << line;
+      EXPECT_EQ(b.log->pattern_id, pattern_id) << line;
+      EXPECT_EQ(a.log->to_json().dump(), b.log->to_json().dump()) << line;
+    }
+    return parser.stats().match_attempts - before;
+  }
+
   Preprocessor pre_;
 };
 
@@ -207,8 +226,9 @@ TEST_F(LogParserTest, ResidentBytesGrowWithIndexEntries) {
   EXPECT_GT(parser.resident_bytes(), empty_index + 32 * sizeof(void*));
 }
 
-// One route: a hit scans its whole group in order, however large the group
-// is against the log. This pins the cost of that route.
+// A group of patterns that share a signature is keyed by the literal at one
+// log position, so a log attempts only the patterns its token there can
+// match. This pins that cost.
 std::string svc_name(size_t i) {
   std::string name = "svc";
   name += static_cast<char>('a' + i / 676 % 26);
@@ -219,7 +239,7 @@ std::string svc_name(size_t i) {
 
 TEST_F(LogParserTest, SharedSignatureGroupIsScannedInGroupOrder) {
   // 200 patterns, one 5-token signature: every log's group is the whole
-  // model, 40 patterns per log token.
+  // model, 40 patterns per log token, and its first token names one.
   std::vector<GrokPattern> m;
   for (size_t i = 0; i < 200; ++i) {
     auto p = GrokPattern::parse(svc_name(i) +
@@ -228,10 +248,6 @@ TEST_F(LogParserTest, SharedSignatureGroupIsScannedInGroupOrder) {
     p->assign_field_ids(static_cast<int>(i) + 1);
     m.push_back(std::move(p.value()));
   }
-  const std::vector<uint32_t> order = group_order(m);
-  std::vector<uint64_t> rank(m.size());
-  for (size_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
-
   LogParser parser(m, pre_.classifier());
   ASSERT_TRUE(parser.parse(pre_.process("svcaaa worker start 0 done")).log);
   EXPECT_EQ(parser.stats().groups_built, 1u);
@@ -242,11 +258,89 @@ TEST_F(LogParserTest, SharedSignatureGroupIsScannedInGroupOrder) {
         svc_name(pi) + " worker start " + std::to_string(i) + " done"));
     ASSERT_TRUE(outcome.log);
     EXPECT_EQ(outcome.log->pattern_id, static_cast<int>(pi) + 1);
-    EXPECT_EQ(parser.stats().match_attempts - attempts_before, rank[pi] + 1)
+    EXPECT_EQ(parser.stats().match_attempts - attempts_before, 1u)
         << svc_name(pi);
   }
   EXPECT_EQ(parser.stats().index_hits, 50u);
   EXPECT_EQ(parser.stats().set_fallbacks, 0u);
+}
+
+TEST_F(LogParserTest, KeyedPatternsMergeWithFieldsAtTheKeyInGroupOrder) {
+  // Pattern 1 has a field where the others are keyed (position 0), and is
+  // first in group order: a log it parses must not reach a keyed pattern.
+  const auto m = model({"%{WORD:svc} worker start %{NUMBER:n} done",
+                        "svcaaa worker %{WORD:op} %{NUMBER:n} done",
+                        "svcaab worker %{WORD:op} %{NUMBER:n} done",
+                        "svcaac worker %{WORD:op} %{NUMBER:n} done"});
+  LogParser parser(m, pre_.classifier());
+  ReferenceParser reference(m, group_order(m), pre_.classifier());
+  EXPECT_EQ(expect_reference(parser, reference, "svcaaa worker start 5 done",
+                             1),
+            1u);
+  EXPECT_EQ(expect_reference(parser, reference, "svcaab worker stop 6 done", 3),
+            2u);
+  EXPECT_EQ(expect_reference(parser, reference, "svcaac worker stop 7 done", 4),
+            2u);
+  EXPECT_EQ(expect_reference(parser, reference, "svcaaa worker stop 8 done", 2),
+            2u);
+}
+
+TEST_F(LogParserTest, WildcardPatternsAreKeyedByAPrefixLiteral) {
+  const auto m = model({"open %{WORD:f} %{ANYDATA:rest}",
+                        "close %{WORD:f} %{ANYDATA:rest}",
+                        "read %{WORD:f} %{ANYDATA:rest}"});
+  LogParser parser(m, pre_.classifier());
+  ReferenceParser reference(m, group_order(m), pre_.classifier());
+  EXPECT_EQ(expect_reference(parser, reference, "read file a b", 3), 1u);
+  EXPECT_EQ(expect_reference(parser, reference, "close file a b", 2), 1u);
+  EXPECT_EQ(expect_reference(parser, reference, "open file", 1), 1u);
+  EXPECT_EQ(expect_reference(parser, reference, "write file a b", 0), 0u);
+}
+
+TEST_F(LogParserTest, WildcardPatternsAreKeyedByARightAlignedSuffixLiteral) {
+  // "mid" sits between two wildcards, at no fixed position, so it is not a
+  // key; the verb three tokens from the end is.
+  const auto m = model({"%{ANYDATA:what} failed with %{NUMBER:code}",
+                        "%{ANYDATA:what} refused with %{NUMBER:code}",
+                        "%{ANYDATA:a} mid %{ANYDATA:b} closed with %{NUMBER:c}"});
+  LogParser parser(m, pre_.classifier());
+  ReferenceParser reference(m, group_order(m), pre_.classifier());
+  EXPECT_EQ(expect_reference(parser, reference, "disk failed with 5", 1), 1u);
+  EXPECT_EQ(expect_reference(parser, reference, "a b c refused with 6", 2),
+            1u);
+  EXPECT_EQ(expect_reference(parser, reference, "x mid y z closed with 7", 3),
+            1u);
+  EXPECT_EQ(expect_reference(parser, reference, "mid closed with 8", 3), 1u);
+  EXPECT_EQ(expect_reference(parser, reference, "x mid y done with 9", 0), 0u);
+}
+
+TEST_F(LogParserTest, UnmatchedKeyTokenFallsToTheUnkeyedPatterns) {
+  // Pattern 3 has a field at the key and is last in group order.
+  const auto with_field = model({"svcaaa worker %{WORD:op} %{NUMBER:n} done",
+                                 "svcaab worker %{WORD:op} %{NUMBER:n} done",
+                                 "%{WORD:svc} worker %{WORD:op} %{NUMBER:n} done"});
+  const std::vector<GrokPattern> keyed_only(with_field.begin(),
+                                            with_field.begin() + 2);
+
+  LogParser parser(with_field, pre_.classifier());
+  ReferenceParser reference(with_field, group_order(with_field),
+                            pre_.classifier());
+  EXPECT_EQ(expect_reference(parser, reference, "svczzz worker stop 5 done", 3),
+            1u);
+  EXPECT_EQ(expect_reference(parser, reference, "svcaab worker stop 6 done", 2),
+            1u);
+
+  // No unkeyed pattern: a token no literal matches attempts nothing.
+  LogParser keyed(keyed_only, pre_.classifier());
+  ReferenceParser keyed_reference(keyed_only, group_order(keyed_only),
+                                  pre_.classifier());
+  EXPECT_EQ(expect_reference(keyed, keyed_reference, "svcaaa worker stop 5 done",
+                             1),
+            1u);
+  EXPECT_EQ(expect_reference(keyed, keyed_reference,
+                             "svczzz worker stop 5 done", 0),
+            0u);
+  EXPECT_EQ(keyed.stats().unparsed, 1u);
 }
 
 TEST_F(LogParserTest, D4GroupsAreScannedAndMatchTheReference) {

@@ -238,13 +238,14 @@ TEST_F(ControllerTest, IncrementalRebuildRefusesAnotherTokenizer) {
   auto same = manager_->rebuild_incremental("m", logs, "D1", ModelBuilder(opts));
   ASSERT_TRUE(same.ok()) << same.status().message();
   EXPECT_EQ(same->model.patterns.size(), 7u);
-  EXPECT_EQ(store_.latest("m")->version, 2);
+  // The same archive rebuilds an equal model, so nothing new is stored.
+  EXPECT_EQ(store_.latest("m")->version, 1);
 
   opts.preprocessor.split_rules = {{"([0-9]+)(KB)", "$1 $2"}};
   auto other =
       manager_->rebuild_incremental("m", logs, "D1", ModelBuilder(opts));
   EXPECT_FALSE(other.ok());
-  EXPECT_EQ(store_.latest("m")->version, 2);
+  EXPECT_EQ(store_.latest("m")->version, 1);
   EXPECT_EQ(manager_->get("m").value()->tokenizer, PreprocessorOptions{});
 }
 
@@ -382,6 +383,7 @@ TEST(ModelSharing, TasksReadTheModelOncePerPartitionPerBatch) {
 
 // Adopting a new model version is timed once per partition per deploy, in
 // each stage: the parser's LogParser rebuild, the detector's update_model.
+// An equal redeploy is no new version.
 TEST(ModelSharing, UpdatePauseIsRecordedPerPartitionPerDeploy) {
   MetricsRegistry registry;
   ServiceOptions opts;
@@ -405,9 +407,26 @@ TEST(ModelSharing, UpdatePauseIsRecordedPerPartitionPerDeploy) {
   stream(0);
   EXPECT_EQ(parser_pause.count(), 2u);
   EXPECT_EQ(detector_pause.count(), 3u);
-  ASSERT_TRUE(service.models().deploy(service.model_name(), model).ok());
+
+  // Redeploying the running model keeps its version and stored object, and
+  // no partition adopts anything.
+  const auto deployed = service.models().get(service.model_name()).value();
+  auto same = service.models().deploy(service.model_name(), model);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same.value(), 1);
+  EXPECT_EQ(service.models().get(service.model_name()).value(), deployed);
   stream(20);
-  stream(40);  // no deploy in between: nothing to adopt
+  EXPECT_EQ(parser_pause.count(), 2u);
+  EXPECT_EQ(detector_pause.count(), 3u);
+
+  CompositeModel edited = model;
+  auto extra = GrokPattern::parse("never seen %{WORD:x}");
+  ASSERT_TRUE(extra.ok());
+  extra->assign_field_ids(1000);
+  edited.patterns.push_back(std::move(extra.value()));
+  ASSERT_TRUE(service.models().deploy(service.model_name(), edited).ok());
+  stream(40);
+  stream(60);  // no deploy in between: nothing to adopt
   EXPECT_EQ(parser_pause.count(), 2u * 2);
   EXPECT_EQ(detector_pause.count(), 3u * 2);
 }

@@ -85,6 +85,38 @@ TEST(ParserAllocationTest, IndexHitParseIntoIsAllocationFree) {
   EXPECT_EQ(parser.stats().groups_built, 1u);
 }
 
+TEST(ParserAllocationTest, FreshRecordAllocatesItsFieldVectorOnce) {
+  // The parser stage moves its record into each payload, so in the service
+  // every parse starts from an empty field vector. Six fields with short
+  // names and values (no string allocation): one reservation, not one per
+  // doubling of the vector.
+  auto pre = std::move(Preprocessor::create({}).value());
+  auto pattern = GrokPattern::parse(
+      "%{WORD:a} %{WORD:b} %{NUMBER:c} %{WORD:d} %{NUMBER:e} %{WORD:f}");
+  ASSERT_TRUE(pattern.ok());
+  pattern->assign_field_ids(1);
+  LogParser parser({pattern.value()}, pre.classifier());
+
+  const TokenizedLog log = pre.process("alpha beta 1 gamma 2 delta");
+  ParsedLog parsed;
+  ASSERT_TRUE(parser.parse_into(log, parsed));  // warm (builds the group)
+  constexpr size_t kLogs = 16;
+  std::vector<TokenizedLog> logs(kLogs, log);
+  std::vector<ParsedLog> payloads;
+  payloads.reserve(kLogs + 1);
+  payloads.push_back(std::move(parsed));
+
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (auto& l : logs) {
+    ASSERT_TRUE(parser.parse_into(std::move(l), parsed));
+    payloads.push_back(std::move(parsed));
+  }
+  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, kLogs);
+  EXPECT_EQ(payloads.back().fields.size(), 6u);
+  EXPECT_EQ(payloads.back().fields.capacity(), 6u);
+}
+
 TEST(ParserAllocationTest, UnparsedLogsAreAllocationFreeToo) {
   auto pre = std::move(Preprocessor::create({}).value());
   LogParser parser(make_model(), pre.classifier());
