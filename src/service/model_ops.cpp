@@ -150,7 +150,12 @@ ModelManager::ModelManager(ModelStore& store, ModelController& controller)
 
 StatusOr<int> ModelManager::deploy(const std::string& name,
                                    const CompositeModel& model) {
-  auto loaded = CompositeModel::from_json(model.to_json());
+  return deploy_json(name, model.to_json());
+}
+
+StatusOr<int> ModelManager::deploy_json(const std::string& name,
+                                        const Json& model_json) {
+  auto loaded = CompositeModel::from_json(model_json);
   if (!loaded.ok()) return StatusOr<int>(loaded.status());
   // An unchanged model is already what every stage runs: rebroadcasting it
   // would only make each partition rebuild its parser and its detector.

@@ -117,13 +117,17 @@ class ModelManager {
  public:
   ModelManager(ModelStore& store, ModelController& controller);
 
-  // Stores a model version and pushes an update instruction; returns the
-  // version. The model is checked by one JSON round trip, and what is stored
-  // and broadcast is the model as loaded back: exactly what a checkpoint of
-  // it restores. A model that would not load back (from_json rejects it,
-  // e.g. a split rule that does not compile) is an error and is not stored.
-  // A model equal to the latest stored version is neither stored nor
-  // rebroadcast: deploy returns that version.
+  // Loads a model from its JSON form (a checkpoint's blob, or deploy's
+  // round trip), stores it as a new version and pushes an update
+  // instruction; returns the version. The JSON is parsed once, and what is
+  // stored and broadcast is that loaded model. JSON that does not load
+  // (from_json rejects it, e.g. a split rule that does not compile) is an
+  // error and nothing is stored. A model equal to the latest stored version
+  // is neither stored nor rebroadcast: the call returns that version.
+  StatusOr<int> deploy_json(const std::string& name, const Json& model_json);
+
+  // deploy_json of the model's JSON: the model is checked by one round trip,
+  // so what is stored is exactly what a checkpoint of it restores.
   StatusOr<int> deploy(const std::string& name, const CompositeModel& model);
 
   // Human/automated edit: load latest, mutate, store, push update.

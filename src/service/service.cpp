@@ -338,12 +338,12 @@ Status LogLensService::restore_internal(const std::string& path,
   if (model_blob == nullptr || !model_blob->is_object()) {
     return Status::Error("checkpoint missing model");
   }
-  auto model = CompositeModel::from_json(*model_blob);
-  if (!model.ok()) return model.status();
-  if (auto v = model_manager_->deploy(options_.model_name, model.value());
+  if (auto v = model_manager_->deploy_json(options_.model_name, *model_blob);
       !v.ok()) {
     return v.status();
   }
+  auto model = model_manager_->get(options_.model_name);
+  if (!model.ok()) return model.status();
   if (!running_.load()) {
     // Land the rebroadcast without consuming queued input: control ops are
     // applied at the head of a batch, so empty batches suffice (a plain
@@ -374,7 +374,7 @@ Status LogLensService::restore_internal(const std::string& path,
     if (task == nullptr) continue;
     JsonObject slice;
     slice.emplace_back("open_events", Json(std::move(shards[p])));
-    Status s = task->restore_state(Json(std::move(slice)), model.value());
+    Status s = task->restore_state(Json(std::move(slice)), *model.value());
     if (!s.ok()) return s;
   }
   if (!in_place) return Status::Ok();

@@ -37,6 +37,9 @@ namespace loglens {
 struct ServiceOptions {
   size_t parser_partitions = 2;
   size_t detector_partitions = 2;
+  // Partitions of one stage that run at once (EngineOptions::workers): each
+  // stage's engine runs partitions on its job thread plus `workers - 1` pool
+  // helpers, so 1 runs every partition serially on the job thread.
   size_t workers = 2;
   ParserTaskOptions parser;
   DetectorOptions detector;

@@ -13,7 +13,7 @@ namespace loglens {
 
 StreamEngine::StreamEngine(EngineOptions options, const TaskFactory& factory)
     : options_(std::move(options)),
-      pool_(options_.workers) {
+      pool_(options_.workers > 1 ? options_.workers - 1 : 0) {
   if (options_.partitions == 0) options_.partitions = 1;
   if (!options_.partitioner) {
     options_.partitioner = [](const Message& m, size_t n) {
@@ -21,9 +21,13 @@ StreamEngine::StreamEngine(EngineOptions options, const TaskFactory& factory)
     };
   }
   tasks_.reserve(options_.partitions);
+  contexts_.reserve(options_.partitions);
   for (size_t p = 0; p < options_.partitions; ++p) {
     tasks_.push_back(factory(p));
+    contexts_.emplace_back(p, 0);
   }
+  routed_.resize(options_.partitions);
+  outcomes_.resize(options_.partitions);
 
   // Resolve metric handles once; run_batch only touches atomics.
   registry_ = &registry_or_global(options_.metrics);
@@ -45,19 +49,29 @@ StreamEngine::StreamEngine(EngineOptions options, const TaskFactory& factory)
       "Messages routed to the dead-letter channel (poison)");
   batch_duration_us_ =
       &registry_->histogram("loglens_engine_batch_duration_us", stage,
-                            "Wall time of the parallel section per batch");
+                            "Wall time of the fork-join section per batch");
   batch_skew_us_ = &registry_->histogram(
       "loglens_engine_batch_skew_us", stage,
       "Per-batch max-min partition task time (load skew)");
   barrier_wait_us_ = &registry_->histogram(
       "loglens_engine_barrier_wait_us", stage,
-      "Time a finished partition waited at the end-of-batch barrier");
+      "Time from a partition's task finishing to the end of its batch's "
+      "fork-join section");
   route_us_ = &registry_->histogram(
       "loglens_trace_route_us", stage,
       "Time spent routing a batch's messages to partitions");
   pool_wait_us_ = &registry_->histogram(
       "loglens_trace_pool_wait_us", stage,
-      "Delay between pool submit and a partition task starting");
+      "Delay from a batch's fork-join start to a pool helper claiming a "
+      "partition");
+  MetricLabels on_caller{{"runner", "caller"}, {"stage", options_.stage}};
+  MetricLabels on_helper{{"runner", "helper"}, {"stage", options_.stage}};
+  const char* runs_help =
+      "Partition tasks run, by the thread that claimed them";
+  partitions_on_caller_ = &registry_->counter(
+      "loglens_engine_partitions_run_total", on_caller, runs_help);
+  partitions_on_helper_ = &registry_->counter(
+      "loglens_engine_partitions_run_total", on_helper, runs_help);
   partition_records_.reserve(options_.partitions);
   partition_task_us_.reserve(options_.partitions);
   for (size_t p = 0; p < options_.partitions; ++p) {
@@ -77,27 +91,30 @@ void StreamEngine::enqueue_control(std::function<void()> op) {
   pending_controls_.push_back(std::move(op));
 }
 
-void StreamEngine::run_partition(size_t p, std::vector<Message>& input,
-                                 TaskContext& ctx, PartitionOutcome& outcome,
+void StreamEngine::run_partition(size_t p, bool on_helper,
                                  const trace::TraceContext& batch_ctx,
-                                 uint64_t exec_span, uint64_t submitted_us) {
+                                 uint64_t exec_span, uint64_t exec_start_us) {
+  std::vector<Message>& input = routed_[p];
+  TaskContext& ctx = contexts_[p];
+  PartitionOutcome& outcome = outcomes_[p];
+  outcome.on_helper = on_helper;
   const uint64_t task_start = trace_clock::now_us();
-  pool_wait_us_->record(task_start - submitted_us);
   const bool traced = trace::enabled() && batch_ctx.trace_id != 0;
-  trace::TraceContext task_ctx = batch_ctx;
-  if (traced) {
+  if (on_helper) pool_wait_us_->record(task_start - exec_start_us);
+  if (traced && on_helper) {
     trace::Span wait;
     wait.trace_id = batch_ctx.trace_id;
     wait.span_id = trace::new_span_id();
     wait.parent_id = exec_span;
     wait.batch = batch_ctx.batch;
-    wait.start_us = submitted_us;
-    wait.duration_us = task_start - submitted_us;
+    wait.start_us = exec_start_us;
+    wait.duration_us = task_start - exec_start_us;
     wait.tid = trace::current_tid();
     wait.name = options_.stage + ".pool_wait";
     registry_->record_span(std::move(wait));
-    task_ctx.span_id = trace::new_span_id();  // the <stage>.task span below
   }
+  trace::TraceContext task_ctx = batch_ctx;
+  if (traced) task_ctx.span_id = trace::new_span_id();  // the .task span
   // Spans the task itself records (and messages it produces) parent to the
   // per-partition task span via the thread-local context.
   trace::ContextScope scope(task_ctx);
@@ -124,7 +141,7 @@ void StreamEngine::run_partition(size_t p, std::vector<Message>& input,
                [&] { tasks_[p]->on_batch_start(ctx); })) {
     // The task cannot even open the batch: dead-letter the whole partition
     // batch rather than stall the stage. (The vector keeps its size; the
-    // post-barrier metrics loop only reads sizes.)
+    // metrics loop after the section only reads sizes.)
     for (auto& m : input) outcome.dead_letters.push_back(std::move(m));
   } else {
     for (Message& m : input) {
@@ -145,7 +162,8 @@ void StreamEngine::run_partition(size_t p, std::vector<Message>& input,
       outcome.fatal = true;
     }
   }
-  outcome.task_us = trace_clock::now_us() - task_start;
+  outcome.end_us = trace_clock::now_us();
+  outcome.task_us = outcome.end_us - task_start;
   if (traced) {
     trace::Span task;
     task.trace_id = task_ctx.trace_id;
@@ -157,6 +175,14 @@ void StreamEngine::run_partition(size_t p, std::vector<Message>& input,
     task.tid = trace::current_tid();
     task.name = options_.stage + ".task";
     registry_->record_span(std::move(task));
+  }
+}
+
+void StreamEngine::clear_scratch() {
+  for (size_t p = 0; p < options_.partitions; ++p) {
+    routed_[p].clear();
+    contexts_[p].outputs().clear();
+    outcomes_[p] = PartitionOutcome{};
   }
 }
 
@@ -220,16 +246,20 @@ BatchResult StreamEngine::run_batch(std::vector<Message> input) {
   }
 
   // Route. Heartbeats are duplicated to every partition (custom
-  // partitioner); everything else follows the configured partitioner.
+  // partitioner); everything else follows the configured partitioner. The
+  // routed messages live in routed_ until the batch ends, however it ends.
+  struct ScratchGuard {
+    StreamEngine* engine;
+    ~ScratchGuard() { engine->clear_scratch(); }
+  } scratch_guard{this};
   const uint64_t route_start = trace_clock::now_us();
   const size_t n = options_.partitions;
-  std::vector<std::vector<Message>> per_partition(n);
   for (auto& m : input) {
     if (m.tag == MessageTag::kHeartbeat) {
-      for (size_t p = 0; p < n; ++p) per_partition[p].push_back(m);
+      for (size_t p = 0; p < n; ++p) routed_[p].push_back(m);
     } else {
       size_t p = options_.partitioner(m, n) % n;
-      per_partition[p].push_back(std::move(m));
+      routed_[p].push_back(std::move(m));
     }
   }
   const uint64_t route_end = trace_clock::now_us();
@@ -239,38 +269,18 @@ BatchResult StreamEngine::run_batch(std::vector<Message> input) {
               route_end - route_start);
   }
 
-  // Parallel section with end-of-batch barrier. Each worker stamps its own
-  // slot of `task_us` (no contention); histograms are fed after the barrier.
-  std::vector<TaskContext> contexts;
-  contexts.reserve(n);
+  // Fork-join section: this thread and the pool helpers it wakes claim the
+  // partitions; each runner writes only its partition's slots. Histograms
+  // are fed after every partition has finished.
   for (size_t p = 0; p < n; ++p) {
-    contexts.emplace_back(p, result.batch_number);
+    contexts_[p].begin_batch(result.batch_number);
   }
-  std::vector<PartitionOutcome> outcomes(n);
   const uint64_t exec_span = traced ? trace::new_span_id() : 0;
   const uint64_t span_start = trace_clock::now_us();
-  if (n == 1) {
-    // Single-partition fast path: run the task inline on the driver — it
-    // would only block at the barrier anyway — saving one thread handoff
-    // per batch, the dominant cost of small batches (and of every batch on
-    // a single-core host). Multi-partition batches keep every task on the
-    // pool: with `workers` pool threads that is the stage's whole
-    // concurrency contract (workers=1 means serial partitions, which fault
-    // tests rely on to sequence injected failures deterministically).
-    const uint64_t submitted_us = trace_clock::now_us();
-    run_partition(0, per_partition[0], contexts[0], outcomes[0], batch_ctx,
-                  exec_span, submitted_us);
-  } else {
-    for (size_t p = 0; p < n; ++p) {
-      const uint64_t submitted_us = trace_clock::now_us();
-      pool_.submit([this, p, &per_partition, &contexts, &outcomes, &batch_ctx,
-                    exec_span, submitted_us] {
-        run_partition(p, per_partition[p], contexts[p], outcomes[p],
-                      batch_ctx, exec_span, submitted_us);
-      });
-    }
-    pool_.wait_idle();
-  }
+  pool_.run(n, [&](size_t p, ThreadPool::Runner runner) {
+    run_partition(p, runner == ThreadPool::Runner::kHelper, batch_ctx,
+                  exec_span, span_start);
+  });
   const uint64_t exec_end = trace_clock::now_us();
   const uint64_t elapsed_us = exec_end - span_start;
   result.elapsed_ms = static_cast<double>(elapsed_us) / 1000.0;
@@ -282,20 +292,24 @@ BatchResult StreamEngine::run_batch(std::vector<Message> input) {
   control_ops_total_->inc(result.control_ops_applied);
   batch_duration_us_->record(elapsed_us);
   uint64_t min_task = UINT64_MAX, max_task = 0;
+  size_t on_helper = 0;
   bool fatal = false;
   for (size_t p = 0; p < n; ++p) {
-    const uint64_t task_us = outcomes[p].task_us;
-    partition_records_[p]->inc(per_partition[p].size());
-    partition_task_us_[p]->record(task_us);
-    barrier_wait_us_->record(elapsed_us > task_us ? elapsed_us - task_us : 0);
-    min_task = std::min(min_task, task_us);
-    max_task = std::max(max_task, task_us);
-    result.task_retries += outcomes[p].retries;
-    fatal = fatal || outcomes[p].fatal;
-    for (auto& m : outcomes[p].dead_letters) {
+    PartitionOutcome& outcome = outcomes_[p];
+    partition_records_[p]->inc(routed_[p].size());
+    partition_task_us_[p]->record(outcome.task_us);
+    barrier_wait_us_->record(exec_end - outcome.end_us);
+    min_task = std::min(min_task, outcome.task_us);
+    max_task = std::max(max_task, outcome.task_us);
+    if (outcome.on_helper) ++on_helper;
+    result.task_retries += outcome.retries;
+    fatal = fatal || outcome.fatal;
+    for (auto& m : outcome.dead_letters) {
       result.dead_letters.push_back(std::move(m));
     }
   }
+  partitions_on_caller_->inc(n - on_helper);
+  partitions_on_helper_->inc(on_helper);
   batch_skew_us_->record(max_task - min_task);
   task_retries_total_->inc(result.task_retries);
   dead_letters_total_->inc(result.dead_letters.size());
@@ -313,11 +327,11 @@ BatchResult StreamEngine::run_batch(std::vector<Message> input) {
 
   const uint64_t collect_start = trace_clock::now_us();
   size_t total_outputs = 0;
-  for (auto& ctx : contexts) total_outputs += ctx.outputs().size();
+  for (auto& ctx : contexts_) total_outputs += ctx.outputs().size();
   outputs_total_->inc(total_outputs);
   result.outputs.reserve(total_outputs);
-  for (auto& ctx : contexts) {
-    auto outs = ctx.take_outputs();
+  for (auto& ctx : contexts_) {
+    auto& outs = ctx.outputs();
     result.outputs.insert(result.outputs.end(),
                           std::make_move_iterator(outs.begin()),
                           std::make_move_iterator(outs.end()));

@@ -12,8 +12,12 @@
 //      (MessageTag::kHeartbeat), which the custom partitioner duplicates to
 //      *every* partition (Section V-B) so each partition can sweep its open
 //      states;
-//   3. partitions run in parallel on the worker pool with a barrier at the
-//      end of the batch; task outputs are collected in partition order.
+//   3. partitions run fork-join: the calling thread and up to `workers - 1`
+//      pool helpers claim partitions from a shared counter, and the batch
+//      ends when every partition has finished; task outputs are collected
+//      in partition order. The routing vectors, task contexts and outcomes
+//      are engine members, cleared after each batch with their capacity
+//      kept, so a steady stream of batches allocates no engine scratch.
 //
 // Synchronous `run_batch` keeps experiments deterministic; `JobRunner` (in
 // job.h) adds the broker-driven background-loop deployment mode.
@@ -48,11 +52,11 @@ class TaskContext {
 
   std::vector<Message>& outputs() { return outputs_; }
 
-  // Steals the outputs (the engine collects them once per batch; moving the
-  // whole vector avoids re-growing the result buffer element by element).
-  std::vector<Message> take_outputs() { return std::move(outputs_); }
-
  private:
+  friend class StreamEngine;  // reuses one context per partition
+
+  void begin_batch(uint64_t batch_number) { batch_number_ = batch_number; }
+
   size_t partition_;
   uint64_t batch_number_;
   std::vector<Message> outputs_;
@@ -73,6 +77,9 @@ using Partitioner = std::function<size_t(const Message&, size_t)>;
 
 struct EngineOptions {
   size_t partitions = 4;
+  // Partitions that run at once: the calling thread plus `workers - 1` pool
+  // helpers (0 counts as 1). With 1, every partition runs serially on the
+  // caller, in partition order.
   size_t workers = 2;
   // Default: hash of the message key (empty key -> partition 0).
   Partitioner partitioner;
@@ -101,7 +108,7 @@ struct BatchResult {
   size_t input_records = 0;
   size_t control_ops_applied = 0;
   std::vector<Message> outputs;  // concatenated in partition order
-  double elapsed_ms = 0;         // wall time of the parallel section
+  double elapsed_ms = 0;         // wall time of the fork-join section
   // Fault tolerance (see EngineOptions): task attempts that were retried,
   // and the poison messages that exhausted their retry budget this batch.
   size_t task_retries = 0;
@@ -130,30 +137,39 @@ class StreamEngine {
   PartitionTask& task(size_t partition) { return *tasks_[partition]; }
 
  private:
-  // Per-partition outcome of one batch attempt, filled by run_partition on a
-  // worker thread (each worker touches only its own slot).
+  // Per-partition outcome of one batch attempt, filled by run_partition on
+  // whichever thread claimed the partition (each touches only its own slot).
   struct PartitionOutcome {
     uint64_t task_us = 0;
+    uint64_t end_us = 0;  // when the task finished
     size_t retries = 0;
     std::vector<Message> dead_letters;
-    bool fatal = false;  // on_batch_end failed after all retries
+    bool fatal = false;   // on_batch_end failed after all retries
+    bool on_helper = false;
   };
 
   // Executes one partition's share of a batch with the retry/dead-letter
   // policy of EngineOptions. Never throws (fatal failures are reported
   // through the outcome so they cross the thread-pool boundary safely).
-  // `batch_ctx` is the batch's trace context (installed on the worker
-  // thread for the task's duration), `exec_span` the parallel section's
-  // span id, `submitted_us` the pool-submit timestamp that pins the
+  // `batch_ctx` is the batch's trace context (installed on the running
+  // thread for the task's duration), `exec_span` the fork-join section's
+  // span id, and `exec_start_us` the section's start, which pins a helper's
   // pool-wait span.
-  void run_partition(size_t partition, std::vector<Message>& input,
-                     TaskContext& ctx, PartitionOutcome& outcome,
+  void run_partition(size_t partition, bool on_helper,
                      const trace::TraceContext& batch_ctx, uint64_t exec_span,
-                     uint64_t submitted_us);
+                     uint64_t exec_start_us);
+  // Drops what a batch left in the scratch below, keeping its capacity.
+  void clear_scratch();
 
   EngineOptions options_;
   ThreadPool pool_;
   std::vector<std::unique_ptr<PartitionTask>> tasks_;
+
+  // Per-batch scratch, one slot per partition, reused across batches (only
+  // touched under run_mu_, and by the partition's runner inside the batch).
+  std::vector<std::vector<Message>> routed_;
+  std::vector<TaskContext> contexts_;
+  std::vector<PartitionOutcome> outcomes_;
 
   // Metric handles, resolved once at construction (see engine.cpp).
   MetricsRegistry* registry_ = nullptr;
@@ -168,6 +184,8 @@ class StreamEngine {
   Histogram* barrier_wait_us_ = nullptr;
   Histogram* route_us_ = nullptr;
   Histogram* pool_wait_us_ = nullptr;
+  Counter* partitions_on_caller_ = nullptr;
+  Counter* partitions_on_helper_ = nullptr;
   std::vector<Counter*> partition_records_;
   std::vector<Histogram*> partition_task_us_;
 
@@ -179,8 +197,8 @@ class StreamEngine {
   std::vector<std::function<void()>> pending_controls_
       LOGLENS_GUARDED_BY(control_mu_);
 
-  // Serializes run_batch callers; held across the pool submit/wait, pinning
-  // kEngineRun < kThreadPool.
+  // Serializes run_batch callers; held across the pool run (the caller's own
+  // partitions run under it), pinning kEngineRun < kThreadPool.
   RankedMutex run_mu_{lock_rank::kEngineRun};
   // Monotonic batch counter: written under run_mu_, read lock-free by
   // batches_run() (dashboard/monitoring threads), hence atomic.

@@ -1,17 +1,17 @@
 #include "streaming/thread_pool.h"
 
+#include <algorithm>
 #include <string>
 
 #include "common/sched.h"
 
 namespace loglens {
 
-ThreadPool::ThreadPool(size_t threads) {
-  if (threads == 0) threads = 1;
-  workers_.reserve(threads);
-  for (size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back(sched::spawn_named("pool-" + std::to_string(i),
-                                             [this] { worker_loop(); }));
+ThreadPool::ThreadPool(size_t helpers) {
+  helpers_.reserve(helpers);
+  for (size_t i = 0; i < helpers; ++i) {
+    helpers_.emplace_back(sched::spawn_named("pool-" + std::to_string(i),
+                                             [this] { helper_loop(); }));
   }
 }
 
@@ -21,53 +21,71 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   sched::cv_notify_all(work_cv_);
-  // The joins block for real; under a ScheduleController the workers still
+  // The joins block for real; under a ScheduleController the helpers still
   // need to be scheduled to observe stop_, so step outside its view.
   sched::BlockingRegion joining;
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    RankedMutexLock lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  sched::cv_notify_one(work_cv_);
+  for (auto& h : helpers_) h.join();
 }
 
 // The waits below use explicit loops rather than the predicate overload:
 // the thread-safety analysis checks a predicate lambda as a separate
 // function, where the guarded reads would not see the lock held here.
 
-void ThreadPool::wait_idle() {
+void ThreadPool::run_erased(size_t n, void* body, Invoke invoke) {
+  if (n == 0) return;
+  const size_t wake = std::min(n - 1, helpers_.size());
+  {
+    RankedMutexLock lock(mu_);
+    body_ = body;
+    invoke_ = invoke;
+    n_ = n;
+    next_ = 0;
+    if (wake > 0) ++generation_;
+  }
+  if (wake > 0 && wake == helpers_.size()) {
+    sched::cv_notify_all(work_cv_);
+  } else {
+    for (size_t i = 0; i < wake; ++i) sched::cv_notify_one(work_cv_);
+  }
+  claim_and_run(Runner::kCaller);
+  // Every index is claimed; wait only for the helpers still running one.
   RankedMutexLock lock(mu_);
-  while (!(queue_.empty() && in_flight_ == 0)) {
-    sched::cv_wait(idle_cv_, lock);
+  while (running_ > 0) sched::cv_wait(done_cv_, lock);
+}
+
+void ThreadPool::claim_and_run(Runner runner) {
+  bool ran = false;
+  while (true) {
+    size_t index = 0;
+    void* body = nullptr;
+    Invoke invoke = nullptr;
+    {
+      RankedMutexLock lock(mu_);
+      if (ran && --running_ == 0 && next_ >= n_) {
+        sched::cv_notify_all(done_cv_);
+      }
+      if (next_ >= n_) return;
+      index = next_++;
+      ++running_;
+      body = body_;
+      invoke = invoke_;
+    }
+    LOGLENS_SCHED_POINT("pool.claimed");
+    invoke(body, index, runner);
+    ran = true;
   }
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::helper_loop() {
+  uint64_t seen = 0;
   while (true) {
-    std::function<void()> task;
     {
       RankedMutexLock lock(mu_);
-      while (!stop_ && queue_.empty()) {
-        sched::cv_wait(work_cv_, lock);
-      }
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
+      while (!stop_ && generation_ == seen) sched::cv_wait(work_cv_, lock);
+      if (stop_) return;
+      seen = generation_;
     }
-    LOGLENS_SCHED_POINT("pool.task_start");
-    task();
-    {
-      RankedMutexLock lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) {
-        sched::cv_notify_all(idle_cv_);
-      }
-    }
+    claim_and_run(Runner::kHelper);
   }
 }
 

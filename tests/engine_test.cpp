@@ -4,8 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
+#include <mutex>
 #include <thread>
+#include <vector>
+
+#include "metrics/metrics.h"
 
 namespace loglens {
 namespace {
@@ -218,6 +223,134 @@ TEST(Engine, BatchesRunReadableWhileRunning) {
   reader.join();
   EXPECT_EQ(engine.batches_run(), 50u);
   EXPECT_LE(observed, 50u);
+}
+
+// Records, per partition call, the thread and the number of partitions
+// inside a task at that moment; sleeps a little so runs overlap.
+struct RunLog {
+  std::mutex mu;
+  std::vector<std::thread::id> threads;
+  std::vector<std::vector<int>> starts, ends;  // [partition][batch]
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+
+  explicit RunLog(size_t partitions) : starts(partitions), ends(partitions) {}
+};
+
+class LoggingTask : public PartitionTask {
+ public:
+  LoggingTask(size_t partition, RunLog& log)
+      : partition_(partition), log_(log) {}
+
+  void on_batch_start(TaskContext& ctx) override {
+    const int now = log_.in_flight.fetch_add(1) + 1;
+    int old = log_.peak.load();
+    while (now > old && !log_.peak.compare_exchange_weak(old, now)) {
+    }
+    std::lock_guard<std::mutex> lock(log_.mu);
+    log_.threads.push_back(std::this_thread::get_id());
+    log_.starts[partition_].push_back(static_cast<int>(ctx.batch_number()));
+  }
+  void process(const Message&, TaskContext&) override {}
+  void on_batch_end(TaskContext& ctx) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    {
+      std::lock_guard<std::mutex> lock(log_.mu);
+      log_.ends[partition_].push_back(static_cast<int>(ctx.batch_number()));
+    }
+    log_.in_flight.fetch_sub(1);
+  }
+
+ private:
+  size_t partition_;
+  RunLog& log_;
+};
+
+StreamEngine make_logging_engine(size_t partitions, size_t workers,
+                                 RunLog& log, MetricsRegistry& registry) {
+  EngineOptions opts;
+  opts.partitions = partitions;
+  opts.workers = workers;
+  opts.metrics = &registry;
+  return StreamEngine(opts, [&log](size_t p) -> std::unique_ptr<PartitionTask> {
+    return std::make_unique<LoggingTask>(p, log);
+  });
+}
+
+std::vector<Message> keyed_batch(int n) {
+  std::vector<Message> batch;
+  for (int i = 0; i < n; ++i) {
+    batch.push_back(msg("k" + std::to_string(i), std::to_string(i)));
+  }
+  return batch;
+}
+
+uint64_t partitions_run(MetricsRegistry& registry, const char* runner) {
+  return registry
+      .counter("loglens_engine_partitions_run_total",
+               {{"runner", runner}, {"stage", "engine"}})
+      .value();
+}
+
+// workers = 1 means no pool helper: every partition runs on the thread that
+// called run_batch, which is what serial fault sequencing relies on.
+TEST(Engine, OneWorkerRunsEveryTaskOnTheCaller) {
+  RunLog log(4);
+  MetricsRegistry registry;
+  StreamEngine engine = make_logging_engine(4, 1, log, registry);
+  for (int b = 0; b < 3; ++b) engine.run_batch(keyed_batch(20));
+  ASSERT_EQ(log.threads.size(), 12u);
+  for (const auto& id : log.threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(log.peak.load(), 1);
+  EXPECT_EQ(partitions_run(registry, "caller"), 12u);
+  EXPECT_EQ(partitions_run(registry, "helper"), 0u);
+}
+
+TEST(Engine, EachPartitionRunsOncePerBatchAtMostWorkersAtOnce) {
+  RunLog log(4);
+  MetricsRegistry registry;
+  StreamEngine engine = make_logging_engine(4, 2, log, registry);
+  constexpr int kBatches = 10;
+  for (int b = 0; b < kBatches; ++b) engine.run_batch(keyed_batch(40));
+  for (size_t p = 0; p < 4; ++p) {
+    ASSERT_EQ(log.starts[p].size(), static_cast<size_t>(kBatches));
+    for (int b = 0; b < kBatches; ++b) {
+      EXPECT_EQ(log.starts[p][b], b + 1) << "partition " << p;
+      EXPECT_EQ(log.ends[p][b], b + 1) << "partition " << p;
+    }
+  }
+  EXPECT_LE(log.peak.load(), 2);
+  EXPECT_EQ(partitions_run(registry, "caller") +
+                partitions_run(registry, "helper"),
+            4u * kBatches);
+}
+
+// A partition the batch routed nothing to still opens and closes the batch
+// (the detector sweeps open states there on every heartbeat-free batch).
+TEST(Engine, PartitionsWithNoInputStillStartAndEndTheBatch) {
+  RunLog log(4);
+  MetricsRegistry registry;
+  StreamEngine engine = make_logging_engine(4, 2, log, registry);
+  engine.run_batch({});
+  engine.run_batch({msg("only", "one")});
+  for (size_t p = 0; p < 4; ++p) {
+    EXPECT_EQ(log.starts[p], (std::vector<int>{1, 2})) << "partition " << p;
+    EXPECT_EQ(log.ends[p], (std::vector<int>{1, 2})) << "partition " << p;
+  }
+}
+
+// The engine reuses its routing vectors and task contexts: a batch starts
+// with nothing left over from the previous one.
+TEST(Engine, ReusedScratchCarriesNothingAcrossBatches) {
+  StreamEngine engine = make_engine(3);
+  auto r1 = engine.run_batch(keyed_batch(30));
+  EXPECT_EQ(r1.outputs.size(), 30u);
+  auto r2 = engine.run_batch({msg("k1", "x")});
+  ASSERT_EQ(r2.outputs.size(), 1u);
+  EXPECT_EQ(r2.outputs[0].value.substr(2), "x");
+  EXPECT_TRUE(engine.run_batch({}).outputs.empty());
 }
 
 }  // namespace

@@ -18,16 +18,13 @@ namespace {
 
 TEST(CounterTest, ConcurrentIncrementsFromThreadPool) {
   Counter counter;
-  constexpr int kWorkers = 8;
+  constexpr int kHelpers = 7;
   constexpr int kTasks = 64;
   constexpr uint64_t kPerTask = 10'000;
-  ThreadPool pool(kWorkers);
-  for (int t = 0; t < kTasks; ++t) {
-    pool.submit([&counter] {
-      for (uint64_t i = 0; i < kPerTask; ++i) counter.inc();
-    });
-  }
-  pool.wait_idle();
+  ThreadPool pool(kHelpers);
+  pool.run(kTasks, [&counter](size_t, ThreadPool::Runner) {
+    for (uint64_t i = 0; i < kPerTask; ++i) counter.inc();
+  });
   EXPECT_EQ(counter.value(), kTasks * kPerTask);
 }
 

@@ -581,6 +581,103 @@ TEST(SchedExplorer, ChunkFreeVsRecoverSeekVsFetch) {
           free_vs_seek_vs_fetch);
 }
 
+// --- scenario 6: late helper wake vs next run_batch vs destruction -------
+//
+// The engine's caller claims partitions itself and wakes pool helpers to
+// claim the rest. Two partitions over two helpers wake one of them, so the
+// other is a spare that only a spurious wake brings in. A woken helper may
+// be scheduled after the caller has run every partition and returned, after
+// the next batch has started, or only once the engine is being destroyed.
+// Invariants: every partition runs exactly once per batch, in batch order;
+// no task call happens outside the batch it belongs to; destruction right
+// after the last batch joins every helper.
+class BatchWindowTask : public PartitionTask {
+ public:
+  BatchWindowTask(std::vector<uint64_t>& runs,
+                  const std::atomic<uint64_t>& open_batch,
+                  std::atomic<bool>& stray)
+      : runs_(runs), open_batch_(open_batch), stray_(stray) {}
+
+  void on_batch_start(TaskContext& ctx) override { check(ctx); }
+  void process(const Message&, TaskContext& ctx) override { check(ctx); }
+  void on_batch_end(TaskContext& ctx) override {
+    check(ctx);
+    runs_.push_back(ctx.batch_number());
+  }
+
+ private:
+  void check(const TaskContext& ctx) {
+    if (ctx.batch_number() != open_batch_.load()) stray_.store(true);
+  }
+
+  std::vector<uint64_t>& runs_;
+  const std::atomic<uint64_t>& open_batch_;
+  std::atomic<bool>& stray_;
+};
+
+std::string late_helper_vs_next_batch_vs_destruction() {
+  constexpr size_t kPartitions = 2;
+  constexpr uint64_t kBatches = 4;
+  // Each partition's log is written only by the runner that claimed it; the
+  // pool's claim and finish hand it from one batch's runner to the next's.
+  std::vector<std::vector<uint64_t>> runs(kPartitions);
+  std::atomic<uint64_t> open_batch{0};
+  std::atomic<bool> stray{false};
+  {
+    MetricsRegistry registry;
+    EngineOptions opts;
+    opts.partitions = kPartitions;
+    opts.workers = 3;
+    opts.metrics = &registry;
+    opts.partitioner = [](const Message& m, size_t n) {
+      return static_cast<size_t>(std::stoul(m.key)) % n;
+    };
+    StreamEngine engine(opts, [&](size_t p) {
+      return std::make_unique<BatchWindowTask>(runs[p], open_batch, stray);
+    });
+    for (uint64_t b = 1; b <= kBatches; ++b) {
+      // Odd batches carry input for partition 0 only.
+      std::vector<Message> input;
+      for (size_t k = 0; k < (b % 2 == 1 ? 1 : kPartitions); ++k) {
+        Message m;
+        m.key = std::to_string(k);
+        input.push_back(std::move(m));
+      }
+      const size_t sent = input.size();
+      open_batch.store(b);
+      BatchResult r = engine.run_batch(std::move(input));
+      open_batch.store(0);
+      if (r.input_records != sent) {
+        return "batch " + std::to_string(b) + " dropped input";
+      }
+    }
+  }  // destroyed right after the last batch, helpers possibly mid-wake
+  if (stray.load()) {
+    return "a task call ran outside its batch (a late helper touched a "
+           "finished batch)";
+  }
+  for (size_t p = 0; p < kPartitions; ++p) {
+    if (runs[p].size() != kBatches) {
+      return "partition " + std::to_string(p) + " ran " +
+             std::to_string(runs[p].size()) + " times over " +
+             std::to_string(kBatches) + " batches";
+    }
+    for (uint64_t b = 0; b < kBatches; ++b) {
+      if (runs[p][b] != b + 1) {
+        return "partition " + std::to_string(p) + " ran batch " +
+               std::to_string(runs[p][b]) + " in place of " +
+               std::to_string(b + 1);
+      }
+    }
+  }
+  return "";
+}
+
+TEST(SchedExplorer, LateHelperVsNextBatchVsDestruction) {
+  explore("late_helper_vs_next_batch_vs_destruction", 25, scenario_options(),
+          late_helper_vs_next_batch_vs_destruction);
+}
+
 // --- replay determinism --------------------------------------------------
 //
 // One seed must name one interleaving: running the same scenario twice
