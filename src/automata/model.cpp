@@ -36,15 +36,16 @@ std::string Automaton::describe() const {
 }
 
 Json Automaton::to_json() const {
-  JsonObject obj;
-  obj.emplace_back("id", Json(static_cast<int64_t>(id)));
+  // Json::set, not an inlined emplace_back: GCC 12 -O3 warns array-bounds.
+  Json obj;
+  obj.set("id", Json(static_cast<int64_t>(id)));
   auto int_set = [](const std::set<int>& s) {
     JsonArray arr;
     for (int v : s) arr.emplace_back(static_cast<int64_t>(v));
     return Json(std::move(arr));
   };
-  obj.emplace_back("begin_patterns", int_set(begin_patterns));
-  obj.emplace_back("end_patterns", int_set(end_patterns));
+  obj.set("begin_patterns", int_set(begin_patterns));
+  obj.set("end_patterns", int_set(end_patterns));
   JsonArray states_arr;
   for (const auto& [pid, rule] : states) {
     JsonObject s;
@@ -53,9 +54,9 @@ Json Automaton::to_json() const {
     s.emplace_back("max_occ", Json(static_cast<int64_t>(rule.max_occurrences)));
     states_arr.emplace_back(Json(std::move(s)));
   }
-  obj.emplace_back("states", Json(std::move(states_arr)));
-  obj.emplace_back("min_duration_ms", Json(min_duration_ms));
-  obj.emplace_back("max_duration_ms", Json(max_duration_ms));
+  obj.set("states", Json(std::move(states_arr)));
+  obj.set("min_duration_ms", Json(min_duration_ms));
+  obj.set("max_duration_ms", Json(max_duration_ms));
   JsonArray trans;
   for (const auto& [a, b] : transitions) {
     JsonArray pair;
@@ -63,10 +64,10 @@ Json Automaton::to_json() const {
     pair.emplace_back(static_cast<int64_t>(b));
     trans.emplace_back(Json(std::move(pair)));
   }
-  obj.emplace_back("transitions", Json(std::move(trans)));
-  obj.emplace_back("training_instances",
-                   Json(static_cast<int64_t>(training_instances)));
-  return Json(std::move(obj));
+  obj.set("transitions", Json(std::move(trans)));
+  obj.set("training_instances",
+          Json(static_cast<int64_t>(training_instances)));
+  return obj;
 }
 
 StatusOr<Automaton> Automaton::from_json(const Json& j) {

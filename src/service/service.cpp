@@ -51,9 +51,6 @@ LogLensService::LogLensService(ServiceOptions options)
   if (!options_.dead_letter_topic.empty()) {
     broker_.create_topic(options_.dead_letter_topic, 1);
   }
-  if (!options_.checkpoint_path.empty()) {
-    anomalies_pin_ = std::make_unique<RetentionHold>(broker_, "anomalies");
-  }
   recoveries_total_ = &registry_or_global(options_.metrics)
                            .counter("loglens_service_recoveries_total", {},
                                     "Successful checkpoint recoveries");
@@ -262,9 +259,12 @@ Status LogLensService::checkpoint(const std::string& path) {
     }
   }
   obj.emplace_back("open_events", Json(std::move(events)));
-  // Broker positions at checkpoint time; recover() rewinds to these. Only
-  // meaningful on a quiesced service (header contract), where they form a
-  // consistent cut with the detector state above.
+  // The store's count and the broker positions at checkpoint time;
+  // recover() rolls back to these. Only meaningful on a quiesced service
+  // (header contract), where they form a consistent cut with the detector
+  // state above.
+  obj.emplace_back("anomaly_count",
+                   Json(static_cast<int64_t>(anomaly_store_.count())));
   auto offsets_json = [](const std::vector<uint64_t>& offsets) {
     JsonArray arr;
     for (uint64_t o : offsets) arr.push_back(Json(static_cast<int64_t>(o)));
@@ -277,7 +277,6 @@ Status LogLensService::checkpoint(const std::string& path) {
   JsonObject offsets;
   offsets.emplace_back("parser", offsets_json(parser_offsets));
   offsets.emplace_back("detector", offsets_json(detector_offsets));
-  offsets.emplace_back("anomaly_sink", offsets_json(anomaly_sink_.offsets()));
   // Pin what recover() would replay from this checkpoint. The previous
   // pins stay until the rename publishes it: a failed or torn write leaves
   // the previous file, and its offsets, in force.
@@ -394,6 +393,11 @@ Status LogLensService::restore_internal(const std::string& path,
     }
     return out;
   };
+  const Json* count = j->find("anomaly_count");
+  if (count == nullptr || !count->is_int() || count->as_int() < 0 ||
+      static_cast<size_t>(count->as_int()) > anomaly_store_.count()) {
+    return Status::Error("checkpoint anomaly_count missing or past the store");
+  }
   // The checkpoint pins keep these offsets stored; a refused seek means the
   // file is not the checkpoint this service pinned.
   if (Status s = parser_runner_->seek(offsets_of("parser")); !s.ok()) {
@@ -403,31 +407,13 @@ Status LogLensService::restore_internal(const std::string& path,
     return Status::Error("cannot replay from checkpoint: " + s.message());
   }
 
-  // Exactly-once output despite the at-least-once replay: roll the anomaly
-  // store back to the checkpointed prefix of the topic and skip the sink
-  // past everything currently appended — the replay re-emits the
-  // post-checkpoint anomalies.
-  anomaly_store_.clear();
-  std::vector<uint64_t> sink_offsets = offsets_of("anomaly_sink");
-  const size_t parts = broker_.partition_count("anomalies");
-  std::vector<uint64_t> topic_end(parts, 0);
-  for (size_t p = 0; p < parts; ++p) {
-    topic_end[p] = broker_.end_offset("anomalies", p);
-    const uint64_t upto = p < sink_offsets.size() ? sink_offsets[p] : 0;
-    std::vector<Message> prefix;
-    // fetch() is itself a fault site; retry until the full prefix arrives.
-    for (int attempt = 0; attempt < 100 && prefix.size() < upto; ++attempt) {
-      prefix = broker_.fetch("anomalies", p, 0, upto);
-    }
-    if (prefix.size() < upto) {
-      return Status::Error("cannot re-read checkpointed anomalies");
-    }
-    for (const auto& m : prefix) {
-      auto a = anomaly_from_message(m);
-      if (a.ok()) anomaly_store_.add(a.value());
-    }
+  // Exactly-once output despite the at-least-once replay: cut the anomaly
+  // store back to its checkpointed count and skip the sink past everything
+  // currently appended — the replay re-emits the post-checkpoint anomalies.
+  if (Status s = anomaly_store_.truncate(count->as_int()); !s.ok()) {
+    return Status::Error("cannot roll back anomalies: " + s.message());
   }
-  anomaly_sink_.seek(topic_end);
+  anomaly_sink_.seek({broker_.end_offset("anomalies", 0)});
   return Status::Ok();
 }
 

@@ -108,14 +108,14 @@ class LogLensService {
   size_t open_events();
   const std::string& model_name() const { return options_.model_name; }
 
-  // Checkpointing (extension): persist the deployed model and every
-  // detector partition's open-event state to a JSON file, and restore it
-  // into a (fresh) service — possibly with a different partition count; open
-  // events are re-sharded by their event id. Call on a quiesced service
-  // (stopped or drained). A checkpoint to ServiceOptions::checkpoint_path
-  // pins the `logs` and `parsed` topics at the offsets it records, so the
-  // broker keeps what recover() replays; the pins move with each checkpoint
-  // that is published.
+  // Checkpointing (extension): persist the deployed model, every detector
+  // partition's open events and the anomaly count to a JSON file, and
+  // restore the first two into a (fresh) service — possibly with a
+  // different partition count; open events are re-sharded by their event
+  // id. Call on a quiesced service (stopped or drained). A checkpoint to
+  // ServiceOptions::checkpoint_path pins the `logs` and `parsed` topics at
+  // the offsets it records, so the broker keeps what recover() replays; the
+  // pins move with each checkpoint that is published.
   Status checkpoint(const std::string& path);
   Status restore(const std::string& path);
 
@@ -124,8 +124,8 @@ class LogLensService {
   // model, detector state, and the consumer offsets recorded at checkpoint
   // time (at-least-once redelivery; the detector's dedup guard and the
   // anomaly-store rollback below keep outputs exactly-once). The anomaly
-  // store is rebuilt from the checkpointed prefix of the anomalies topic and
-  // the sink skips ahead past any post-checkpoint output (the replay
+  // store is truncated to its checkpointed count, reading nothing from the
+  // topic, and the sink skips past any post-checkpoint output (the replay
   // re-emits it). Called by the supervisor thread when a runner fails; also
   // callable directly (e.g. chaos tests simulating a hard crash).
   Status recover() LOGLENS_EXCLUDES(recover_mu_);
@@ -174,12 +174,11 @@ class LogLensService {
   Consumer anomaly_sink_;
   std::atomic<bool> running_{false};
 
-  // Retention pins, only with a checkpoint_path: `anomalies` is held whole
-  // (recover() re-reads its checkpointed prefix from offset 0); `logs` and
-  // `parsed` are held at the last published checkpoint's parser and
-  // detector offsets. Checkpoints come from the quiesced control flow, so
+  // Retention pins, only with a checkpoint_path: `logs` and `parsed` are
+  // held at the last published checkpoint's parser and detector offsets.
+  // `anomalies` needs none: recover() never re-reads it, so the sink frees
+  // it behind itself. Checkpoints come from the quiesced control flow, so
   // the pins need no lock of their own.
-  std::unique_ptr<RetentionHold> anomalies_pin_;
   std::unique_ptr<RetentionHold> logs_pin_;
   std::unique_ptr<RetentionHold> parsed_pin_;
 

@@ -10,6 +10,17 @@
 
 namespace loglens {
 
+namespace {
+
+// Writes `bytes` to `path`, replacing any file there.
+Status write_file(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return out ? Status::Ok() : Status::Error("segment write failed: " + path);
+}
+
+}  // namespace
+
 DocumentStore::DocumentStore() : DocumentStore(DocumentStoreOptions{}) {}
 
 DocumentStore::DocumentStore(DocumentStoreOptions options)
@@ -322,31 +333,36 @@ size_t DocumentStore::hot_count() const {
   return hot_docs_.size();
 }
 
-void DocumentStore::clear() {
+Status DocumentStore::truncate(uint64_t n) {
   RankedMutexLock flock(flush_mu_);
-  std::vector<std::string> paths;
+  std::vector<std::string> past;
+  std::shared_ptr<const Segment> straddler;
   {
     RankedMutexLock lock(mu_);
-    for (const auto& seg : segments_) paths.push_back(seg->path());
-    segments_.clear();
-    hot_docs_.clear();
-    hot_base_ = 0;
-  }
-  for (const auto& p : paths) std::remove(p.c_str());
-  // Sweep leftovers a crash could have stranded (torn flushes at the final
-  // path, compaction tmps) so a reopen starts empty.
-  if (!options_.dir.empty()) {
-    std::error_code ec;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(options_.dir, ec)) {
-      const std::string p = entry.path().string();
-      const bool seg_like =
-          (p.size() >= 6 && p.compare(p.size() - 6, 6, ".llseg") == 0) ||
-          (p.size() >= 4 && p.compare(p.size() - 4, 4, ".tmp") == 0);
-      if (seg_like) std::remove(p.c_str());
+    if (n >= hot_base_) {
+      hot_docs_.resize(std::min<uint64_t>(hot_docs_.size(), n - hot_base_));
+    } else {
+      hot_docs_.clear();
+      while (!segments_.empty() && segments_.back()->base_id() >= n) {
+        past.push_back(segments_.back()->path());
+        segments_.pop_back();
+      }
+      if (!segments_.empty() && segments_.back()->end_id() > n) {
+        straddler = segments_.back();
+      }
+      hot_base_ = straddler != nullptr ? straddler->end_id() : n;
     }
+    update_gauges(segments_.size(), hot_docs_.size());
   }
-  update_gauges(0, 0);
+  // Highest id first, so a crash between unlinks leaves a prefix.
+  for (const auto& p : past) std::remove(p.c_str());
+  if (straddler == nullptr) return Status::Ok();
+  auto cut = rewrite_segment({straddler}, n);
+  if (!cut.ok()) return cut.status();
+  RankedMutexLock lock(mu_);
+  segments_.back() = std::move(cut.value());
+  hot_base_ = n;
+  return Status::Ok();
 }
 
 Status DocumentStore::save_jsonl(const std::string& path) const {
@@ -441,21 +457,12 @@ Status DocumentStore::flush_locked(bool force) {
       // did not: a prefix of the segment at its final path. The hot
       // segment is untouched, and open-time validation rejects the torn
       // file (a retried flush of the same base renames over it).
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      if (out) {
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size() / 2));
-      }
+      (void)write_file(path, {bytes.data(), bytes.size() / 2});
       return Status::Error("segment flush torn (injected)");
     }
   }
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::Error("cannot write segment: " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) return Status::Error("segment write failed: " + tmp);
-  }
+  if (Status s = write_file(tmp, bytes); !s.ok()) return s;
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::Error("cannot publish segment: " + path);
   }
@@ -513,50 +520,7 @@ Status DocumentStore::compact_locked() {
   }
   if (run.empty()) return Status::Ok();
 
-  std::vector<Json> docs;
-  docs.reserve(total);
-  for (const auto& seg : run) {
-    for (uint32_t i = 0; i < seg->doc_count(); ++i) {
-      auto parsed = Json::parse(seg->doc_bytes(i));
-      if (!parsed.ok()) {
-        return Status::Error("segment row unreadable: " + seg->path());
-      }
-      docs.push_back(std::move(parsed.value()));
-    }
-  }
-  const uint64_t base = run.front()->base_id();
-  const std::string bytes = encode_segment(base, docs);
-  const std::string path = run.front()->path();
-  const std::string tmp = path + ".merge.tmp";
-  if (options_.faults != nullptr) {
-    const FaultAction fault = options_.faults->check(kFaultSiteStorageCompact);
-    if (fault == FaultAction::kThrow) {
-      return Status::Error("segment compaction failed (injected)");
-    }
-    if (fault == FaultAction::kTornWrite) {
-      // Crash mid-merge: a torn tmp, never renamed. Every input segment is
-      // untouched; the stranded tmp is overwritten by the retry.
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (out) {
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size() / 2));
-      }
-      return Status::Error("segment compaction torn (injected)");
-    }
-  }
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::Error("cannot write segment: " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) return Status::Error("segment write failed: " + tmp);
-  }
-  // Publish by renaming over the first input (same base id, same name). A
-  // crash after this rename leaves the remaining inputs subsumed on disk;
-  // open_dir() unlinks them as stale.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Error("cannot publish segment: " + path);
-  }
-  auto merged = Segment::open(path);
+  auto merged = rewrite_segment(run, run.back()->end_id());
   if (!merged.ok()) return merged.status();
   std::vector<std::string> stale;
   size_t nsegs, nhot;
@@ -576,6 +540,47 @@ Status DocumentStore::compact_locked() {
   compactions_total_->inc();
   update_gauges(nsegs, nhot);
   return Status::Ok();
+}
+
+StatusOr<std::shared_ptr<const Segment>> DocumentStore::rewrite_segment(
+    const std::vector<std::shared_ptr<const Segment>>& inputs,
+    uint64_t end_id) {
+  const uint64_t base = inputs.front()->base_id();
+  std::vector<Json> docs;
+  docs.reserve(end_id - base);
+  for (const auto& seg : inputs) {
+    for (uint32_t i = 0; i < seg->doc_count() && seg->base_id() + i < end_id;
+         ++i) {
+      auto parsed = Json::parse(seg->doc_bytes(i));
+      if (!parsed.ok()) {
+        return Status::Error("segment row unreadable: " + seg->path());
+      }
+      docs.push_back(std::move(parsed.value()));
+    }
+  }
+  const std::string bytes = encode_segment(base, docs);
+  const std::string& path = inputs.front()->path();
+  const std::string tmp = path + ".merge.tmp";
+  if (options_.faults != nullptr) {
+    const FaultAction fault = options_.faults->check(kFaultSiteStorageCompact);
+    if (fault == FaultAction::kThrow) {
+      return Status::Error("segment compaction failed (injected)");
+    }
+    if (fault == FaultAction::kTornWrite) {
+      // Crash mid-merge: a torn tmp, never renamed. The segment at `path`
+      // is untouched; the stranded tmp is overwritten by the retry.
+      (void)write_file(tmp, {bytes.data(), bytes.size() / 2});
+      return Status::Error("segment compaction torn (injected)");
+    }
+  }
+  if (Status s = write_file(tmp, bytes); !s.ok()) return s;
+  // Publish by renaming over the segment it replaces (same base id, same
+  // name). A crash after this rename leaves compaction's other inputs
+  // subsumed on disk; open_dir() unlinks them as stale.
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::Error("cannot publish segment: " + path);
+  }
+  return Segment::open(path);
 }
 
 }  // namespace loglens

@@ -11,8 +11,8 @@
 // prune whole segments before touching a byte of document data, and small
 // adjacent segments are merged by compaction (inline after each flush, or
 // an explicit compact()). Ids are dense and stable: segment k covers
-// [base_id, base_id + doc_count) and neither flush nor compaction renumbers
-// a document.
+// [base_id, base_id + doc_count) and neither flush, compaction nor
+// truncation renumbers a document.
 //
 // With an empty `dir` the store is purely in-memory (the hot segment never
 // seals) and behaves exactly like the seed-era vector store. Thread-safe.
@@ -132,9 +132,11 @@ class DocumentStore {
 
   size_t size() const LOGLENS_EXCLUDES(mu_);
 
-  // Drops every document, sealed segment files included. Ids restart at 0
-  // (recover()'s exactly-once anomaly rebuild depends on both).
-  void clear() LOGLENS_EXCLUDES(mu_);
+  // Keeps the first `n` documents; the next insert gets id `n`. Segments
+  // past the cut are unlinked, highest first, then one straddling it is
+  // rewritten to its prefix. A crash or failure at any step leaves a
+  // prefix of at least `n` documents. Call with no concurrent insert.
+  Status truncate(uint64_t n) LOGLENS_EXCLUDES(flush_mu_, mu_);
 
   // One JSON object per line, in id order (sealed rows are streamed
   // verbatim). load_jsonl inserts line by line (taking the lock per
@@ -172,6 +174,11 @@ class DocumentStore {
   Status flush_locked(bool force) LOGLENS_REQUIRES(flush_mu_)
       LOGLENS_EXCLUDES(mu_);
   Status compact_locked() LOGLENS_REQUIRES(flush_mu_) LOGLENS_EXCLUDES(mu_);
+  // Compaction's write path, shared with truncate(): the rows of `inputs`
+  // below `end_id` replace the first input via <path>.merge.tmp + rename.
+  StatusOr<std::shared_ptr<const Segment>> rewrite_segment(
+      const std::vector<std::shared_ptr<const Segment>>& inputs,
+      uint64_t end_id) LOGLENS_REQUIRES(flush_mu_) LOGLENS_EXCLUDES(mu_);
   void update_gauges(size_t segments, size_t hot_docs);
   std::string segment_path(uint64_t base_id) const;
 
@@ -191,8 +198,8 @@ class DocumentStore {
   // holding it, and below kStorage so the publish step can take mu_.
   mutable RankedMutex flush_mu_{lock_rank::kStorageFlush};
 
-  // Recovery reads/writes stores while holding the service lock (and the
-  // anomaly rebuild follows a broker fetch), so storage ranks inside both.
+  // Recovery truncates stores while holding the service lock, so storage
+  // ranks inside it.
   mutable RankedMutex mu_{lock_rank::kStorage};
 
   // Sealed segments, ascending contiguous id ranges. The shared_ptrs are

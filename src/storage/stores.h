@@ -59,9 +59,9 @@ class AnomalyStore {
   Status flush() { return store_.flush(); }
   const DocumentStore& docs() const { return store_; }
 
-  // Drops everything — crash recovery rebuilds the store from the
-  // checkpointed prefix of the anomalies topic (LogLensService::recover).
-  void clear() { store_.clear(); }
+  // Keeps the first `n` anomalies: crash recovery cuts the store back to
+  // the count its checkpoint recorded (LogLensService::recover).
+  Status truncate(size_t n) { return store_.truncate(n); }
 
  private:
   DocumentStore store_;

@@ -3,6 +3,9 @@
 // freed. Offsets stay absolute throughout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -299,6 +302,70 @@ TEST(BrokerRetention, ServiceRetainsAtMostOneChunkPerPartition) {
   };
   const auto once = stored_chunks(1);
   EXPECT_EQ(stored_chunks(10), once);
+}
+
+// With a checkpoint_path, `anomalies` is freed behind the sink like every
+// other topic with a reader, and recover() rolls the anomaly store back
+// without re-reading the topic. At 1x and 30x a stream that yields more
+// than a chunk of anomalies per pass, checkpointing after every drain, the
+// topic stores less than one chunk, and recover() restores the checkpointed
+// count while fetching no `anomalies` message.
+TEST(BrokerRetention, CheckpointedServiceFreesAnomaliesAndRecoverReadsNone) {
+  const Dataset d1 = make_d1(0.05);
+  // D1 with a line no pattern parses after each of its lines and then some:
+  // every such line becomes one UNPARSED_LOG anomaly.
+  const size_t unparsed = kChunk + kChunk / 4;
+  std::vector<std::string> stream;
+  for (size_t i = 0; i < std::max(unparsed, d1.testing.size()); ++i) {
+    if (i < d1.testing.size()) stream.push_back(d1.testing[i]);
+    if (i < unparsed) {
+      stream.push_back("%% no pattern parses " + std::to_string(i));
+    }
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "loglens_retention_ckpt.json")
+          .string();
+  auto run = [&](size_t repeats) {
+    SCOPED_TRACE(std::to_string(repeats) + "x");
+    MetricsRegistry registry;
+    ServiceOptions opts;
+    opts.build.discovery = recommended_discovery("D1");
+    opts.metrics = &registry;
+    opts.checkpoint_path = path;
+    LogLensService service(opts);
+    service.train(d1.training);
+    Agent agent = service.make_agent("D1");
+    Broker& broker = service.broker();
+    const size_t n = stream.size();
+    uint64_t most_held = 0;
+    for (size_t r = 0; r < repeats; ++r) {
+      for (size_t s = 0; s < 4; ++s) {
+        agent.replay({stream.begin() + n * s / 4,
+                      stream.begin() + n * (s + 1) / 4});
+        service.drain();
+        ASSERT_TRUE(service.checkpoint(path).ok());
+        most_held = std::max(most_held, broker.end_offset("anomalies", 0) -
+                                            broker.low_water("anomalies", 0));
+      }
+    }
+    EXPECT_LT(most_held, kChunk);
+    const size_t at_checkpoint = service.anomalies().count();
+    EXPECT_GT(at_checkpoint, repeats * unparsed);
+
+    // Output past the checkpoint, which recover() must roll back.
+    agent.replay({stream.begin(), stream.begin() + n / 4});
+    service.drain();
+    ASSERT_GT(service.anomalies().count(), at_checkpoint);
+    Counter& fetched = registry.counter(
+        "loglens_broker_messages_fetched_total", {{"topic", "anomalies"}});
+    const uint64_t fetched_before = fetched.value();
+    ASSERT_TRUE(service.recover().ok());
+    EXPECT_EQ(service.anomalies().count(), at_checkpoint);
+    EXPECT_EQ(fetched.value(), fetched_before);
+  };
+  run(1);
+  run(30);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 
 #include "automata/detector.h"
@@ -151,7 +152,8 @@ TEST(ServiceCheckpoint, ResumeOnFreshServiceFindsRemainingAnomalies) {
 
 // The checkpoint file of an unedited model is pinned byte for byte (an
 // FNV-1a digest): the model with a learned keyword allowlist and field
-// ranges, the open events and the offsets of a half-streamed D1.
+// ranges, the open events, the anomaly count and the offsets of a
+// half-streamed D1.
 TEST(ServiceCheckpoint, FileBytesArePinned) {
   Dataset d1 = make_d1(0.05);
   ServiceOptions opts;
@@ -174,7 +176,77 @@ TEST(ServiceCheckpoint, FileBytesArePinned) {
   char digest[17];
   std::snprintf(digest, sizeof(digest), "%016llx",
                 static_cast<unsigned long long>(fnv1a(text)));
-  EXPECT_EQ(std::string(digest), "b1860f90c0484560");
+  EXPECT_EQ(std::string(digest), "44e913fdf6ca0ece");
+}
+
+// The checkpoint records the anomaly store's count, which is all recover()
+// needs to roll the store back: it cuts the store to that count and reads
+// nothing from the anomalies topic. A file without the count, or with one
+// larger than the store holds, is refused and leaves the store as it was.
+TEST(ServiceCheckpoint, RecoverTruncatesToTheRecordedAnomalyCount) {
+  Dataset d1 = make_d1(0.05);
+  const std::string path = temp_path("loglens_ckpt_count_test.json");
+  ServiceOptions opts;
+  opts.build.discovery = recommended_discovery("D1");
+  opts.checkpoint_path = path;
+  LogLensService service(opts);
+  service.train(d1.training);
+  Agent agent = service.make_agent("D1");
+  const size_t half = d1.testing.size() / 2;
+  agent.replay({d1.testing.begin(), d1.testing.begin() + half});
+  service.drain();
+  ASSERT_TRUE(service.checkpoint(path).ok());
+  const size_t at_checkpoint = service.anomalies().count();
+  ASSERT_GT(at_checkpoint, 0u);
+  std::vector<std::string> stored;
+  for (const auto& a : service.anomalies().all()) {
+    stored.push_back(a.to_json().dump());
+  }
+
+  auto read_checkpoint = [&] {
+    std::ifstream in(path);
+    auto j = Json::parse(std::string((std::istreambuf_iterator<char>(in)),
+                                     std::istreambuf_iterator<char>()));
+    EXPECT_TRUE(j.ok());
+    return j.ok() ? j.value() : Json(nullptr);
+  };
+  const Json file = read_checkpoint();
+  ASSERT_NE(file.find("anomaly_count"), nullptr);
+  EXPECT_EQ(file.find("anomaly_count")->as_int(),
+            static_cast<int64_t>(at_checkpoint));
+  ASSERT_NE(file.find("offsets"), nullptr);
+  EXPECT_EQ(file.find("offsets")->find("anomaly_sink"), nullptr);
+
+  agent.replay({d1.testing.begin() + half, d1.testing.end()});
+  service.drain();
+  service.heartbeat_advance(24L * 3600 * 1000);
+  service.drain();
+  const size_t streamed = service.anomalies().count();
+  ASSERT_GT(streamed, at_checkpoint);
+
+  auto write_with_count = [&](std::optional<int64_t> count) {
+    JsonObject obj;
+    for (const auto& [key, value] : file.as_object()) {
+      if (key != "anomaly_count") obj.emplace_back(key, value);
+    }
+    if (count.has_value()) obj.emplace_back("anomaly_count", Json(*count));
+    std::ofstream out(path, std::ios::trunc);
+    out << Json(std::move(obj)).dump() << "\n";
+  };
+  write_with_count(std::nullopt);
+  EXPECT_FALSE(service.recover().ok());
+  write_with_count(static_cast<int64_t>(streamed) + 1);
+  EXPECT_FALSE(service.recover().ok());
+  EXPECT_EQ(service.anomalies().count(), streamed);
+
+  write_with_count(static_cast<int64_t>(at_checkpoint));
+  ASSERT_TRUE(service.recover().ok());
+  std::vector<std::string> kept;
+  for (const auto& a : service.anomalies().all()) {
+    kept.push_back(a.to_json().dump());
+  }
+  EXPECT_EQ(kept, stored);
+  std::remove(path.c_str());
 }
 
 TEST(ServiceCheckpoint, RestoreErrors) {

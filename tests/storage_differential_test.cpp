@@ -4,13 +4,14 @@
 // Each seed replays a random workload — inserts of messy documents
 // (duplicate keys, doubles, missing fields, non-object values under keys),
 // explicit and threshold-driven flushes, compactions, queries with random
-// clause mixes and limits, JSONL save/load round trips, and hard kills that
-// drop the hot segment and reopen over the surviving segment files —
+// clause mixes and limits, JSONL save/load round trips, truncations, and
+// hard kills that drop the hot segment and reopen over the surviving
+// segment files —
 // simultaneously against the DocumentStore under test and an embedded
 // reference that is just a vector plus the documented predicate. Every
 // query/count/get result must match the reference byte-for-byte (compared
-// through dump()), ids must stay stable across flush and compaction, and a
-// kill must recover exactly the flushed prefix.
+// through dump()), ids must stay stable across flush, compaction and
+// truncation, and a kill must recover exactly the flushed prefix.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -70,7 +71,8 @@ struct ReferenceStore {
     }
     return n;
   }
-  // A hard kill loses everything after the flushed prefix.
+  // Keeps the first n documents: what truncate(n) and a hard kill (which
+  // loses everything after the flushed prefix) leave.
   void truncate(size_t n) {
     if (n < docs.size()) docs.resize(n);
   }
@@ -203,7 +205,7 @@ void run_seed(uint64_t seed) {
       ASSERT_TRUE(store->flush().ok());
     } else if (roll < 93) {
       ASSERT_TRUE(store->compact().ok());
-    } else if (roll < 97) {
+    } else if (roll < 95) {
       // JSONL round trip: the tiered save must be byte-identical to the
       // reference dump, and load must rebuild an equivalent store.
       const std::string path = dir + "/roundtrip.jsonl";
@@ -213,6 +215,17 @@ void run_seed(uint64_t seed) {
       ASSERT_TRUE(reloaded.load_jsonl(path).ok());
       ASSERT_EQ(reloaded.size(), ref.docs.size());
       std::remove(path.c_str());
+    } else if (roll < 98) {
+      // Truncation: the cut lands anywhere (hot tier, segment boundary,
+      // inside a sealed or merged segment, or past the end). Afterwards the
+      // store must answer every query as a store fed only the first n
+      // documents, and the next insert continues the ids from n.
+      const size_t n = rng.below(ref.docs.size() + 2);
+      ASSERT_TRUE(store->truncate(n).ok());
+      ref.truncate(n);
+      ASSERT_EQ(store->size(), ref.docs.size());
+      check_equivalent(seed, op, *store, ref, Query{});
+      check_equivalent(seed, op, *store, ref, random_query(rng));
     } else {
       // Hard kill: the hot segment dies with the process; reopening over
       // the directory must recover exactly the flushed prefix, and ids

@@ -340,29 +340,55 @@ TEST(SegmentQuery, SequentialScanMatchesIndexedScan) {
   fs::remove_all(dir);
 }
 
-// clear() unlinks every segment file and resets ids to zero — recover()'s
-// exactly-once rebuild depends on a cleared store starting truly empty.
-TEST(SegmentFile, ClearRemovesFilesAndResetsIds) {
-  const std::string dir = test_dir("clear");
-  DocumentStoreOptions opts;
-  opts.dir = dir;
-  opts.hot_max_docs = 2;
-  DocumentStore store(opts);
-  for (int i = 0; i < 7; ++i) store.insert(doc("web", i));
-  ASSERT_GE(store.segment_count(), 1u);
-  store.clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.segment_count(), 0u);
-  size_t files = 0;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    (void)e;
-    ++files;
+// truncate(n) keeps exactly the first n documents wherever the cut lands:
+// at 0, on a segment boundary, inside a sealed segment (rewritten to its
+// prefix) and inside the hot tier. The next insert gets id n, and a reopen
+// over the directory holds exactly the first n documents.
+TEST(SegmentFile, TruncateKeepsPrefixAndResumesIds) {
+  auto expect_prefix = [](const DocumentStore& store, uint64_t n) {
+    ASSERT_EQ(store.size(), n);
+    const std::vector<Json> all = store.query(Query{});
+    ASSERT_EQ(all.size(), n);
+    for (uint64_t id = 0; id < n; ++id) {
+      EXPECT_EQ(all[id].find("ts")->as_int(), static_cast<int64_t>(id));
+      auto got = store.get(id);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->find("ts")->as_int(), static_cast<int64_t>(id));
+    }
+    EXPECT_FALSE(store.get(n).has_value());
+  };
+  // 14 documents: sealed [0,4) [4,8) [8,12), hot 12 and 13.
+  struct Cut {
+    uint64_t n;
+    size_t segments;  // sealed segments left by the cut
+  };
+  for (const Cut& cut : {Cut{0, 0}, Cut{8, 2}, Cut{6, 2}, Cut{13, 3}}) {
+    const uint64_t n = cut.n;
+    SCOPED_TRACE("cut at " + std::to_string(n));
+    const std::string dir = test_dir("truncate");
+    DocumentStoreOptions opts;
+    opts.dir = dir;
+    opts.hot_max_docs = 4;
+    opts.auto_compact = false;
+    {
+      DocumentStore store(opts);
+      for (int i = 0; i < 14; ++i) store.insert(doc("web", i));
+      ASSERT_EQ(store.segment_count(), 3u);
+      ASSERT_TRUE(store.truncate(n).ok());
+      expect_prefix(store, n);
+      EXPECT_EQ(store.segment_count(), cut.segments);
+      EXPECT_EQ(store.insert(doc("web", static_cast<int64_t>(n))), n);
+      ASSERT_TRUE(store.truncate(n).ok());
+      ASSERT_TRUE(store.truncate(n + 5).ok());  // nothing past n to cut
+      ASSERT_TRUE(store.flush().ok());
+      expect_prefix(store, n);
+    }
+    DocumentStore reopened(opts);
+    EXPECT_EQ(reopened.rejected_segments(), 0u);
+    expect_prefix(reopened, n);
+    EXPECT_EQ(reopened.insert(doc("web", static_cast<int64_t>(n))), n);
+    fs::remove_all(dir);
   }
-  EXPECT_EQ(files, 0u);
-  EXPECT_EQ(store.insert(doc("web", 0)), 0u);  // ids restart at zero
-  DocumentStore reopened(opts);
-  EXPECT_EQ(reopened.size(), 0u);
-  fs::remove_all(dir);
 }
 
 }  // namespace
