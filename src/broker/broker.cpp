@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <limits>
 #include <utility>
 
 #include "common/clock.h"
@@ -18,10 +17,6 @@ namespace {
 constexpr int kProduceMaxAttempts = 5;
 constexpr int64_t kProduceBackoffCapMs = 8;
 
-// Sentinel offset for wait_for_data: no partition can ever exceed it, so an
-// entry holding it is effectively unwatched.
-constexpr uint64_t kIgnorePartition = std::numeric_limits<uint64_t>::max();
-
 void produce_backoff(int attempt) {
   int64_t ms = std::min<int64_t>(kProduceBackoffCapMs, 1LL << (attempt - 1));
   // Virtual under a ScheduleController / ScopedVirtualDelays: backoff is a
@@ -30,49 +25,35 @@ void produce_backoff(int attempt) {
 }
 }  // namespace
 
-Broker::TopicData& Broker::topic_data_locked(const std::string& topic,
-                                             size_t partitions) {
-  auto it = topics_.find(topic);
-  if (it == topics_.end()) {
-    it = topics_.emplace(topic, TopicData{}).first;
-    it->second.partitions.reserve(partitions);
-    for (size_t p = 0; p < partitions; ++p) {
-      it->second.partitions.push_back(std::make_unique<Partition>());
-    }
-    MetricLabels labels{{"topic", topic}};
-    it->second.produced =
-        &metrics_->counter("loglens_broker_messages_produced_total", labels,
-                           "Messages appended per topic");
-    it->second.fetched =
-        &metrics_->counter("loglens_broker_messages_fetched_total", labels,
-                           "Messages returned by fetches per topic");
-    it->second.batch_produces =
-        &metrics_->counter("loglens_broker_batch_produces_total", labels,
-                           "produce_batch calls that appended messages");
-    it->second.retained =
-        &metrics_->gauge("loglens_broker_retained_messages", labels,
-                         "Messages stored per topic (end minus low-water)");
-    it->second.low_water =
-        &metrics_->gauge("loglens_broker_low_water", labels,
-                         "Lowest partition low-water mark per topic");
-    it->second.freed =
-        &metrics_->counter("loglens_broker_freed_messages_total", labels,
-                           "Messages freed below the low-water mark");
-    it->second.fetch_below_horizon = &metrics_->counter(
-        "loglens_broker_fetch_below_horizon_total", labels,
-        "Fetches refused because they start below the low-water mark");
-    metrics_
-        ->gauge("loglens_broker_topics", {},
-                "Topics that exist on this broker")
-        .set(static_cast<int64_t>(topics_.size()));
-  }
-  return it->second;
-}
-
-Broker::TopicData* Broker::resolve_topic(const std::string& topic,
-                                         size_t partitions) {
+Broker::TopicData* Broker::resolve_topic(const std::string& topic) {
   RankedMutexLock lock(mu_);
-  return &topic_data_locked(topic, partitions);
+  auto [it, created] = topics_.try_emplace(topic);
+  TopicData& data = it->second;
+  if (!created) return &data;
+  MetricLabels labels{{"topic", topic}};
+  data.produced = &metrics_->counter("loglens_broker_messages_produced_total",
+                                     labels, "Messages appended per topic");
+  data.fetched =
+      &metrics_->counter("loglens_broker_messages_fetched_total", labels,
+                         "Messages returned by fetches per topic");
+  data.batch_produces =
+      &metrics_->counter("loglens_broker_batch_produces_total", labels,
+                         "produce_batch calls that appended messages");
+  data.retained =
+      &metrics_->gauge("loglens_broker_retained_messages", labels,
+                       "Messages stored per topic (end minus low-water)");
+  data.low_water =
+      &metrics_->gauge("loglens_broker_low_water", labels,
+                       "First offset each topic still stores");
+  data.freed = &metrics_->counter("loglens_broker_freed_messages_total", labels,
+                                  "Messages freed below the low-water mark");
+  data.fetch_below_horizon = &metrics_->counter(
+      "loglens_broker_fetch_below_horizon_total", labels,
+      "Fetches refused because they start below the low-water mark");
+  metrics_
+      ->gauge("loglens_broker_topics", {}, "Topics that exist on this broker")
+      .set(static_cast<int64_t>(topics_.size()));
+  return &data;
 }
 
 const Broker::TopicData* Broker::find_topic(const std::string& topic) const {
@@ -91,17 +72,10 @@ Broker::TopicHolds& Broker::topic_holds(const std::string& topic) {
 }
 
 Status Broker::create_topic(const std::string& topic, size_t partitions) {
-  if (partitions == 0) return Status::Error("topic needs >= 1 partition");
-  RankedMutexLock lock(mu_);
-  auto it = topics_.find(topic);
-  if (it != topics_.end()) {
-    if (it->second.partitions.size() != partitions) {
-      return Status::Error("topic '" + topic +
-                           "' exists with a different partition count");
-    }
-    return Status::Ok();
+  if (partitions != 1) {
+    return Status::Error("topic '" + topic + "': a topic is one log");
   }
-  topic_data_locked(topic, partitions);
+  resolve_topic(topic);
   return Status::Ok();
 }
 
@@ -157,62 +131,45 @@ void Broker::notify_waiters() const {
 }
 
 void Broker::append(TopicData& data, std::span<Message> batch) {
-  const size_t nparts = data.partitions.size();
-  auto partition_of = [nparts](const Message& m) -> size_t {
-    return nparts == 1 || m.key.empty() ? 0 : fnv1a(m.key) % nparts;
-  };
-  for (size_t i = 0; i < batch.size();) {
-    const size_t p = partition_of(batch[i]);
-    Partition& part = *data.partitions[p];
-    RankedMutexLock lock(part.mu);
-    uint64_t end = part.end.load(std::memory_order_relaxed);
-    do {
-      if (part.chunks.empty() ||
-          part.chunks.back().size() == kChunkMessages) {
-        part.chunks.emplace_back().reserve(kChunkMessages);
+  {
+    RankedMutexLock lock(data.mu);
+    uint64_t end = data.end.load(std::memory_order_relaxed);
+    for (Message& m : batch) {
+      if (data.chunks.empty() || data.chunks.back().size() == kChunkMessages) {
+        data.chunks.emplace_back().reserve(kChunkMessages);
       }
-      Message& m = batch[i];
       if (m.seq < 0) m.seq = static_cast<int64_t>(end);
-      part.chunks.back().push_back(std::move(m));
+      data.chunks.back().push_back(std::move(m));
       ++end;
-    } while (++i < batch.size() && partition_of(batch[i]) == p);
-    part.end.store(end, std::memory_order_seq_cst);
+    }
+    data.end.store(end, std::memory_order_seq_cst);
     LOGLENS_SCHED_POINT("broker.end_publish");
   }
   data.retained->add(static_cast<int64_t>(batch.size()));
 }
 
-void Broker::release_chunks(TopicData& data, size_t p,
-                            const std::list<std::vector<uint64_t>>& holds,
+void Broker::release_chunks(TopicData& data, const std::list<uint64_t>& holds,
                             std::vector<Chunk>* freed) {
   if (holds.empty()) return;
-  uint64_t held = std::numeric_limits<uint64_t>::max();
-  for (const auto& hold : holds) {
-    held = std::min<uint64_t>(held, p < hold.size() ? hold[p] : 0);
-  }
+  const uint64_t held = *std::min_element(holds.begin(), holds.end());
   // The mark only moves under the holds' lock, which the caller holds, and
-  // the end only grows, so both are read without the partition lock. The
-  // cap at the end keeps the chunk being appended to.
-  Partition& part = *data.partitions[p];
-  const uint64_t low = part.low.load(std::memory_order_relaxed);
-  const uint64_t end = part.end.load(std::memory_order_acquire);
+  // the end only grows, so both are read without the log's lock. The cap at
+  // the end keeps the chunk being appended to.
+  const uint64_t low = data.low.load(std::memory_order_relaxed);
+  const uint64_t end = data.end.load(std::memory_order_acquire);
   const uint64_t new_low =
       std::min(held, end) / kChunkMessages * kChunkMessages;
   if (new_low <= low) return;
   LOGLENS_SCHED_POINT("broker.release_chunks");
-  RankedMutexLock lock(part.mu);
+  RankedMutexLock lock(data.mu);
   for (uint64_t chunk = low; chunk < new_low; chunk += kChunkMessages) {
-    freed->push_back(std::move(part.chunks.front()));
-    part.chunks.pop_front();
+    freed->push_back(std::move(data.chunks.front()));
+    data.chunks.pop_front();
   }
-  part.low.store(new_low, std::memory_order_release);
+  data.low.store(new_low, std::memory_order_release);
   data.freed->inc(new_low - low);
   data.retained->add(-static_cast<int64_t>(new_low - low));
-  uint64_t lowest = new_low;
-  for (const auto& other : data.partitions) {
-    lowest = std::min(lowest, other->low.load(std::memory_order_relaxed));
-  }
-  data.low_water->set(static_cast<int64_t>(lowest));
+  data.low_water->set(static_cast<int64_t>(new_low));
 }
 
 Status Broker::produce(const std::string& topic, Message message) {
@@ -220,7 +177,7 @@ Status Broker::produce(const std::string& topic, Message message) {
     return Status::Error("produce to '" + topic + "' failed after retries");
   }
   stamp_trace(message);
-  TopicData* data = resolve_topic(topic, 1);
+  TopicData* data = resolve_topic(topic);
   append(*data, std::span<Message>(&message, 1));
   data->produced->inc();
   notify_waiters();
@@ -231,7 +188,7 @@ Status Broker::produce_batch(const std::string& topic,
                              std::vector<Message> batch,
                              std::vector<Message>* failed) {
   if (batch.empty()) return Status::Ok();
-  TopicData* data = resolve_topic(topic, 1);
+  TopicData* data = resolve_topic(topic);
   // Fault retries and trace stamping stay per message; survivors are
   // compacted in batch order and appended in one step.
   size_t keep = 0;
@@ -270,23 +227,22 @@ bool Broker::fetch_fault(const std::string& topic) const {
   return true;
 }
 
-std::vector<Message> Broker::copy_out(const TopicData& data, size_t partition,
-                                      uint64_t offset, size_t max) {
-  const Partition& part = *data.partitions[partition];
+std::vector<Message> Broker::copy_out(const TopicData& data, uint64_t offset,
+                                      size_t max) {
   std::vector<Message> out;
-  RankedMutexLock lock(part.mu);
-  const uint64_t low = part.low.load(std::memory_order_relaxed);
+  RankedMutexLock lock(data.mu);
+  const uint64_t low = data.low.load(std::memory_order_relaxed);
   if (offset < low) {
     data.fetch_below_horizon->inc();
     return out;
   }
-  const uint64_t end = part.end.load(std::memory_order_relaxed);
+  const uint64_t end = data.end.load(std::memory_order_relaxed);
   if (offset >= end || max == 0) return out;
   const uint64_t take = std::min<uint64_t>(end - offset, max);
   out.reserve(take);
   // Chunk-wise copy: chunks.front() holds [low, low + kChunkMessages).
   for (uint64_t at = offset; at < offset + take;) {
-    const Chunk& chunk = part.chunks[(at - low) / kChunkMessages];
+    const Chunk& chunk = data.chunks[(at - low) / kChunkMessages];
     const uint64_t slot = (at - low) % kChunkMessages;
     const uint64_t n = std::min(offset + take - at, kChunkMessages - slot);
     out.insert(out.end(), chunk.begin() + static_cast<std::ptrdiff_t>(slot),
@@ -297,57 +253,21 @@ std::vector<Message> Broker::copy_out(const TopicData& data, size_t partition,
   return out;
 }
 
-std::vector<Message> Broker::fetch(const std::string& topic, size_t partition,
-                                   uint64_t offset, size_t max) const {
+std::vector<Message> Broker::fetch(const std::string& topic, uint64_t offset,
+                                   size_t max) const {
   if (fetch_fault(topic)) return {};
   const TopicData* data = find_topic(topic);
-  if (data == nullptr || partition >= data->partitions.size()) return {};
-  return copy_out(*data, partition, offset, max);
+  if (data == nullptr) return {};
+  return copy_out(*data, offset, max);
 }
 
-std::vector<Message> Broker::fetch_blocking(const std::string& topic,
-                                            size_t partition, uint64_t offset,
-                                            size_t max,
-                                            int64_t timeout_ms) const {
-  // Fault check once at entry (like a connection-level error); the re-fetch
-  // after each wakeup is internal and must not re-roll the dice.
-  if (fetch_fault(topic)) return {};
-  const uint64_t deadline_us =
-      trace_clock::now_us() +
-      (timeout_ms > 0 ? static_cast<uint64_t>(timeout_ms) * 1000 : 0);
-  for (;;) {
-    const TopicData* data = find_topic(topic);
-    if (data != nullptr && partition < data->partitions.size()) {
-      auto out = copy_out(*data, partition, offset, max);
-      if (!out.empty()) return out;
-    }
-    const uint64_t now_us = trace_clock::now_us();
-    if (now_us >= deadline_us) return {};
-    // Watch only the requested partition; sibling partitions are pinned to
-    // the ignore sentinel so their traffic cannot spin this wait.
-    const size_t nparts = data == nullptr ? 0 : data->partitions.size();
-    std::vector<uint64_t> offsets(std::max(nparts, partition + 1),
-                                  kIgnorePartition);
-    offsets[partition] = offset;
-    (void)wait_for_data(
-        topic, offsets,
-        static_cast<int64_t>((deadline_us - now_us + 999) / 1000));
-  }
-}
-
-bool Broker::wait_for_data(const std::string& topic,
-                           const std::vector<uint64_t>& offsets,
+bool Broker::wait_for_data(const std::string& topic, uint64_t offset,
                            int64_t timeout_ms) const {
+  const TopicData* data = nullptr;
   auto has_data = [&]() {
-    const TopicData* data = find_topic(topic);
-    if (data == nullptr) return false;
-    for (size_t p = 0; p < data->partitions.size(); ++p) {
-      const uint64_t off = p < offsets.size() ? offsets[p] : 0;
-      if (data->partitions[p]->end.load(std::memory_order_seq_cst) > off) {
-        return true;
-      }
-    }
-    return false;
+    if (data == nullptr) data = find_topic(topic);
+    return data != nullptr &&
+           data->end.load(std::memory_order_seq_cst) > offset;
   };
   LOGLENS_SCHED_POINT("broker.wait_check");
   if (has_data()) return true;
@@ -364,9 +284,9 @@ bool Broker::wait_for_data(const std::string& topic,
     RankedMutexLock lock(wait_mu_);
     for (;;) {
       // Explicit wait loop (not the predicate overload): the analysis
-      // checks a predicate lambda as its own function, and the topic
-      // re-resolve inside has_data takes mu_ — legal here only because
-      // kBrokerWait < kBroker.
+      // checks a predicate lambda as its own function, and resolving a
+      // topic that does not exist yet inside has_data takes mu_ — legal
+      // here only because kBrokerWait < kBroker.
       if (has_data()) {
         ready = true;
         break;
@@ -382,21 +302,18 @@ bool Broker::wait_for_data(const std::string& topic,
 }
 
 size_t Broker::partition_count(const std::string& topic) const {
-  const TopicData* data = find_topic(topic);
-  return data == nullptr ? 0 : data->partitions.size();
+  return find_topic(topic) == nullptr ? 0 : 1;
 }
 
 uint64_t Broker::end_offset(const std::string& topic, size_t partition) const {
   LOGLENS_SCHED_POINT("broker.end_offset");
-  const TopicData* data = find_topic(topic);
-  if (data == nullptr || partition >= data->partitions.size()) return 0;
-  return data->partitions[partition]->end.load(std::memory_order_acquire);
+  const TopicData* data = partition == 0 ? find_topic(topic) : nullptr;
+  return data == nullptr ? 0 : data->end.load(std::memory_order_acquire);
 }
 
-uint64_t Broker::low_water(const std::string& topic, size_t partition) const {
+uint64_t Broker::low_water(const std::string& topic) const {
   const TopicData* data = find_topic(topic);
-  if (data == nullptr || partition >= data->partitions.size()) return 0;
-  return data->partitions[partition]->low.load(std::memory_order_acquire);
+  return data == nullptr ? 0 : data->low.load(std::memory_order_acquire);
 }
 
 std::vector<std::string> Broker::topics() const {
@@ -413,15 +330,11 @@ RetentionHold::RetentionHold(Broker& broker, std::string topic)
       holds_(broker_.topic_holds(topic_)) {
   const Broker::TopicData* data = topic_data();
   RankedMutexLock lock(holds_.mu);
-  if (data != nullptr) {
-    for (const auto& part : data->partitions) {
-      start_.push_back(part->low.load(std::memory_order_relaxed));
-    }
-  }
+  if (data != nullptr) start_ = data->low.load(std::memory_order_relaxed);
   self_ = holds_.holds.insert(holds_.holds.end(), start_);
 }
 
-Broker::TopicData* RetentionHold::topic_data() {
+Broker::TopicData* RetentionHold::topic_data() const {
   Broker::TopicData* data = data_.load(std::memory_order_acquire);
   if (data == nullptr) {
     data = broker_.find_topic(topic_);
@@ -435,54 +348,35 @@ RetentionHold::~RetentionHold() {
   Broker::TopicData* data = topic_data();
   RankedMutexLock lock(holds_.mu);
   holds_.holds.erase(self_);
-  if (data == nullptr) return;
-  for (size_t p = 0; p < data->partitions.size(); ++p) {
-    Broker::release_chunks(*data, p, holds_.holds, &freed);
-  }
+  if (data != nullptr) Broker::release_chunks(*data, holds_.holds, &freed);
 }
 
-void RetentionHold::advance(size_t partition, uint64_t offset) {
+void RetentionHold::advance(uint64_t offset) {
   std::vector<Broker::Chunk> freed;  // destroyed after the locks below
   Broker::TopicData* data = topic_data();
   RankedMutexLock lock(holds_.mu);
-  std::vector<uint64_t>& mine = *self_;
-  if (mine.size() <= partition) mine.resize(partition + 1, 0);
-  if (offset <= mine[partition]) return;
-  mine[partition] = offset;
-  if (data != nullptr && partition < data->partitions.size()) {
-    Broker::release_chunks(*data, partition, holds_.holds, &freed);
-  }
+  if (offset <= *self_) return;
+  *self_ = offset;
+  if (data != nullptr) Broker::release_chunks(*data, holds_.holds, &freed);
 }
 
-Status RetentionHold::move_to(const std::vector<uint64_t>& offsets) {
+Status RetentionHold::move_to(uint64_t offset) {
   std::vector<Broker::Chunk> freed;  // destroyed after the locks below
   Broker::TopicData* data = topic_data();
   RankedMutexLock lock(holds_.mu);
-  const size_t parts = data == nullptr ? 0 : data->partitions.size();
-  for (size_t p = 0; p < offsets.size() && p < parts; ++p) {
-    const uint64_t low =
-        data->partitions[p]->low.load(std::memory_order_relaxed);
-    if (offsets[p] < low) {
-      const std::string where = topic_ + "/" + std::to_string(p);
-      return Status::Error("offset " + std::to_string(offsets[p]) +
-                           " is below the low-water mark of " + where);
-    }
+  if (data != nullptr && offset < data->low.load(std::memory_order_relaxed)) {
+    return Status::Error("offset " + std::to_string(offset) +
+                         " is below the low-water mark of " + topic_);
   }
-  std::vector<uint64_t>& mine = *self_;
-  if (mine.size() < offsets.size()) mine.resize(offsets.size(), 0);
-  std::copy(offsets.begin(), offsets.end(), mine.begin());
-  for (size_t p = 0; p < parts; ++p) {
-    Broker::release_chunks(*data, p, holds_.holds, &freed);
-  }
+  *self_ = offset;
+  if (data != nullptr) Broker::release_chunks(*data, holds_.holds, &freed);
   return Status::Ok();
 }
 
 Consumer::Consumer(Broker& broker, std::string topic,
                    MetricsRegistry* metrics)
     : broker_(broker), topic_(std::move(topic)), hold_(broker_, topic_) {
-  offsets_ = hold_.start();
-  const size_t parts = std::max<size_t>(1, broker_.partition_count(topic_));
-  if (offsets_.size() < parts) offsets_.resize(parts, 0);
+  offset_ = hold_.start();
   if (metrics != nullptr) {
     MetricLabels labels{{"topic", topic_}};
     queue_depth_ = &metrics->gauge(
@@ -501,25 +395,17 @@ std::vector<Message> Consumer::poll(size_t max) {
   std::vector<Message> out;
   {
     RankedMutexLock lock(mu_);
-    if (offsets_.size() < broker_.partition_count(topic_)) {
-      offsets_.resize(broker_.partition_count(topic_), 0);
+    if (max > 0 && !broker_.fetch_fault(topic_)) {
+      if (const Broker::TopicData* data = hold_.topic_data()) {
+        out = Broker::copy_out(*data, offset_, max);
+      }
     }
-    for (size_t p = 0; p < offsets_.size() && out.size() < max; ++p) {
-      auto batch = broker_.fetch(topic_, p, offsets_[p], max - out.size());
-      // Batched offset commit: the whole fetch advances this partition's
-      // offset once, inside one critical section — not one bookkeeping
-      // write per message.
-      if (!batch.empty()) {
-        offsets_[p] += batch.size();
-        consumed_ += batch.size();
-        hold_.advance(p, offsets_[p]);
-      }
-      if (out.empty()) {
-        out = std::move(batch);
-      } else {
-        out.reserve(out.size() + batch.size());
-        for (auto& m : batch) out.push_back(std::move(m));
-      }
+    // Batched offset commit: the whole fetch advances the offset once,
+    // inside one critical section — not one bookkeeping write per message.
+    if (!out.empty()) {
+      offset_ += out.size();
+      consumed_ += out.size();
+      hold_.advance(offset_);
     }
   }
   if (!out.empty() && commits_total_ != nullptr) {
@@ -530,38 +416,23 @@ std::vector<Message> Consumer::poll(size_t max) {
   return out;
 }
 
-std::vector<Message> Consumer::poll_blocking(size_t max, int64_t timeout_ms,
-                                             size_t min_messages) {
+std::vector<Message> Consumer::poll_blocking(size_t max, int64_t timeout_ms) {
   if (max == 0) return {};
-  if (min_messages == 0) min_messages = 1;
-  if (min_messages > max) min_messages = max;
   const uint64_t deadline_us =
       trace_clock::now_us() +
       (timeout_ms > 0 ? static_cast<uint64_t>(timeout_ms) * 1000 : 0);
   std::vector<Message> out = poll(max);
-  // Accumulate toward the low watermark: park on the broker's waiter CV
-  // (woken by a produce to any partition, not a timeout sweep) and drain
-  // again, until either min_messages are in hand or the deadline passes.
-  // The wait runs unlocked, so lag()/offsets() monitoring never stalls
-  // behind it.
-  while (out.size() < min_messages) {
+  // Park on the broker's waiter CV (woken by a produce, not a timeout sweep)
+  // and poll again, until a message is in hand or the deadline passes. The
+  // wait runs unlocked, so lag()/offset() monitoring never stalls behind it.
+  while (out.empty()) {
     LOGLENS_SCHED_POINT("consumer.poll_park");
     const uint64_t now_us = trace_clock::now_us();
     if (now_us >= deadline_us) break;
-    std::vector<uint64_t> offsets;
-    {
-      RankedMutexLock lock(mu_);
-      offsets = offsets_;
-    }
     (void)broker_.wait_for_data(
-        topic_, offsets,
+        topic_, offset(),
         static_cast<int64_t>((deadline_us - now_us + 999) / 1000));
-    auto more = poll(max - out.size());
-    if (out.empty()) {
-      out = std::move(more);
-    } else {
-      for (auto& m : more) out.push_back(std::move(m));
-    }
+    out = poll(max);
   }
   return out;
 }
@@ -571,39 +442,28 @@ uint64_t Consumer::consumed() const {
   return consumed_;
 }
 
-std::vector<uint64_t> Consumer::offsets() const {
+uint64_t Consumer::offset() const {
   RankedMutexLock lock(mu_);
-  return offsets_;
+  return offset_;
 }
 
-Status Consumer::seek(const std::vector<uint64_t>& offsets) {
+Status Consumer::seek(uint64_t offset) {
   RankedMutexLock lock(mu_);
   // The hold moves first and refuses offsets below the low-water mark, so
   // a refused seek leaves both where they were.
-  if (Status s = hold_.move_to(offsets); !s.ok()) return s;
-  if (offsets_.size() < offsets.size()) offsets_.resize(offsets.size(), 0);
-  for (size_t p = 0; p < offsets.size(); ++p) offsets_[p] = offsets[p];
+  if (Status s = hold_.move_to(offset); !s.ok()) return s;
+  offset_ = offset;
   return Status::Ok();
 }
 
-bool Consumer::caught_up() const {
-  RankedMutexLock lock(mu_);
-  for (size_t p = 0; p < offsets_.size(); ++p) {
-    if (offsets_[p] < broker_.end_offset(topic_, p)) return false;
-  }
-  return true;
-}
+bool Consumer::caught_up() const { return lag() == 0; }
 
 uint64_t Consumer::lag() const {
+  const Broker::TopicData* data = hold_.topic_data();
   RankedMutexLock lock(mu_);
-  uint64_t total = 0;
-  size_t partitions = broker_.partition_count(topic_);
-  for (size_t p = 0; p < partitions; ++p) {
-    uint64_t end = broker_.end_offset(topic_, p);
-    uint64_t offset = p < offsets_.size() ? offsets_[p] : 0;
-    if (end > offset) total += end - offset;
-  }
-  return total;
+  if (data == nullptr) return 0;
+  const uint64_t end = data->end.load(std::memory_order_acquire);
+  return end > offset_ ? end - offset_ : 0;
 }
 
 void Consumer::update_queue_depth() {

@@ -28,13 +28,13 @@ enum class MessageTag : uint8_t { kData, kHeartbeat, kMetrics, kAnomaly };
 //    an Anomaly (kAnomaly), read through the service/wire.h accessors.
 // Heartbeats carry neither; their timestamp is the whole message.
 struct Message {
-  std::string key;        // partitioning key (e.g. event id or source)
+  std::string key;        // engine partitioning key (e.g. event id)
   std::string value;      // text body (see above); empty for typed records
   int64_t timestamp_ms = -1;  // log time, not wall time
   MessageTag tag = MessageTag::kData;
   std::string source;     // originating log source
   // Delivery identity, not content: a per-source-monotonic sequence number.
-  // The broker stamps it (with the partition append offset) on the first
+  // The broker stamps it (with the topic append offset) on the first
   // produce of a message that carries none; pipeline stages that re-emit a
   // message derive the child's seq from the parent's, so one logical record
   // keeps one identity across stages. The detector task's at-least-once

@@ -85,14 +85,14 @@ inline constexpr int kBroadcastDriver = 400;  // Broadcast<T>::driver_mu_
 inline constexpr int kBroadcastCache = 410;   // Broadcast<T>::Cache::mu
 inline constexpr int kThreadPool = 500;       // ThreadPool::mu_
 inline constexpr int kConsumer = 650;         // Consumer::mu_
-// Below kBroker: a blocked waiter re-resolves the topic (kBroker) each time
-// it wakes, so the waiter mutex must be acquirable first.
+// Below kBroker: a blocked waiter resolves the topic (kBroker) each time it
+// wakes until the topic exists, so the waiter mutex must be acquirable first.
 inline constexpr int kBrokerWait = 690;       // Broker::wait_mu_
 inline constexpr int kBroker = 700;           // Broker::mu_ (topic map)
 // Above kBroker: a hold resolves its topic before taking the hold registry;
-// below kBrokerPartition: raising a low-water mark frees partition chunks.
+// below kBrokerPartition: raising a low-water mark frees a topic's chunks.
 inline constexpr int kBrokerRetention = 705;  // Broker TopicHolds::mu
-inline constexpr int kBrokerPartition = 710;  // Broker Partition::mu
+inline constexpr int kBrokerPartition = 710;  // Broker TopicData::mu (log)
 // Below kFaults: the segment writer consults the FaultInjector (and then
 // takes kStorage to publish) while holding the flush lock.
 inline constexpr int kStorageFlush = 740;     // DocumentStore::flush_mu_

@@ -43,13 +43,12 @@ LogLensService::LogLensService(ServiceOptions options)
                  options_.metrics),
       anomaly_store_(role_store_options(options_, "anomalies")),
       anomaly_sink_(broker_, "anomalies") {
-  broker_.create_topic("ingest", 1);
-  broker_.create_topic("logs", 1);
-  broker_.create_topic("parsed", 1);
-  broker_.create_topic("anomalies", 1);
-  broker_.create_topic("metrics", 1);
+  for (const char* topic :
+       {"ingest", "logs", "parsed", "anomalies", "metrics"}) {
+    broker_.create_topic(topic);
+  }
   if (!options_.dead_letter_topic.empty()) {
-    broker_.create_topic(options_.dead_letter_topic, 1);
+    broker_.create_topic(options_.dead_letter_topic);
   }
   recoveries_total_ = &registry_or_global(options_.metrics)
                            .counter("loglens_service_recoveries_total", {},
@@ -265,18 +264,16 @@ Status LogLensService::checkpoint(const std::string& path) {
   // state above.
   obj.emplace_back("anomaly_count",
                    Json(static_cast<int64_t>(anomaly_store_.count())));
-  auto offsets_json = [](const std::vector<uint64_t>& offsets) {
-    JsonArray arr;
-    for (uint64_t o : offsets) arr.push_back(Json(static_cast<int64_t>(o)));
-    return Json(std::move(arr));
+  // Each offset is written as a one-element array, the shape files had when
+  // a topic could have partitions, so files of either age recover.
+  auto offset_json = [](uint64_t offset) {
+    return Json(JsonArray{Json(static_cast<int64_t>(offset))});
   };
-  const std::vector<uint64_t> parser_offsets =
-      parser_runner_->consumer_offsets();
-  const std::vector<uint64_t> detector_offsets =
-      detector_runner_->consumer_offsets();
+  const uint64_t parser_offset = parser_runner_->consumer_offset();
+  const uint64_t detector_offset = detector_runner_->consumer_offset();
   JsonObject offsets;
-  offsets.emplace_back("parser", offsets_json(parser_offsets));
-  offsets.emplace_back("detector", offsets_json(detector_offsets));
+  offsets.emplace_back("parser", offset_json(parser_offset));
+  offsets.emplace_back("detector", offset_json(detector_offset));
   // Pin what recover() would replay from this checkpoint. The previous
   // pins stay until the rename publishes it: a failed or torn write leaves
   // the previous file, and its offsets, in force.
@@ -285,8 +282,8 @@ Status LogLensService::checkpoint(const std::string& path) {
   if (!options_.checkpoint_path.empty() && path == options_.checkpoint_path) {
     logs_pin = std::make_unique<RetentionHold>(broker_, "logs");
     parsed_pin = std::make_unique<RetentionHold>(broker_, "parsed");
-    if (Status s = logs_pin->move_to(parser_offsets); !s.ok()) return s;
-    if (Status s = parsed_pin->move_to(detector_offsets); !s.ok()) return s;
+    if (Status s = logs_pin->move_to(parser_offset); !s.ok()) return s;
+    if (Status s = parsed_pin->move_to(detector_offset); !s.ok()) return s;
   }
   obj.emplace_back("offsets", Json(std::move(offsets)));
 
@@ -337,6 +334,55 @@ Status LogLensService::restore_internal(const std::string& path,
   if (model_blob == nullptr || !model_blob->is_object()) {
     return Status::Error("checkpoint missing model");
   }
+
+  // In-place recovery rewinds the pipeline to the checkpoint's cut. Every
+  // part of the file that can refuse it is checked here, before the first
+  // change to the service: a refused recover() leaves the model, the
+  // detector state, the offsets and the store as they were.
+  uint64_t parser_offset = 0;
+  uint64_t detector_offset = 0;
+  size_t anomaly_count = 0;
+  if (in_place) {
+    const Json* offsets = j->find("offsets");
+    if (offsets == nullptr || !offsets->is_object()) {
+      return Status::Error("checkpoint missing offsets (pre-recovery format?)");
+    }
+    // One offset per runner, stored as a one-element array; the input
+    // topic's low-water mark must not have passed it (the checkpoint pins
+    // keep it stored, so a freed offset means the file is not the checkpoint
+    // this service pinned).
+    auto offset_of = [&](const char* key, const char* topic,
+                         uint64_t* out) -> Status {
+      const Json* arr = offsets->find(key);
+      if (arr == nullptr || !arr->is_array() || arr->as_array().size() != 1 ||
+          !arr->as_array()[0].is_int() || arr->as_array()[0].as_int() < 0) {
+        return Status::Error(std::string("checkpoint offsets.") + key +
+                             " is not one offset");
+      }
+      *out = static_cast<uint64_t>(arr->as_array()[0].as_int());
+      if (*out < broker_.low_water(topic)) {
+        return Status::Error("cannot replay from checkpoint: offset " +
+                             std::to_string(*out) +
+                             " is below the low-water mark of " + topic);
+      }
+      return Status::Ok();
+    };
+    if (Status s = offset_of("parser", "logs", &parser_offset); !s.ok()) {
+      return s;
+    }
+    if (Status s = offset_of("detector", "parsed", &detector_offset);
+        !s.ok()) {
+      return s;
+    }
+    const Json* count = j->find("anomaly_count");
+    if (count == nullptr || !count->is_int() || count->as_int() < 0 ||
+        static_cast<size_t>(count->as_int()) > anomaly_store_.count()) {
+      return Status::Error(
+          "checkpoint anomaly_count missing or past the store");
+    }
+    anomaly_count = static_cast<size_t>(count->as_int());
+  }
+
   if (auto v = model_manager_->deploy_json(options_.model_name, *model_blob);
       !v.ok()) {
     return v.status();
@@ -378,42 +424,22 @@ Status LogLensService::restore_internal(const std::string& path,
   }
   if (!in_place) return Status::Ok();
 
-  // In-place recovery: rewind the pipeline to the checkpoint's cut.
-  const Json* offsets = j->find("offsets");
-  if (offsets == nullptr || !offsets->is_object()) {
-    return Status::Error("checkpoint missing offsets (pre-recovery format?)");
-  }
-  auto offsets_of = [&](const char* key) {
-    std::vector<uint64_t> out;
-    if (const Json* arr = offsets->find(key);
-        arr != nullptr && arr->is_array()) {
-      for (const auto& o : arr->as_array()) {
-        out.push_back(o.is_int() ? static_cast<uint64_t>(o.as_int()) : 0);
-      }
-    }
-    return out;
-  };
-  const Json* count = j->find("anomaly_count");
-  if (count == nullptr || !count->is_int() || count->as_int() < 0 ||
-      static_cast<size_t>(count->as_int()) > anomaly_store_.count()) {
-    return Status::Error("checkpoint anomaly_count missing or past the store");
-  }
-  // The checkpoint pins keep these offsets stored; a refused seek means the
-  // file is not the checkpoint this service pinned.
-  if (Status s = parser_runner_->seek(offsets_of("parser")); !s.ok()) {
+  // Both offsets were checked above; on a quiesced service no low-water
+  // mark moves in between, so these seeks are not expected to fail.
+  if (Status s = parser_runner_->seek(parser_offset); !s.ok()) {
     return Status::Error("cannot replay from checkpoint: " + s.message());
   }
-  if (Status s = detector_runner_->seek(offsets_of("detector")); !s.ok()) {
+  if (Status s = detector_runner_->seek(detector_offset); !s.ok()) {
     return Status::Error("cannot replay from checkpoint: " + s.message());
   }
 
   // Exactly-once output despite the at-least-once replay: cut the anomaly
   // store back to its checkpointed count and skip the sink past everything
   // currently appended — the replay re-emits the post-checkpoint anomalies.
-  if (Status s = anomaly_store_.truncate(count->as_int()); !s.ok()) {
+  if (Status s = anomaly_store_.truncate(anomaly_count); !s.ok()) {
     return Status::Error("cannot roll back anomalies: " + s.message());
   }
-  anomaly_sink_.seek({broker_.end_offset("anomalies", 0)});
+  anomaly_sink_.seek(broker_.end_offset("anomalies"));
   return Status::Ok();
 }
 

@@ -5,7 +5,9 @@
 //
 // plus the model side (builder -> store -> manager -> controller ->
 // rebroadcast into both engines) and the heartbeat controller feeding
-// predicted log time into [parsed].
+// predicted log time into [parsed]. Each [topic] is one ordered broker log
+// that a runner reads from one offset; the parallelism is the engines'
+// partitions (the paper's Spark partitions, Section V).
 //
 // Two modes:
 //   - start()/stop(): background JobRunners — the deployed service.
@@ -109,7 +111,8 @@ class LogLensService {
   const std::string& model_name() const { return options_.model_name; }
 
   // Checkpointing (extension): persist the deployed model, every detector
-  // partition's open events and the anomaly count to a JSON file, and
+  // partition's open events, the anomaly count and each runner's offset
+  // (a one-element array per runner) to a JSON file, and
   // restore the first two into a (fresh) service — possibly with a
   // different partition count; open events are re-sharded by their event
   // id. Call on a quiesced service (stopped or drained). A checkpoint to
@@ -127,7 +130,10 @@ class LogLensService {
   // store is truncated to its checkpointed count, reading nothing from the
   // topic, and the sink skips past any post-checkpoint output (the replay
   // re-emits it). Called by the supervisor thread when a runner fails; also
-  // callable directly (e.g. chaos tests simulating a hard crash).
+  // callable directly (e.g. chaos tests simulating a hard crash). A file
+  // that is refused (no model, an offset that is not one element or lies
+  // below its topic's low-water mark, a missing or too large anomaly count)
+  // changes nothing.
   Status recover() LOGLENS_EXCLUDES(recover_mu_);
 
   // True while either job runner is parked on a fatal batch.

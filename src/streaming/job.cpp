@@ -197,8 +197,8 @@ void JobRunner::process_batch(std::vector<Message> batch) {
     }
   }
   if (!options_.output_topic.empty() && !result.outputs.empty()) {
-    // Batched publish: the whole batch crosses each output partition's lock
-    // once. Messages whose broker-side retry budget is spent come back in
+    // Batched publish: the whole batch crosses the output log's lock once.
+    // Messages whose broker-side retry budget is spent come back in
     // `undeliverable` and take the per-message retry/dead-letter slow path.
     std::vector<Message> undeliverable;
     (void)broker_.produce_batch(options_.output_topic,
@@ -249,17 +249,8 @@ void JobRunner::loop() {
       mark_failed(e.what());
     }
   }
-  if (failed_.load()) return;
   // Final drain so stop() never strands buffered input.
-  for (auto batch = consumer_.poll(options_.batch_size); !batch.empty();
-       batch = consumer_.poll(options_.batch_size)) {
-    try {
-      process_batch(std::move(batch));
-    } catch (const std::exception& e) {
-      mark_failed(e.what());
-      return;
-    }
-  }
+  drain();
 }
 
 void JobRunner::drain() {

@@ -1,9 +1,11 @@
 // Broker-driven streaming job: the deployment loop that turns the
 // synchronous StreamEngine into a long-running service.
 //
-// A JobRunner owns a consumer on the input topic; its driver thread polls a
-// micro-batch, hands it to the engine, and publishes the outputs to the
-// output topic. `stop()` finishes the in-flight batch and drains what is
+// A JobRunner owns a consumer on the input topic, which is one ordered log
+// read from a single offset; its driver thread polls a micro-batch (parking
+// on the broker until input arrives), hands it to the engine, whose
+// partitions are where the parallelism lives, and publishes the outputs to
+// the output topic. `stop()` finishes the in-flight batch and drains what is
 // already buffered — the zero-downtime property comes from never needing to
 // call stop() for a model update (those ride enqueue_control instead).
 #pragma once
@@ -76,12 +78,8 @@ class JobRunner {
   // what the service records in a checkpoint, and how recovery rewinds the
   // job to it for at-least-once redelivery (refused below the input topic's
   // low-water mark, see Consumer::seek).
-  std::vector<uint64_t> consumer_offsets() const {
-    return consumer_.offsets();
-  }
-  Status seek(const std::vector<uint64_t>& offsets) {
-    return consumer_.seek(offsets);
-  }
+  uint64_t consumer_offset() const { return consumer_.offset(); }
+  Status seek(uint64_t offset) { return consumer_.seek(offset); }
 
   // The JSON health report emitted every `metrics_report_every` batches
   // (also handy for tests and ad-hoc inspection).

@@ -42,7 +42,7 @@ constexpr uint64_t kMessages = 4096;
 
 TEST(BrokerAllocationTest, RetentionBytesStayLinearInStreamLength) {
   Broker broker;
-  ASSERT_TRUE(broker.create_topic("t", 1).ok());
+  ASSERT_TRUE(broker.create_topic("t").ok());
 
   const uint64_t before = g_bytes.load(std::memory_order_relaxed);
   for (uint64_t i = 0; i < kMessages; ++i) {
@@ -54,7 +54,7 @@ TEST(BrokerAllocationTest, RetentionBytesStayLinearInStreamLength) {
   }
   const uint64_t allocated = g_bytes.load(std::memory_order_relaxed) - before;
 
-  ASSERT_EQ(broker.end_offset("t", 0), 2 * kMessages);
+  ASSERT_EQ(broker.end_offset("t"), 2 * kMessages);
   EXPECT_LE(allocated, 8 * kMessages * sizeof(Message))
       << "allocated " << allocated / sizeof(Message)
       << " Message-sizes for " << 2 * kMessages << " appends";

@@ -1,8 +1,7 @@
-// The batch-handoff consumer semantics: blocking watermark polls,
-// backpressure observability, batched produce — and sharded-partition
-// interleaving stress meant for the TSan leg (concurrent produce /
-// produce_batch / fetch across partitions share no lock but the
-// per-partition ones).
+// The batch-handoff consumer semantics: blocking polls, backpressure
+// observability, batched produce — and interleaving stress meant for the
+// TSan leg (concurrent produce / produce_batch / fetch / wait_for_data on
+// one topic's log).
 #include "broker/broker.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +38,7 @@ int64_t ms_since(Clock::time_point t0) {
 
 TEST(PollBlocking, TimesOutEmptyWhenNoData) {
   Broker broker;
-  broker.create_topic("t", 2);
+  broker.create_topic("t");
   Consumer consumer(broker, "t");
   const auto t0 = Clock::now();
   auto out = consumer.poll_blocking(/*max=*/16, /*timeout_ms=*/80);
@@ -48,7 +48,7 @@ TEST(PollBlocking, TimesOutEmptyWhenNoData) {
 
 TEST(PollBlocking, ReturnsImmediatelyWhenDataIsReady) {
   Broker broker;
-  broker.create_topic("t", 1);
+  broker.create_topic("t");
   for (int i = 0; i < 5; ++i) broker.produce("t", msg("k", "v"));
   Consumer consumer(broker, "t");
   const auto t0 = Clock::now();
@@ -59,7 +59,7 @@ TEST(PollBlocking, ReturnsImmediatelyWhenDataIsReady) {
 
 TEST(PollBlocking, ProducerWakesParkedConsumer) {
   Broker broker;
-  broker.create_topic("t", 2);
+  broker.create_topic("t");
   Consumer consumer(broker, "t");
   std::thread producer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -75,43 +75,10 @@ TEST(PollBlocking, ProducerWakesParkedConsumer) {
   EXPECT_LT(ms_since(t0), 5000);
 }
 
-TEST(PollBlocking, LowWatermarkKeepsAccumulating) {
-  Broker broker;
-  broker.create_topic("t", 1);
-  broker.produce("t", msg("k", "first"));
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    std::vector<Message> rest;
-    for (int i = 0; i < 3; ++i) rest.push_back(msg("k", "rest"));
-    broker.produce_batch("t", std::move(rest));
-  });
-  // min_messages=4: the one message already present must not satisfy the
-  // poll on its own; the batch landing later completes the low watermark.
-  Consumer consumer(broker, "t");
-  auto out = consumer.poll_blocking(/*max=*/16, /*timeout_ms=*/10000,
-                                    /*min_messages=*/4);
-  producer.join();
-  EXPECT_GE(out.size(), 4u);
-}
-
-TEST(PollBlocking, TimeoutDeliversPartialBatchBelowWatermark) {
-  Broker broker;
-  broker.create_topic("t", 1);
-  broker.produce("t", msg("k", "only"));
-  Consumer consumer(broker, "t");
-  const auto t0 = Clock::now();
-  // A low watermark of 8 can never be met; the deadline flushes what is
-  // there instead of returning empty-handed.
-  auto out = consumer.poll_blocking(/*max=*/16, /*timeout_ms=*/80,
-                                    /*min_messages=*/8);
-  EXPECT_EQ(out.size(), 1u);
-  EXPECT_GE(ms_since(t0), 70);
-}
-
 TEST(Consumer, QueueDepthGaugeTracksSlowSinkBackpressure) {
   MetricsRegistry registry;
   Broker broker(&registry);
-  broker.create_topic("t", 1);
+  broker.create_topic("t");
   Consumer consumer(broker, "t", &registry);
   Gauge& depth =
       registry.gauge("loglens_consumer_queue_depth", {{"topic", "t"}});
@@ -136,7 +103,7 @@ TEST(Consumer, QueueDepthGaugeTracksSlowSinkBackpressure) {
 TEST(Consumer, BatchedOffsetCommitCounters) {
   MetricsRegistry registry;
   Broker broker(&registry);
-  broker.create_topic("t", 2);
+  broker.create_topic("t");
   Consumer consumer(broker, "t", &registry);
   Counter& commits = registry.counter("loglens_consumer_offset_commits_total",
                                       {{"topic", "t"}});
@@ -160,33 +127,31 @@ TEST(Consumer, BatchedOffsetCommitCounters) {
   EXPECT_EQ(records.value(), 12u);
 }
 
-TEST(ProduceBatch, RoutesByKeyExactlyLikeProduce) {
+TEST(ProduceBatch, AppendsExactlyLikeProduce) {
   Broker a;
   Broker b;
-  a.create_topic("t", 4);
-  b.create_topic("t", 4);
   std::vector<Message> batch;
   for (int i = 0; i < 40; ++i) {
     auto m = msg("key-" + std::to_string(i % 7), "v" + std::to_string(i));
+    if (i % 5 == 0) m.seq = 1000 + i;  // a derived identity is kept
     a.produce("t", m);
     batch.push_back(std::move(m));
   }
   ASSERT_TRUE(b.produce_batch("t", std::move(batch)).ok());
-  for (size_t p = 0; p < 4; ++p) {
-    auto one = a.fetch("t", p, 0, 100);
-    auto two = b.fetch("t", p, 0, 100);
-    ASSERT_EQ(one.size(), two.size()) << "partition " << p;
-    for (size_t i = 0; i < one.size(); ++i) {
-      EXPECT_EQ(one[i].value, two[i].value);
-      EXPECT_EQ(one[i].seq, two[i].seq);
-    }
+  auto one = a.fetch("t", 0, 100);
+  auto two = b.fetch("t", 0, 100);
+  ASSERT_EQ(one.size(), 40u);
+  ASSERT_EQ(one.size(), two.size());
+  for (size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(one[i].value, two[i].value);
+    EXPECT_EQ(one[i].seq, two[i].seq);
   }
 }
 
 TEST(ProduceBatch, ExhaustedRetriesLandInFailedNotTheLog) {
   FaultInjector faults(/*seed=*/42);
   Broker broker(nullptr, &faults);
-  broker.create_topic("t", 1);
+  broker.create_topic("t");
   // Every produce attempt fails: the whole batch must come back in
   // `failed`, none of it in the log, and the Status must not be ok.
   FaultSpec spec;
@@ -200,32 +165,31 @@ TEST(ProduceBatch, ExhaustedRetriesLandInFailedNotTheLog) {
   ASSERT_EQ(failed.size(), 2u);
   EXPECT_EQ(failed[0].value, "1");
   EXPECT_EQ(failed[1].value, "2");
-  EXPECT_EQ(broker.end_offset("t", 0), 0u);
+  EXPECT_EQ(broker.end_offset("t"), 0u);
 }
 
-// Sharded-partition interleaving stress (sized for the TSan leg): single
-// producers and batch producers hit all partitions concurrently while
-// blocking readers drain them. Verifies no message is lost or duplicated
-// and per-producer order within a partition is preserved — the invariants
-// the per-partition locks plus the waiter rendezvous must uphold under
-// real interleaving.
-TEST(BrokerShardStress, ConcurrentProduceFetchAcrossPartitions) {
-  constexpr size_t kPartitions = 4;
+// Interleaving stress (sized for the TSan leg): single producers and batch
+// producers append to one topic concurrently while readers, each with its
+// own offset, fetch it and park in wait_for_data when they catch up.
+// Verifies no message is lost or duplicated and per-producer order is
+// preserved — the invariants the log's lock plus the waiter rendezvous must
+// uphold under real interleaving.
+TEST(BrokerStress, ConcurrentProduceFetch) {
+  constexpr size_t kReaders = 2;
   constexpr int kProducers = 2;
   constexpr int kBatchProducers = 2;
   constexpr int kPerProducer = 400;
 
   Broker broker;
-  ASSERT_TRUE(broker.create_topic("t", kPartitions).ok());
+  ASSERT_TRUE(broker.create_topic("t").ok());
 
   std::vector<std::thread> producers;
   for (int pr = 0; pr < kProducers; ++pr) {
     producers.emplace_back([&, pr] {
       for (int i = 0; i < kPerProducer; ++i) {
-        // Key-routed round-robin over the partitions; the value encodes
-        // (producer, index) so readers can check per-producer order within
-        // the partition.
-        Message m = msg("pkey-" + std::to_string(i % kPartitions),
+        // The value encodes (producer, index) so readers can check
+        // per-producer order.
+        Message m = msg("pkey-" + std::to_string(i % 4),
                         "p" + std::to_string(pr) + ":" + std::to_string(i));
         EXPECT_TRUE(broker.produce("t", std::move(m)).ok());
       }
@@ -237,8 +201,8 @@ TEST(BrokerShardStress, ConcurrentProduceFetchAcrossPartitions) {
         std::vector<Message> batch;
         for (int i = 0; i < 50; ++i) {
           int n = chunk * 50 + i;
-          // Key-routed: same key => same partition, batch order preserved.
-          batch.push_back(msg("bkey-" + std::to_string(n % kPartitions),
+          // Batch order is preserved in the log.
+          batch.push_back(msg("bkey-" + std::to_string(n % 4),
                               "b" + std::to_string(bp) + ":" +
                                   std::to_string(n)));
         }
@@ -249,32 +213,32 @@ TEST(BrokerShardStress, ConcurrentProduceFetchAcrossPartitions) {
 
   const size_t total =
       static_cast<size_t>(kProducers + kBatchProducers) * kPerProducer;
-  std::atomic<size_t> consumed{0};
-  std::vector<std::vector<std::string>> seen(kPartitions);
+  std::vector<std::vector<std::string>> seen(kReaders);
   std::vector<std::thread> readers;
-  for (size_t p = 0; p < kPartitions; ++p) {
-    readers.emplace_back([&, p] {
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
       uint64_t offset = 0;
-      while (consumed.load(std::memory_order_relaxed) < total) {
-        auto got =
-            broker.fetch_blocking("t", p, offset, 64, /*timeout_ms=*/100);
-        for (auto& m : got) seen[p].push_back(std::move(m.value));
+      while (offset < total) {
+        auto got = broker.fetch("t", offset, 64);
+        if (got.empty()) {
+          if (!broker.wait_for_data("t", offset, /*timeout_ms=*/5000)) break;
+          continue;
+        }
+        for (auto& m : got) seen[r].push_back(std::move(m.value));
         offset += got.size();
-        consumed.fetch_add(got.size(), std::memory_order_relaxed);
       }
     });
   }
   for (auto& t : producers) t.join();
   for (auto& t : readers) t.join();
 
-  // Every message arrived exactly once...
-  size_t arrived = 0;
-  for (const auto& partition : seen) arrived += partition.size();
-  EXPECT_EQ(arrived, total);
-  // ...and within each partition, each producer's stream is in order.
-  for (const auto& partition : seen) {
+  for (const auto& log : seen) {
+    // Every message arrived exactly once...
+    EXPECT_EQ(log.size(), total);
+    EXPECT_EQ(std::set<std::string>(log.begin(), log.end()).size(), total);
+    // ...and each producer's stream is in order.
     std::map<std::string, int> last;  // producer prefix -> last index seen
-    for (const auto& value : partition) {
+    for (const auto& value : log) {
       auto colon = value.find(':');
       ASSERT_NE(colon, std::string::npos);
       std::string who = value.substr(0, colon);
@@ -289,15 +253,14 @@ TEST(BrokerShardStress, ConcurrentProduceFetchAcrossPartitions) {
   }
 }
 
-// poll_blocking under concurrent multi-partition production: the consumer
-// registers every partition in its offsets vector, so data landing in any
-// of them wakes the park. Exercises Consumer + wait_for_data end to end.
-TEST(BrokerShardStress, PollBlockingDrainsConcurrentBatchProducer) {
-  constexpr size_t kPartitions = 3;
+// poll_blocking under concurrent batch production: every batch that lands
+// past the consumer's offset wakes the park. Exercises Consumer +
+// wait_for_data end to end.
+TEST(BrokerStress, PollBlockingDrainsConcurrentBatchProducer) {
   constexpr int kBatches = 20;
   constexpr int kBatchSize = 25;
   Broker broker;
-  ASSERT_TRUE(broker.create_topic("t", kPartitions).ok());
+  ASSERT_TRUE(broker.create_topic("t").ok());
   Consumer consumer(broker, "t");
 
   std::thread producer([&] {
@@ -316,8 +279,7 @@ TEST(BrokerShardStress, PollBlockingDrainsConcurrentBatchProducer) {
   size_t got = 0;
   const size_t total = static_cast<size_t>(kBatches) * kBatchSize;
   while (got < total) {
-    auto out = consumer.poll_blocking(/*max=*/64, /*timeout_ms=*/5000,
-                                      /*min_messages=*/8);
+    auto out = consumer.poll_blocking(/*max=*/64, /*timeout_ms=*/5000);
     ASSERT_FALSE(out.empty()) << "timed out with " << got << "/" << total;
     got += out.size();
   }

@@ -1,4 +1,4 @@
-// Broker retention: partition logs are chunked, and every whole chunk below
+// Broker retention: topic logs are chunked, and every whole chunk below
 // the low-water mark that the topic's holds (consumers and pins) allow is
 // freed. Offsets stay absolute throughout.
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "broker/broker.h"
-#include "common/hash.h"
 #include "datagen/datasets.h"
 #include "metrics/metrics.h"
 #include "service/service.h"
@@ -22,15 +21,11 @@ namespace {
 
 constexpr uint64_t kChunk = Broker::kChunkMessages;
 
-// Appends `n` messages to `topic` (partitioned by `key`), each carrying its
-// append number as its value.
-void fill(Broker& broker, const std::string& topic, uint64_t n,
-          const std::string& key = "") {
+// Appends `n` messages to `topic`, each carrying its append number as its
+// value.
+void fill(Broker& broker, const std::string& topic, uint64_t n) {
   std::vector<Message> batch(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    batch[i].key = key;
-    batch[i].value = std::to_string(i);
-  }
+  for (uint64_t i = 0; i < n; ++i) batch[i].value = std::to_string(i);
   ASSERT_TRUE(broker.produce_batch(topic, std::move(batch)).ok());
 }
 
@@ -54,19 +49,19 @@ void expect_contiguous(const std::vector<Message>& got, uint64_t from) {
 
 TEST(BrokerRetention, FetchCrossesChunkBoundariesIntoPartialLastChunk) {
   Broker broker;
-  ASSERT_TRUE(broker.create_topic("t", 1).ok());
+  ASSERT_TRUE(broker.create_topic("t").ok());
   fill(broker, "t", 2 * kChunk + 100);
 
   // Starts in chunk 0, spans all of chunk 1, ends inside chunk 2.
-  auto across = broker.fetch("t", 0, kChunk - 10, kChunk + 50);
+  auto across = broker.fetch("t", kChunk - 10, kChunk + 50);
   ASSERT_EQ(across.size(), kChunk + 50);
   expect_contiguous(across, kChunk - 10);
 
   // A fetch into the partial last chunk returns only what is there.
-  auto tail = broker.fetch("t", 0, 2 * kChunk - 5, 1000);
+  auto tail = broker.fetch("t", 2 * kChunk - 5, 1000);
   ASSERT_EQ(tail.size(), 105u);
   expect_contiguous(tail, 2 * kChunk - 5);
-  EXPECT_TRUE(broker.fetch("t", 0, 2 * kChunk + 100, 10).empty());
+  EXPECT_TRUE(broker.fetch("t", 2 * kChunk + 100, 10).empty());
 
   // Odd-sized polls read the whole log in order.
   Consumer consumer(broker, "t");
@@ -82,29 +77,29 @@ TEST(BrokerRetention, FetchCrossesChunkBoundariesIntoPartialLastChunk) {
 TEST(BrokerRetention, SlowerConsumerHoldsItsChunks) {
   MetricsRegistry registry;
   Broker broker(&registry);
-  ASSERT_TRUE(broker.create_topic("t", 1).ok());
+  ASSERT_TRUE(broker.create_topic("t").ok());
   Consumer fast(broker, "t");
   Consumer slow(broker, "t");
   fill(broker, "t", 3 * kChunk + 7);
 
   ASSERT_EQ(consume(fast, 3 * kChunk + 7).size(), 3 * kChunk + 7);
-  EXPECT_EQ(broker.low_water("t", 0), 0u);  // slow has read nothing
+  EXPECT_EQ(broker.low_water("t"), 0u);  // slow has read nothing
   ASSERT_EQ(consume(slow, kChunk + 5).size(), kChunk + 5);
   // slow still needs chunk 1 (from offset kChunk + 5 on); chunk 0 is gone.
-  EXPECT_EQ(broker.low_water("t", 0), kChunk);
-  expect_contiguous(broker.fetch("t", 0, kChunk, 10), kChunk);
+  EXPECT_EQ(broker.low_water("t"), kChunk);
+  expect_contiguous(broker.fetch("t", kChunk, 10), kChunk);
 
   const MetricLabels labels{{"topic", "t"}};
   Counter& below =
       registry.counter("loglens_broker_fetch_below_horizon_total", labels);
-  EXPECT_TRUE(broker.fetch("t", 0, kChunk - 1, 10).empty());
+  EXPECT_TRUE(broker.fetch("t", kChunk - 1, 10).empty());
   EXPECT_EQ(below.value(), 1u);
 
   auto rest = consume(slow, 2 * kChunk + 2);
   ASSERT_EQ(rest.size(), 2 * kChunk + 2);
   expect_contiguous(rest, kChunk + 5);
-  EXPECT_EQ(broker.low_water("t", 0), 3 * kChunk);
-  EXPECT_EQ(broker.end_offset("t", 0), 3 * kChunk + 7);  // offsets absolute
+  EXPECT_EQ(broker.low_water("t"), 3 * kChunk);
+  EXPECT_EQ(broker.end_offset("t"), 3 * kChunk + 7);  // offsets absolute
   EXPECT_EQ(
       registry.gauge("loglens_broker_retained_messages", labels).value(), 7);
   EXPECT_EQ(registry.gauge("loglens_broker_low_water", labels).value(),
@@ -117,41 +112,41 @@ TEST(BrokerRetention, SlowerConsumerHoldsItsChunks) {
 
 TEST(BrokerRetention, DestroyedConsumerReleasesItsHold) {
   Broker broker;
-  ASSERT_TRUE(broker.create_topic("t", 1).ok());
+  ASSERT_TRUE(broker.create_topic("t").ok());
   Consumer reader(broker, "t");
   auto idle = std::make_unique<Consumer>(broker, "t");
   fill(broker, "t", 2 * kChunk + 1);
   ASSERT_EQ(consume(reader, 2 * kChunk + 1).size(), 2 * kChunk + 1);
-  EXPECT_EQ(broker.low_water("t", 0), 0u);
+  EXPECT_EQ(broker.low_water("t"), 0u);
   idle.reset();
-  EXPECT_EQ(broker.low_water("t", 0), 2 * kChunk);
+  EXPECT_EQ(broker.low_water("t"), 2 * kChunk);
 }
 
 TEST(BrokerRetention, TopicWithoutHoldsKeepsEverything) {
   Broker broker;
-  ASSERT_TRUE(broker.create_topic("t", 1).ok());
+  ASSERT_TRUE(broker.create_topic("t").ok());
   fill(broker, "t", 2 * kChunk);
   {
     Consumer reader(broker, "t");
     ASSERT_EQ(consume(reader, kChunk).size(), kChunk);
-    EXPECT_EQ(broker.low_water("t", 0), kChunk);
+    EXPECT_EQ(broker.low_water("t"), kChunk);
   }
   // The last reader left: nothing more is freed, whatever is appended.
   fill(broker, "t", 3 * kChunk);
-  EXPECT_EQ(broker.low_water("t", 0), kChunk);
-  EXPECT_EQ(broker.fetch("t", 0, kChunk, 5 * kChunk).size(), 4 * kChunk);
+  EXPECT_EQ(broker.low_water("t"), kChunk);
+  EXPECT_EQ(broker.fetch("t", kChunk, 5 * kChunk).size(), 4 * kChunk);
 }
 
 TEST(BrokerRetention, LateConsumerStartsAtLowWaterMark) {
   Broker broker;
-  ASSERT_TRUE(broker.create_topic("t", 1).ok());
+  ASSERT_TRUE(broker.create_topic("t").ok());
   Consumer first(broker, "t");
   fill(broker, "t", 2 * kChunk + 10);
   ASSERT_EQ(consume(first, 2 * kChunk + 5).size(), 2 * kChunk + 5);
-  ASSERT_EQ(broker.low_water("t", 0), 2 * kChunk);
+  ASSERT_EQ(broker.low_water("t"), 2 * kChunk);
 
   Consumer late(broker, "t");
-  EXPECT_EQ(late.offsets(), std::vector<uint64_t>{2 * kChunk});
+  EXPECT_EQ(late.offset(), 2 * kChunk);
   EXPECT_EQ(late.lag(), 10u);
   auto got = consume(late, 10);
   ASSERT_EQ(got.size(), 10u);
@@ -161,31 +156,28 @@ TEST(BrokerRetention, LateConsumerStartsAtLowWaterMark) {
 TEST(BrokerRetention, ConsumerRegisteredBeforeItsTopicHoldsFromZero) {
   Broker broker;
   Consumer early(broker, "later");
-  ASSERT_TRUE(broker.create_topic("later", 2).ok());
-  fill(broker, "later", 2 * kChunk, "a");
-  fill(broker, "later", 2 * kChunk, "b");
+  ASSERT_TRUE(broker.create_topic("later").ok());
+  fill(broker, "later", 4 * kChunk);
   Consumer reader(broker, "later");
   ASSERT_EQ(consume(reader, 4 * kChunk).size(), 4 * kChunk);
-  for (size_t p = 0; p < 2; ++p) EXPECT_EQ(broker.low_water("later", p), 0u);
+  EXPECT_EQ(broker.low_water("later"), 0u);
   ASSERT_EQ(consume(early, 4 * kChunk).size(), 4 * kChunk);
-  uint64_t low = 0;
-  for (size_t p = 0; p < 2; ++p) low += broker.low_water("later", p);
-  EXPECT_GT(low, 0u);
+  EXPECT_GT(broker.low_water("later"), 0u);
 }
 
 TEST(BrokerRetention, SeekBelowLowWaterMarkIsRefused) {
   Broker broker;
-  ASSERT_TRUE(broker.create_topic("t", 1).ok());
+  ASSERT_TRUE(broker.create_topic("t").ok());
   Consumer consumer(broker, "t");
   fill(broker, "t", 2 * kChunk + 1);
   ASSERT_EQ(consume(consumer, 2 * kChunk + 1).size(), 2 * kChunk + 1);
-  ASSERT_EQ(broker.low_water("t", 0), 2 * kChunk);
+  ASSERT_EQ(broker.low_water("t"), 2 * kChunk);
 
-  EXPECT_FALSE(consumer.seek({kChunk}).ok());
-  EXPECT_EQ(consumer.offsets(), std::vector<uint64_t>{2 * kChunk + 1});
-  EXPECT_EQ(broker.low_water("t", 0), 2 * kChunk);
+  EXPECT_FALSE(consumer.seek(kChunk).ok());
+  EXPECT_EQ(consumer.offset(), 2 * kChunk + 1);
+  EXPECT_EQ(broker.low_water("t"), 2 * kChunk);
 
-  ASSERT_TRUE(consumer.seek({2 * kChunk}).ok());
+  ASSERT_TRUE(consumer.seek(2 * kChunk).ok());
   auto again = consumer.poll(10);
   ASSERT_EQ(again.size(), 1u);
   EXPECT_EQ(again[0].seq, static_cast<int64_t>(2 * kChunk));
@@ -193,66 +185,43 @@ TEST(BrokerRetention, SeekBelowLowWaterMarkIsRefused) {
 
 TEST(BrokerRetention, HoldPastTheEndKeepsTheChunkBeingAppended) {
   Broker broker;
-  ASSERT_TRUE(broker.create_topic("t", 1).ok());
+  ASSERT_TRUE(broker.create_topic("t").ok());
   Consumer consumer(broker, "t");
   fill(broker, "t", kChunk + 5);
-  ASSERT_TRUE(consumer.seek({10 * kChunk}).ok());
-  EXPECT_EQ(broker.low_water("t", 0), kChunk);
+  ASSERT_TRUE(consumer.seek(10 * kChunk).ok());
+  EXPECT_EQ(broker.low_water("t"), kChunk);
   fill(broker, "t", 3);
-  expect_contiguous(broker.fetch("t", 0, kChunk, 100), kChunk);
-  EXPECT_EQ(broker.fetch("t", 0, kChunk, 100).size(), 8u);
+  expect_contiguous(broker.fetch("t", kChunk, 100), kChunk);
+  EXPECT_EQ(broker.fetch("t", kChunk, 100).size(), 8u);
 }
 
 TEST(BrokerRetention, PinHoldsChunks) {
   Broker broker;
-  ASSERT_TRUE(broker.create_topic("t", 1).ok());
+  ASSERT_TRUE(broker.create_topic("t").ok());
   Consumer consumer(broker, "t");
   RetentionHold pin(broker, "t");
-  ASSERT_TRUE(pin.move_to({kChunk + 3}).ok());
+  ASSERT_TRUE(pin.move_to(kChunk + 3).ok());
   fill(broker, "t", 3 * kChunk);
   ASSERT_EQ(consume(consumer, 3 * kChunk).size(), 3 * kChunk);
-  EXPECT_EQ(broker.low_water("t", 0), kChunk);
+  EXPECT_EQ(broker.low_water("t"), kChunk);
 
   // A consumer may rewind to the pin, and it redelivers from there.
-  ASSERT_TRUE(consumer.seek({kChunk + 3}).ok());
+  ASSERT_TRUE(consumer.seek(kChunk + 3).ok());
   auto replay = consume(consumer, 2 * kChunk - 3);
   ASSERT_EQ(replay.size(), 2 * kChunk - 3);
   expect_contiguous(replay, kChunk + 3);
 
-  pin.advance(0, 3 * kChunk);
-  EXPECT_EQ(broker.low_water("t", 0), 3 * kChunk);
-  EXPECT_FALSE(pin.move_to({kChunk}).ok());
-}
-
-TEST(BrokerRetention, LowWaterGaugeIsTheLowestPartition) {
-  MetricsRegistry registry;
-  Broker broker(&registry);
-  ASSERT_TRUE(broker.create_topic("t", 2).ok());
-  Consumer consumer(broker, "t");
-  // One key per partition, by the broker's key hash.
-  std::string keys[2];
-  for (int i = 0; keys[0].empty() || keys[1].empty(); ++i) {
-    const std::string key = "k" + std::to_string(i);
-    keys[fnv1a(key) % 2] = key;
-  }
-  fill(broker, "t", 3 * kChunk, keys[0]);
-  fill(broker, "t", kChunk + 1, keys[1]);
-  ASSERT_EQ(consume(consumer, 4 * kChunk + 1).size(), 4 * kChunk + 1);
-  EXPECT_EQ(broker.low_water("t", 0), 3 * kChunk);
-  EXPECT_EQ(broker.low_water("t", 1), kChunk);
-  const MetricLabels labels{{"topic", "t"}};
-  EXPECT_EQ(registry.gauge("loglens_broker_low_water", labels).value(),
-            static_cast<int64_t>(kChunk));
-  EXPECT_EQ(
-      registry.gauge("loglens_broker_retained_messages", labels).value(), 1);
+  pin.advance(3 * kChunk);
+  EXPECT_EQ(broker.low_water("t"), 3 * kChunk);
+  EXPECT_FALSE(pin.move_to(kChunk).ok());
 }
 
 // The service frees behind its slowest reader, the heartbeat controller
 // included: after every drain, each topic that has a reader stores at most
-// the chunk being appended to, per partition, and streaming D1 ten times
-// over leaves as many stored chunks as streaming it once. The stock service
-// stores nothing on the reader-less "metrics" topic.
-TEST(BrokerRetention, ServiceRetainsAtMostOneChunkPerPartition) {
+// the chunk being appended to, and streaming D1 ten times over leaves as
+// many stored chunks as streaming it once. The stock service stores nothing
+// on the reader-less "metrics" topic.
+TEST(BrokerRetention, ServiceRetainsAtMostOneChunkPerTopic) {
   const Dataset d1 = make_d1(0.3);
   ASSERT_GT(d1.testing.size(), kChunk);
   const char* const topics[] = {"ingest", "logs", "parsed", "anomalies"};
@@ -269,19 +238,15 @@ TEST(BrokerRetention, ServiceRetainsAtMostOneChunkPerPartition) {
     auto check = [&] {
       chunks.clear();
       for (const char* topic : topics) {
-        uint64_t retained = 0;
-        for (size_t p = 0; p < broker.partition_count(topic); ++p) {
-          const uint64_t held =
-              broker.end_offset(topic, p) - broker.low_water(topic, p);
-          EXPECT_LT(held, kChunk) << topic << "/" << p;
-          retained += held;
-          chunks[topic] += (held + kChunk - 1) / kChunk;
-        }
+        const uint64_t held =
+            broker.end_offset(topic) - broker.low_water(topic);
+        EXPECT_LT(held, kChunk) << topic;
+        chunks[topic] = (held + kChunk - 1) / kChunk;
         EXPECT_EQ(registry
                       .gauge("loglens_broker_retained_messages",
                              {{"topic", topic}})
                       .value(),
-                  static_cast<int64_t>(retained))
+                  static_cast<int64_t>(held))
             << topic;
       }
     };
@@ -294,10 +259,10 @@ TEST(BrokerRetention, ServiceRetainsAtMostOneChunkPerPartition) {
         check();
       }
     }
-    EXPECT_GE(broker.end_offset("logs", 0), repeats * n);
+    EXPECT_GE(broker.end_offset("logs"), repeats * n);
     // The "metrics" topic has no reader, so nothing ever frees it: a stock
     // service must not publish to it at all.
-    EXPECT_EQ(broker.end_offset("metrics", 0), 0u) << repeats;
+    EXPECT_EQ(broker.end_offset("metrics"), 0u) << repeats;
     return chunks;
   };
   const auto once = stored_chunks(1);
@@ -344,8 +309,8 @@ TEST(BrokerRetention, CheckpointedServiceFreesAnomaliesAndRecoverReadsNone) {
                       stream.begin() + n * (s + 1) / 4});
         service.drain();
         ASSERT_TRUE(service.checkpoint(path).ok());
-        most_held = std::max(most_held, broker.end_offset("anomalies", 0) -
-                                            broker.low_water("anomalies", 0));
+        most_held = std::max(most_held, broker.end_offset("anomalies") -
+                                            broker.low_water("anomalies"));
       }
     }
     EXPECT_LT(most_held, kChunk);

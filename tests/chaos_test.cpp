@@ -318,9 +318,9 @@ TEST(ChaosTest, PoisonMessagesRouteToDeadLetterTopic) {
   MetricsRegistry registry;
   FaultInjector faults(77, &registry);
   Broker broker(&registry, &faults);
-  broker.create_topic("in", 1);
-  broker.create_topic("out", 1);
-  broker.create_topic("dlq", 1);
+  broker.create_topic("in");
+  broker.create_topic("out");
+  broker.create_topic("dlq");
 
   EngineOptions eopts;
   eopts.partitions = 1;
@@ -352,8 +352,8 @@ TEST(ChaosTest, PoisonMessagesRouteToDeadLetterTopic) {
   runner.drain();
 
   EXPECT_FALSE(runner.failed());
-  EXPECT_EQ(broker.end_offset("dlq", 0), 5u);
-  EXPECT_EQ(broker.end_offset("out", 0), 0u);
+  EXPECT_EQ(broker.end_offset("dlq"), 5u);
+  EXPECT_EQ(broker.end_offset("out"), 0u);
   EXPECT_EQ(registry
                 .counter("loglens_job_dead_letter_records_total",
                          {{"job", "poison"}})
@@ -372,8 +372,8 @@ TEST(ChaosTest, PoisonMessagesRouteToDeadLetterTopic) {
   ok.value = "fine";
   ASSERT_TRUE(broker.produce("in", ok).ok());
   runner.drain();
-  EXPECT_EQ(broker.end_offset("out", 0), 1u);
-  EXPECT_EQ(broker.end_offset("dlq", 0), 5u);
+  EXPECT_EQ(broker.end_offset("out"), 1u);
+  EXPECT_EQ(broker.end_offset("dlq"), 5u);
 }
 
 // The tiered anomaly store under crash-shaped storage faults: segment
@@ -483,21 +483,21 @@ TEST(ChaosTest, TruncateThenCrashRecoversExactlyOnce) {
   ASSERT_TRUE(service.checkpoint(path).ok());
   const size_t at_checkpoint = service.anomalies().count();
   // Drained, so the checkpointed offsets are the topic ends.
-  const uint64_t logs_pin = broker.end_offset("logs", 0);
-  const uint64_t parsed_pin = broker.end_offset("parsed", 0);
+  const uint64_t logs_pin = broker.end_offset("logs");
+  const uint64_t parsed_pin = broker.end_offset("parsed");
 
   for (size_t from = cut; from < crash_at; from += chunk) {
     agent.replay(lines(from, std::min(from + chunk, crash_at)));
     service.drain();
   }
-  EXPECT_GT(broker.low_water("logs", 0), 0u);
-  EXPECT_GT(broker.low_water("parsed", 0), 0u);
-  EXPECT_LE(broker.low_water("logs", 0), logs_pin);
-  EXPECT_LE(broker.low_water("parsed", 0), parsed_pin);
-  EXPECT_GT(broker.low_water("ingest", 0), logs_pin);  // nothing pins it
+  EXPECT_GT(broker.low_water("logs"), 0u);
+  EXPECT_GT(broker.low_water("parsed"), 0u);
+  EXPECT_LE(broker.low_water("logs"), logs_pin);
+  EXPECT_LE(broker.low_water("parsed"), parsed_pin);
+  EXPECT_GT(broker.low_water("ingest"), logs_pin);  // nothing pins it
   // Nothing pins `anomalies`: the sink frees it behind itself.
   EXPECT_LT(
-      broker.end_offset("anomalies", 0) - broker.low_water("anomalies", 0),
+      broker.end_offset("anomalies") - broker.low_water("anomalies"),
       chunk);
 
   FaultSpec torn;
@@ -505,8 +505,8 @@ TEST(ChaosTest, TruncateThenCrashRecoversExactlyOnce) {
   torn.max_triggers = 1;
   faults.arm(kFaultSiteCheckpointWrite, torn);
   EXPECT_FALSE(service.checkpoint(path).ok());
-  EXPECT_LE(broker.low_water("logs", 0), logs_pin);
-  EXPECT_LE(broker.low_water("parsed", 0), parsed_pin);
+  EXPECT_LE(broker.low_water("logs"), logs_pin);
+  EXPECT_LE(broker.low_water("parsed"), parsed_pin);
 
   // Crash: the replay starts at the pins, and the report converges to the
   // fault-free run exactly once.

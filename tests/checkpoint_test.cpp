@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <set>
 
@@ -246,6 +247,79 @@ TEST(ServiceCheckpoint, RecoverTruncatesToTheRecordedAnomalyCount) {
     kept.push_back(a.to_json().dump());
   }
   EXPECT_EQ(kept, stored);
+  std::remove(path.c_str());
+}
+
+// recover() checks every part of the file that can refuse it before it
+// changes anything: a refused file leaves the detector's open events (and
+// the model, offsets and store) as they were. D1 is checkpointed after its
+// first chunk of logs at 3 open events and streamed on to 5; a file without
+// its anomaly count, and one whose parser offset lies below the freed first
+// chunk, are both refused and leave 5 open.
+TEST(ServiceCheckpoint, RefusedRecoverChangesNothing) {
+  const Dataset d1 = make_d1(0.3);
+  constexpr size_t kChunk = Broker::kChunkMessages;
+  ASSERT_GT(d1.testing.size(), kChunk + 98);
+  const std::string path = temp_path("loglens_ckpt_refused_test.json");
+  ServiceOptions opts;
+  opts.build.discovery = recommended_discovery("D1");
+  opts.checkpoint_path = path;
+  LogLensService service(opts);
+  service.train(d1.training);
+  Agent agent = service.make_agent("D1");
+  agent.replay({d1.testing.begin(), d1.testing.begin() + kChunk});
+  service.drain();
+  ASSERT_EQ(service.open_events(), 3u);
+  ASSERT_TRUE(service.checkpoint(path).ok());
+  // The pin holds `logs` at the checkpoint, which is past the first chunk.
+  ASSERT_EQ(service.broker().low_water("logs"), kChunk);
+  std::ifstream in(path);
+  auto file = Json::parse(std::string((std::istreambuf_iterator<char>(in)),
+                                      std::istreambuf_iterator<char>()));
+  ASSERT_TRUE(file.ok());
+
+  agent.replay({d1.testing.begin() + kChunk, d1.testing.begin() + kChunk + 98});
+  service.drain();
+  ASSERT_EQ(service.open_events(), 5u);
+  const size_t anomalies = service.anomalies().count();
+
+  // Rewrites the checkpoint file with `edit` applied to each top-level key.
+  auto write_edited = [&](const std::function<bool(const std::string&,
+                                                   Json&)>& edit) {
+    JsonObject obj;
+    for (const auto& [key, value] : file->as_object()) {
+      Json kept = value;
+      if (edit(key, kept)) obj.emplace_back(key, std::move(kept));
+    }
+    std::ofstream out(path, std::ios::trunc);
+    out << Json(std::move(obj)).dump() << "\n";
+  };
+  write_edited([](const std::string& key, Json&) {
+    return key != "anomaly_count";
+  });
+  EXPECT_FALSE(service.recover().ok());
+  EXPECT_EQ(service.open_events(), 5u);
+
+  write_edited([](const std::string& key, Json& value) {
+    if (key == "offsets") {
+      JsonObject offsets;
+      for (const auto& [runner, offset] : value.as_object()) {
+        offsets.emplace_back(runner, runner == "parser"
+                                         ? Json(JsonArray{Json(int64_t{0})})
+                                         : offset);
+      }
+      value = Json(std::move(offsets));
+    }
+    return true;
+  });
+  EXPECT_FALSE(service.recover().ok());
+  EXPECT_EQ(service.open_events(), 5u);
+  EXPECT_EQ(service.anomalies().count(), anomalies);
+
+  // The file as written recovers, back to the checkpoint's 3 open events.
+  write_edited([](const std::string&, Json&) { return true; });
+  ASSERT_TRUE(service.recover().ok());
+  EXPECT_EQ(service.open_events(), 3u);
   std::remove(path.c_str());
 }
 

@@ -123,8 +123,8 @@ TEST_F(DashboardTest, SourceSpikesEmptyWindowSaysNone) {
 TEST(DashboardRetention, ListsStoredAndFreedMessagesPerTopic) {
   MetricsRegistry registry;
   Broker broker(&registry);
-  ASSERT_TRUE(broker.create_topic("logs", 1).ok());
-  ASSERT_TRUE(broker.create_topic("metrics", 1).ok());
+  ASSERT_TRUE(broker.create_topic("logs").ok());
+  ASSERT_TRUE(broker.create_topic("metrics").ok());
   Consumer reader(broker, "logs");
   const uint64_t n = Broker::kChunkMessages + 3;
   ASSERT_TRUE(broker.produce_batch("logs", std::vector<Message>(n)).ok());

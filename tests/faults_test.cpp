@@ -309,7 +309,7 @@ TEST_F(TracedFaultsTest, RedeliveryPreservesTraceIdentity) {
   }
 
   Consumer consumer(broker, "t");
-  auto checkpoint = consumer.offsets();
+  const uint64_t checkpoint = consumer.offset();
   auto first = consumer.poll(10);
   ASSERT_EQ(first.size(), 1u);
 

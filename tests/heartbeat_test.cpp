@@ -25,25 +25,25 @@ Message parsed(const char* source, int64_t ts) {
 
 TEST(Heartbeat, EmitsOnePerActiveSource) {
   Broker broker;
-  broker.create_topic("parsed", 1);
+  broker.create_topic("parsed");
   HeartbeatController hb(broker, {"parsed", "parsed", 1000});
   broker.produce("parsed", parsed("A", 1000));
   broker.produce("parsed", parsed("B", 2000));
   EXPECT_EQ(hb.tick(), 2u);
   EXPECT_EQ(hb.active_sources(), 2u);
   // The heartbeats are now in the topic, tagged.
-  auto all = broker.fetch("parsed", 0, 2, 10);
+  auto all = broker.fetch("parsed", 2, 10);
   ASSERT_EQ(all.size(), 2u);
   for (const auto& m : all) EXPECT_EQ(m.tag, MessageTag::kHeartbeat);
 }
 
 TEST(Heartbeat, CarriesObservedLogTimeWhileActive) {
   Broker broker;
-  broker.create_topic("parsed", 1);
+  broker.create_topic("parsed");
   HeartbeatController hb(broker, {"parsed", "parsed", 1000});
   broker.produce("parsed", parsed("A", 5000));
   hb.tick();
-  auto msgs = broker.fetch("parsed", 0, 1, 10);
+  auto msgs = broker.fetch("parsed", 1, 10);
   ASSERT_EQ(msgs.size(), 1u);
   EXPECT_EQ(msgs[0].timestamp_ms, 5000);
   EXPECT_EQ(msgs[0].source, "A");
@@ -51,18 +51,18 @@ TEST(Heartbeat, CarriesObservedLogTimeWhileActive) {
 
 TEST(Heartbeat, ExtrapolatesWhenSourceGoesQuiet) {
   Broker broker;
-  broker.create_topic("parsed", 1);
+  broker.create_topic("parsed");
   HeartbeatController hb(broker, {"parsed", "parsed", 1000});
   // Establish a rate: 10 logs, 100ms apart, in one tick window.
   for (int i = 0; i < 10; ++i) {
     broker.produce("parsed", parsed("A", 1000 + i * 100));
   }
   hb.tick();  // observes; predicted = 1900
-  uint64_t offset = broker.end_offset("parsed", 0);
+  uint64_t offset = broker.end_offset("parsed");
   // Quiet ticks: predicted time must advance monotonically.
   hb.tick();
   hb.tick();
-  auto msgs = broker.fetch("parsed", 0, offset, 10);
+  auto msgs = broker.fetch("parsed", offset, 10);
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_GT(msgs[0].timestamp_ms, 1900);
   EXPECT_GT(msgs[1].timestamp_ms, msgs[0].timestamp_ms);
@@ -70,31 +70,31 @@ TEST(Heartbeat, ExtrapolatesWhenSourceGoesQuiet) {
 
 TEST(Heartbeat, MinAdvanceBoundsQuietExtrapolation) {
   Broker broker;
-  broker.create_topic("parsed", 1);
+  broker.create_topic("parsed");
   HeartbeatController hb(broker, {"parsed", "parsed", 60'000});
   broker.produce("parsed", parsed("A", 1000));
   hb.tick();
-  uint64_t offset = broker.end_offset("parsed", 0);
+  uint64_t offset = broker.end_offset("parsed");
   hb.tick();  // quiet: advance >= 60s
-  auto msgs = broker.fetch("parsed", 0, offset, 10);
+  auto msgs = broker.fetch("parsed", offset, 10);
   ASSERT_EQ(msgs.size(), 1u);
   EXPECT_GE(msgs[0].timestamp_ms, 61'000);
 }
 
 TEST(Heartbeat, TickAdvanceForcesLogTimeForward) {
   Broker broker;
-  broker.create_topic("parsed", 1);
+  broker.create_topic("parsed");
   HeartbeatController hb(broker, {"parsed", "parsed", 1000});
   broker.produce("parsed", parsed("A", 10'000));
   EXPECT_EQ(hb.tick_advance(500'000), 1u);
-  auto msgs = broker.fetch("parsed", 0, 1, 10);
+  auto msgs = broker.fetch("parsed", 1, 10);
   ASSERT_EQ(msgs.size(), 1u);
   EXPECT_EQ(msgs[0].timestamp_ms, 510'000);
 }
 
 TEST(Heartbeat, IgnoresNonDataMessages) {
   Broker broker;
-  broker.create_topic("parsed", 1);
+  broker.create_topic("parsed");
   HeartbeatController hb(broker, {"parsed", "parsed", 1000});
   Message anomaly;
   anomaly.tag = MessageTag::kAnomaly;
@@ -120,7 +120,7 @@ TEST(Heartbeat, PerRoundObservationEqualsTickOnly) {
   auto pre = Preprocessor::create();
   ASSERT_TRUE(pre.ok());
   Broker broker;
-  broker.create_topic("parsed", 1);
+  broker.create_topic("parsed");
   HeartbeatController per_round(broker, {"parsed", "hb_per_round", 1000});
   HeartbeatController tick_only(broker, {"parsed", "hb_tick_only", 1000});
   const char* sources[] = {"A", "B", "C"};
@@ -139,7 +139,7 @@ TEST(Heartbeat, PerRoundObservationEqualsTickOnly) {
   auto emitted = [&broker](const std::string& topic) {
     std::vector<std::pair<std::string, int64_t>> out;
     for (const Message& m :
-         broker.fetch(topic, 0, 0, broker.end_offset(topic, 0))) {
+         broker.fetch(topic, 0, broker.end_offset(topic))) {
       EXPECT_EQ(m.tag, MessageTag::kHeartbeat);
       out.emplace_back(m.source, m.timestamp_ms);
     }
@@ -152,7 +152,7 @@ TEST(Heartbeat, PerRoundObservationEqualsTickOnly) {
 
 TEST(Heartbeat, NoSourcesNoHeartbeats) {
   Broker broker;
-  broker.create_topic("parsed", 1);
+  broker.create_topic("parsed");
   HeartbeatController hb(broker, {"parsed", "parsed", 1000});
   EXPECT_EQ(hb.tick(), 0u);
   EXPECT_EQ(hb.tick_advance(1000), 0u);

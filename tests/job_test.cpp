@@ -36,8 +36,8 @@ StreamEngine make_engine() {
 
 TEST(JobRunner, DrainProcessesBacklogSynchronously) {
   Broker broker;
-  broker.create_topic("in", 1);
-  broker.create_topic("out", 1);
+  broker.create_topic("in");
+  broker.create_topic("out");
   for (int i = 0; i < 10; ++i) {
     broker.produce("in", msg("k" + std::to_string(i), "hello"));
   }
@@ -46,15 +46,15 @@ TEST(JobRunner, DrainProcessesBacklogSynchronously) {
   runner.drain();
   EXPECT_EQ(runner.records_in(), 10u);
   EXPECT_GE(runner.batches(), 3u);  // batch size 4 => at least 3 batches
-  EXPECT_EQ(broker.end_offset("out", 0), 10u);
-  auto out = broker.fetch("out", 0, 0, 100);
+  EXPECT_EQ(broker.end_offset("out"), 10u);
+  auto out = broker.fetch("out", 0, 100);
   EXPECT_EQ(out[0].value, "HELLO");
 }
 
 TEST(JobRunner, BackgroundLoopProcessesStream) {
   Broker broker;
-  broker.create_topic("in", 1);
-  broker.create_topic("out", 1);
+  broker.create_topic("in");
+  broker.create_topic("out");
   StreamEngine engine = make_engine();
   JobRunner runner(broker, engine, {"in", "out", 16, 10});
   runner.start();
@@ -65,28 +65,28 @@ TEST(JobRunner, BackgroundLoopProcessesStream) {
     }
   }
   // Wait (bounded) for the pipeline to catch up.
-  for (int spin = 0; spin < 200 && broker.end_offset("out", 0) < 25; ++spin) {
+  for (int spin = 0; spin < 200 && broker.end_offset("out") < 25; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   runner.stop();
-  EXPECT_EQ(broker.end_offset("out", 0), 25u);
+  EXPECT_EQ(broker.end_offset("out"), 25u);
 }
 
 TEST(JobRunner, StopDrainsBufferedInput) {
   Broker broker;
-  broker.create_topic("in", 1);
-  broker.create_topic("out", 1);
+  broker.create_topic("in");
+  broker.create_topic("out");
   StreamEngine engine = make_engine();
   JobRunner runner(broker, engine, {"in", "out", 8, 10});
   runner.start();
   for (int i = 0; i < 40; ++i) broker.produce("in", msg("k", "y"));
   runner.stop();  // must not strand anything
-  EXPECT_EQ(broker.end_offset("out", 0), 40u);
+  EXPECT_EQ(broker.end_offset("out"), 40u);
 }
 
 TEST(JobRunner, EmptyOutputTopicDropsOutputs) {
   Broker broker;
-  broker.create_topic("in", 1);
+  broker.create_topic("in");
   broker.produce("in", msg("k", "v"));
   StreamEngine engine = make_engine();
   JobRunner runner(broker, engine, {"in", "", 8, 10});
@@ -97,8 +97,8 @@ TEST(JobRunner, EmptyOutputTopicDropsOutputs) {
 
 TEST(JobRunner, StartIsIdempotentAndRestartable) {
   Broker broker;
-  broker.create_topic("in", 1);
-  broker.create_topic("out", 1);
+  broker.create_topic("in");
+  broker.create_topic("out");
   StreamEngine engine = make_engine();
   JobRunner runner(broker, engine, {"in", "out", 8, 10});
   runner.start();
@@ -106,7 +106,7 @@ TEST(JobRunner, StartIsIdempotentAndRestartable) {
   broker.produce("in", msg("k", "a"));
   runner.stop();
   runner.stop();  // no-op
-  EXPECT_EQ(broker.end_offset("out", 0), 1u);
+  EXPECT_EQ(broker.end_offset("out"), 1u);
 }
 
 }  // namespace

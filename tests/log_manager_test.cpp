@@ -15,7 +15,7 @@ TEST(LogManager, ForwardsAndArchives) {
   agent.send_line("line one");
   agent.send_line("line two");
   EXPECT_EQ(manager.pump(), 2u);
-  EXPECT_EQ(broker.end_offset("logs", 0), 2u);
+  EXPECT_EQ(broker.end_offset("logs"), 2u);
   EXPECT_EQ(manager.log_store().size(), 2u);
   auto archived = manager.log_store().fetch("web");
   ASSERT_EQ(archived.size(), 2u);
@@ -33,7 +33,7 @@ TEST(LogManager, RateControlCapsPerPump) {
   for (int i = 0; i < 12; ++i) agent.send_line("l" + std::to_string(i));
   // Pumps respect the rate limit; the broker buffers the excess.
   EXPECT_EQ(manager.pump(), 5u);
-  EXPECT_EQ(broker.end_offset("logs", 0), 5u);
+  EXPECT_EQ(broker.end_offset("logs"), 5u);
   EXPECT_EQ(manager.pump(), 5u);
   EXPECT_EQ(manager.pump(), 2u);
   EXPECT_EQ(manager.pump(), 0u);
@@ -48,7 +48,7 @@ TEST(LogManager, DrainLoopsToEmpty) {
   Agent agent(broker, {"s", "ingest"});
   for (int i = 0; i < 10; ++i) agent.send_line("x");
   EXPECT_EQ(manager.drain(), 10u);
-  EXPECT_EQ(broker.end_offset("logs", 0), 10u);
+  EXPECT_EQ(broker.end_offset("logs"), 10u);
 }
 
 // A log whose forward exhausts the broker's produce retries is archived and
@@ -69,7 +69,7 @@ TEST(LogManager, UndeliverableLogsAreDeadLettered) {
     faults.arm(kFaultSiteProduce, spec);
     EXPECT_EQ(manager.drain(), 3u);
     EXPECT_EQ(manager.log_store().size(), 3u);
-    EXPECT_EQ(broker.end_offset("logs", 0), 2u);
+    EXPECT_EQ(broker.end_offset("logs"), 2u);
     EXPECT_EQ(manager.forwarded(), 2u);
     EXPECT_EQ(registry
                   .counter("loglens_log_manager_dead_letter_records_total",
@@ -77,7 +77,7 @@ TEST(LogManager, UndeliverableLogsAreDeadLettered) {
                   .value(),
               1u);
     if (!dlq.empty()) {
-      EXPECT_EQ(broker.end_offset(dlq, 0), 1u);
+      EXPECT_EQ(broker.end_offset(dlq), 1u);
     }
   }
 }

@@ -149,7 +149,7 @@ void explore(const char* name, uint64_t default_seeds, sched::Options options,
 std::string produce_vs_slow_sink() {
   constexpr size_t kMessages = 12;
   Broker broker;
-  (void)broker.create_topic("in", 2);
+  (void)broker.create_topic("in");
   std::thread producer = sched::spawn_named("producer", [&broker] {
     for (size_t i = 0; i < kMessages; ++i) {
       Message m;
@@ -164,8 +164,7 @@ std::string produce_vs_slow_sink() {
   std::vector<Message> got;
   int empty_polls = 0;
   while (got.size() < kMessages && empty_polls < 400) {
-    auto batch = consumer.poll_blocking(/*max=*/4, /*timeout_ms=*/5,
-                                        /*min_messages=*/2);
+    auto batch = consumer.poll_blocking(/*max=*/4, /*timeout_ms=*/5);
     if (batch.empty()) ++empty_polls;
     for (auto& m : batch) got.push_back(std::move(m));
   }
@@ -419,7 +418,7 @@ TEST(SchedExplorer, RecoverVsInFlightBatches) {
 std::string redelivery_vs_commit() {
   constexpr size_t kMessages = 10;
   Broker broker;
-  (void)broker.create_topic("t", 1);
+  (void)broker.create_topic("t");
   for (size_t i = 0; i < kMessages; ++i) {
     Message m;
     m.key = "k";
@@ -433,7 +432,7 @@ std::string redelivery_vs_commit() {
     for (int i = 0; i < 1000 && delivered.load() < kMessages / 2; ++i) {
       sched::sleep_for_ms(1);
     }
-    consumer.seek({0});  // redeliver the whole partition
+    consumer.seek(0);  // redeliver the whole log
     rewound.store(true);
   });
   std::set<int64_t> unique;
@@ -499,11 +498,11 @@ std::string free_vs_seek_vs_fetch() {
   constexpr uint64_t kTotal = 3 * kChunk;
   constexpr uint64_t kPin = kChunk + 100;
   Broker broker;
-  (void)broker.create_topic("t", 1);
+  (void)broker.create_topic("t");
   Consumer runner(broker, "t");
   Consumer reader(broker, "t");
   RetentionHold pin(broker, "t");
-  if (!pin.move_to({kPin}).ok()) return "pin refused on an empty topic";
+  if (!pin.move_to(kPin).ok()) return "pin refused on an empty topic";
   (void)broker.produce_batch("t", std::vector<Message>(kTotal));
   while (!runner.poll(kTotal).empty()) continue;
 
@@ -514,10 +513,10 @@ std::string free_vs_seek_vs_fetch() {
   std::thread fetch = sched::spawn_named("fetcher", [&broker, &fetch_err] {
     for (uint64_t i = 0; i < 4 && fetch_err.empty(); ++i) {
       const uint64_t from = kChunk - 256 + i * 128;
-      const auto got = broker.fetch("t", 0, from, 512);
+      const auto got = broker.fetch("t", from, 512);
       if (got.empty()) {
         // The mark only rises, so it must already have passed `from`.
-        if (broker.low_water("t", 0) <= from) {
+        if (broker.low_water("t") <= from) {
           fetch_err = "empty fetch at " + std::to_string(from) +
                       " above the low-water mark";
         }
@@ -537,13 +536,13 @@ std::string free_vs_seek_vs_fetch() {
   });
 
   std::string err;
-  if (runner.seek({0}).ok()) {
+  if (runner.seek(0).ok()) {
     // The runner now holds offset 0: nothing may be freed from here on.
-    if (broker.low_water("t", 0) != 0) err = "rewound below a freed chunk";
-  } else if (broker.low_water("t", 0) == 0) {
+    if (broker.low_water("t") != 0) err = "rewound below a freed chunk";
+  } else if (broker.low_water("t") == 0) {
     err = "rewind to 0 refused while nothing was freed";
   }
-  if (Status s = runner.seek({kPin}); !s.ok()) {
+  if (Status s = runner.seek(kPin); !s.ok()) {
     err = "rewind to the pin refused: " + s.message();
   }
   uint64_t next = kPin;
@@ -569,8 +568,8 @@ std::string free_vs_seek_vs_fetch() {
     return "replay stopped at " + std::to_string(next) + " of " +
            std::to_string(kTotal);
   }
-  if (broker.low_water("t", 0) != kChunk) {
-    return "low-water mark " + std::to_string(broker.low_water("t", 0)) +
+  if (broker.low_water("t") != kChunk) {
+    return "low-water mark " + std::to_string(broker.low_water("t")) +
            " after every reader passed chunk 0; the pin holds chunk 1";
   }
   return "";

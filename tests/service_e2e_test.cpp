@@ -173,39 +173,37 @@ TEST(ServiceE2E, EveryMessageCarriesOneBody) {
   Broker& broker = service.broker();
   std::map<std::pair<std::string, MessageTag>, size_t> seen;
   for (const std::string& topic : broker.topics()) {
-    for (size_t p = 0; p < broker.partition_count(topic); ++p) {
-      const uint64_t end = broker.end_offset(topic, p);
-      const std::vector<Message> all = broker.fetch(topic, p, 0, end);
-      ASSERT_EQ(all.size(), end) << topic;
-      for (const Message& m : all) {
-        ++seen[{topic, m.tag}];
-        const std::string where = topic + "@" + std::to_string(m.seq);
-        switch (m.tag) {
-          case MessageTag::kData:
-            if (topic == "parsed") {
-              EXPECT_TRUE(m.value.empty()) << where;
-              EXPECT_NE(parsed_payload_view(m), nullptr) << where;
-            } else {
-              EXPECT_TRUE(topic == "ingest" || topic == "logs") << where;
-              EXPECT_FALSE(m.value.empty()) << where;
-              EXPECT_EQ(m.payload, nullptr) << where;
-            }
-            break;
-          case MessageTag::kHeartbeat:
+    const uint64_t end = broker.end_offset(topic);
+    const std::vector<Message> all = broker.fetch(topic, 0, end);
+    ASSERT_EQ(all.size(), end) << topic;
+    for (const Message& m : all) {
+      ++seen[{topic, m.tag}];
+      const std::string where = topic + "@" + std::to_string(m.seq);
+      switch (m.tag) {
+        case MessageTag::kData:
+          if (topic == "parsed") {
             EXPECT_TRUE(m.value.empty()) << where;
+            EXPECT_NE(parsed_payload_view(m), nullptr) << where;
+          } else {
+            EXPECT_TRUE(topic == "ingest" || topic == "logs") << where;
+            EXPECT_FALSE(m.value.empty()) << where;
             EXPECT_EQ(m.payload, nullptr) << where;
-            break;
-          case MessageTag::kAnomaly:
-            EXPECT_TRUE(m.value.empty()) << where;
-            EXPECT_TRUE(anomaly_from_message(m).ok()) << where;
-            break;
-          case MessageTag::kMetrics: {
-            auto report = Json::parse(m.value);
-            ASSERT_TRUE(report.ok()) << where;
-            EXPECT_TRUE(report->is_object()) << where;
-            EXPECT_EQ(m.payload, nullptr) << where;
-            break;
           }
+          break;
+        case MessageTag::kHeartbeat:
+          EXPECT_TRUE(m.value.empty()) << where;
+          EXPECT_EQ(m.payload, nullptr) << where;
+          break;
+        case MessageTag::kAnomaly:
+          EXPECT_TRUE(m.value.empty()) << where;
+          EXPECT_TRUE(anomaly_from_message(m).ok()) << where;
+          break;
+        case MessageTag::kMetrics: {
+          auto report = Json::parse(m.value);
+          ASSERT_TRUE(report.ok()) << where;
+          EXPECT_TRUE(report->is_object()) << where;
+          EXPECT_EQ(m.payload, nullptr) << where;
+          break;
         }
       }
     }

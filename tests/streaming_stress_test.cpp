@@ -135,8 +135,8 @@ TEST(StreamingStress, ControlOpsSerializedAgainstBatches) {
 
 TEST(StreamingStress, ProducersRaceJobRunner) {
   Broker broker;
-  broker.create_topic("in", 4);
-  broker.create_topic("out", 1);
+  broker.create_topic("in");
+  broker.create_topic("out");
   EngineOptions opts;
   opts.partitions = 4;
   opts.workers = 2;
@@ -164,11 +164,11 @@ TEST(StreamingStress, ProducersRaceJobRunner) {
   }
   for (auto& p : producers) p.join();
   for (int spin = 0; spin < 400; ++spin) {
-    if (broker.end_offset("out", 0) >= kThreads * kEach) break;
+    if (broker.end_offset("out") >= kThreads * kEach) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   runner.stop();
-  EXPECT_EQ(broker.end_offset("out", 0),
+  EXPECT_EQ(broker.end_offset("out"),
             static_cast<uint64_t>(kThreads * kEach));
 }
 
