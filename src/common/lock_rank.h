@@ -95,9 +95,10 @@ inline constexpr int kBrokerRetention = 705;  // Broker TopicHolds::mu
 inline constexpr int kBrokerPartition = 710;  // Broker TopicData::mu (log)
 // Below kFaults: the segment writer consults the FaultInjector (and then
 // takes kStorage to publish) while holding the flush lock.
-inline constexpr int kStorageFlush = 740;     // DocumentStore::flush_mu_
+inline constexpr int kStorageFlush = 740;     // DocumentStore::flush_mu_,
+                                              // LogStore::write_mu_
 inline constexpr int kFaults = 750;           // FaultInjector::mu_
-inline constexpr int kStorage = 800;          // DocumentStore / ModelStore
+inline constexpr int kStorage = 800;  // DocumentStore / LogStore / ModelStore
 inline constexpr int kJobState = 850;         // JobRunner::error_mu_
 inline constexpr int kMetrics = 900;          // MetricsRegistry::mu_
 inline constexpr int kTrace = 950;            // SpanCollector::mu_ (leaf)

@@ -1,6 +1,7 @@
 // Log Manager (Figure 1): receives logs from agents, controls the incoming
 // rate, identifies log sources, archives raw logs to the log store, and
-// forwards them to the parser's input topic.
+// forwards them to the parser's input topic. The archive is LogStore's
+// append-only table (storage/log_store.h), which also interns the sources.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +24,10 @@ struct LogManagerOptions {
   // (empty: they are dropped). Either way they are counted in
   // loglens_log_manager_dead_letter_records_total.
   std::string dead_letter_topic;
-  // Tiered-engine configuration for the archive (segment dir, flush and
-  // compaction policy). Default: in-memory. Its `metrics` registry also
-  // receives the dead-letter counter.
+  // The archive's segment dir, seal threshold (`hot_max_docs`), metrics
+  // label, registry and fault injector; LogStore ignores the compaction and
+  // query-plan fields. Default: in memory. The `metrics` registry also
+  // receives the dead-letter counter and the pump's trace spans.
   DocumentStoreOptions store;
 };
 
@@ -35,7 +37,9 @@ class LogManager {
 
   // Archives up to the rate limit of buffered logs and forwards them from
   // ingest to the parser topic. Returns the number taken off ingest: each
-  // is either forwarded or dead-lettered, never silently dropped.
+  // is either forwarded or dead-lettered, never silently dropped. With
+  // tracing on, a pump that moves logs records a `log_manager.pipeline`
+  // span with `log_manager.poll`, `.archive` and `.forward` children.
   size_t pump();
 
   // Drains the ingest topic completely (repeated pumps).
@@ -46,7 +50,8 @@ class LogManager {
   // a fixed point must gate on this rather than on drain() returning 0.
   uint64_t input_lag() const { return consumer_.lag(); }
 
-  const std::set<std::string>& sources() const { return sources_; }
+  // Every non-empty source archived so far.
+  std::set<std::string> sources() const { return store_.sources(); }
   LogStore& log_store() { return store_; }
   uint64_t forwarded() const { return forwarded_; }
 
@@ -55,8 +60,8 @@ class LogManager {
   LogManagerOptions options_;
   Consumer consumer_;
   LogStore store_;
-  std::set<std::string> sources_;
   uint64_t forwarded_ = 0;
+  MetricsRegistry* registry_;
   Counter* dead_letters_total_ = nullptr;
 };
 

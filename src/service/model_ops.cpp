@@ -44,6 +44,11 @@ Preprocessor make_preprocessor(PreprocessorOptions& tokenizer,
 
 }  // namespace
 
+Status check_tokenizer(const PreprocessorOptions& tokenizer) {
+  auto pre = Preprocessor::create(tokenizer);
+  return pre.ok() ? Status::Ok() : pre.status();
+}
+
 ModelBuilder::ModelBuilder(BuildOptions options, MetricsRegistry* metrics)
     : options_(std::move(options)), metrics_(metrics) {}
 

@@ -54,6 +54,10 @@ struct BuildResult {
   double total_seconds = 0;
 };
 
+// Preprocessor::create's verdict on a tokenizer, for a front end that must
+// refuse a bad one rather than let ModelBuilder fall back to the defaults.
+Status check_tokenizer(const PreprocessorOptions& tokenizer);
+
 // Tokenization runs serially in stream order: the timestamp recognizer's
 // format cache lets earlier lines decide how an ambiguous date reads.
 // Level-0 discovery and the re-parse run on parallel_for threads; both write

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "faults/fault_injector.h"
@@ -10,97 +9,44 @@
 
 namespace loglens {
 
-namespace {
-
-// Writes `bytes` to `path`, replacing any file there.
-Status write_file(const std::string& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return out ? Status::Ok() : Status::Error("segment write failed: " + path);
+StoreMetrics::StoreMetrics(MetricsRegistry* metrics, const std::string& store) {
+  MetricsRegistry& m = registry_or_global(metrics);
+  const MetricLabels labels{{"store", store}};
+  flushes_total = &m.counter("loglens_storage_flushes_total", labels,
+                             "Hot-segment flushes completed");
+  compactions_total = &m.counter("loglens_storage_compactions_total", labels,
+                                 "Segment compactions completed");
+  pruned_total =
+      &m.counter("loglens_storage_segments_pruned_total", labels,
+                 "Sealed segments skipped by zone map or dictionary miss");
+  rejected_total =
+      &m.counter("loglens_storage_segments_rejected_total", labels,
+                 "Segment files rejected at open (torn or corrupt)");
+  segments = &m.gauge("loglens_storage_segments", labels,
+                      "Sealed segments currently open");
+  hot_docs = &m.gauge("loglens_storage_hot_docs", labels,
+                      "Documents in the mutable hot segment");
 }
-
-}  // namespace
 
 DocumentStore::DocumentStore() : DocumentStore(DocumentStoreOptions{}) {}
 
 DocumentStore::DocumentStore(DocumentStoreOptions options)
-    : options_(std::move(options)) {
-  MetricsRegistry& m = registry_or_global(options_.metrics);
-  const MetricLabels labels{{"store", options_.name}};
-  flushes_total_ = &m.counter("loglens_storage_flushes_total", labels,
-                              "Hot-segment flushes completed");
-  compactions_total_ = &m.counter("loglens_storage_compactions_total", labels,
-                                  "Segment compactions completed");
-  pruned_total_ =
-      &m.counter("loglens_storage_segments_pruned_total", labels,
-                 "Sealed segments skipped by zone map or dictionary miss");
-  rejected_total_ =
-      &m.counter("loglens_storage_segments_rejected_total", labels,
-                 "Segment files rejected at open (torn or corrupt)");
-  segments_gauge_ = &m.gauge("loglens_storage_segments", labels,
-                             "Sealed segments currently open");
-  hot_docs_gauge_ = &m.gauge("loglens_storage_hot_docs", labels,
-                             "Documents in the mutable hot segment");
+    : options_(std::move(options)), metrics_(options_.metrics, options_.name) {
   open_dir();
-}
-
-std::string DocumentStore::segment_path(uint64_t base_id) const {
-  // Decimal zero-padding keeps lexicographic directory order == id order.
-  char name[40];
-  std::snprintf(name, sizeof(name), "seg-%016llu.llseg",
-                static_cast<unsigned long long>(base_id));
-  return options_.dir + "/" + name;
 }
 
 void DocumentStore::open_dir() {
   if (options_.dir.empty()) return;
-  std::error_code ec;
-  std::filesystem::create_directories(options_.dir, ec);
-  std::vector<std::shared_ptr<const Segment>> found;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options_.dir, ec)) {
-    const std::string p = entry.path().string();
-    if (p.size() < 6 || p.compare(p.size() - 6, 6, ".llseg") != 0) continue;
-    auto seg = Segment::open(p);
-    if (!seg.ok()) {
-      // Torn or corrupt: skip it (the file stays for forensics; a re-flush
-      // of the same base renames a fresh segment over it).
-      ++rejected_;
-      rejected_total_->inc();
-      continue;
-    }
-    found.push_back(std::move(seg.value()));
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) {
-              return a->base_id() < b->base_id();
-            });
-  uint64_t covered = 0;
-  bool any = false;
-  for (auto& seg : found) {
-    if (any && seg->end_id() <= covered) {
-      // Stale compaction input: a crash hit between publishing the merged
-      // segment (which subsumes this range) and unlinking its inputs.
-      std::remove(seg->path().c_str());
-      continue;
-    }
-    if (any && seg->base_id() < covered) {
-      // Partial overlap is never produced by this engine; refuse it.
-      ++rejected_;
-      rejected_total_->inc();
-      continue;
-    }
-    covered = seg->end_id();
-    any = true;
-    segments_.push_back(std::move(seg));
-  }
-  hot_base_ = covered;
+  segments_ = open_segment_dir(options_.dir, SegmentKind::kDocuments,
+                               &rejected_);
+  metrics_.rejected_total->inc(rejected_);
+  hot_base_ = segments_.empty() ? 0 : segments_.back()->end_id();
   update_gauges(segments_.size(), 0);
 }
 
 void DocumentStore::update_gauges(size_t segments, size_t hot_docs) {
-  segments_gauge_->set(static_cast<int64_t>(segments));
-  hot_docs_gauge_->set(static_cast<int64_t>(hot_docs));
+  metrics_.segments->set(static_cast<int64_t>(segments));
+  metrics_.hot_docs->set(static_cast<int64_t>(hot_docs));
 }
 
 uint64_t DocumentStore::insert(Json doc) {
@@ -110,7 +56,7 @@ uint64_t DocumentStore::insert(Json doc) {
     RankedMutexLock lock(mu_);
     id = hot_base_ + hot_docs_.size();
     hot_docs_.push_back(std::move(doc));
-    hot_docs_gauge_->set(static_cast<int64_t>(hot_docs_.size()));
+    metrics_.hot_docs->set(static_cast<int64_t>(hot_docs_.size()));
     should_flush = !options_.dir.empty() && options_.hot_max_docs > 0 &&
                    hot_docs_.size() >= options_.hot_max_docs;
   }
@@ -296,7 +242,9 @@ size_t DocumentStore::execute(const Query& q, QueryStats* stats,
     if (out != nullptr) out->push_back(d);
   }
 
-  if (local.segments_pruned > 0) pruned_total_->inc(local.segments_pruned);
+  if (local.segments_pruned > 0) {
+    metrics_.pruned_total->inc(local.segments_pruned);
+  }
   if (stats != nullptr) *stats = local;
   return hits;
 }
@@ -445,28 +393,10 @@ Status DocumentStore::flush_locked(bool force) {
     base = hot_base_;
     docs = hot_docs_;
   }
-  const std::string bytes = encode_segment(base, docs);
-  const std::string path = segment_path(base);
-  if (options_.faults != nullptr) {
-    const FaultAction fault = options_.faults->check(kFaultSiteSegmentFlush);
-    if (fault == FaultAction::kThrow) {
-      return Status::Error("segment flush failed (injected)");
-    }
-    if (fault == FaultAction::kTornWrite) {
-      // Simulated power loss where the rename became durable but the data
-      // did not: a prefix of the segment at its final path. The hot
-      // segment is untouched, and open-time validation rejects the torn
-      // file (a retried flush of the same base renames over it).
-      (void)write_file(path, {bytes.data(), bytes.size() / 2});
-      return Status::Error("segment flush torn (injected)");
-    }
-  }
-  const std::string tmp = path + ".tmp";
-  if (Status s = write_file(tmp, bytes); !s.ok()) return s;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Error("cannot publish segment: " + path);
-  }
-  auto seg = Segment::open(path);
+  // On failure the hot segment is untouched and the next flush retries.
+  auto seg = publish_segment(segment_file_path(options_.dir, base),
+                             encode_segment(base, docs),
+                             SegmentKind::kDocuments, options_.faults);
   if (!seg.ok()) return seg.status();
   size_t nsegs, nhot;
   {
@@ -481,7 +411,7 @@ Status DocumentStore::flush_locked(bool force) {
     nsegs = segments_.size();
     nhot = hot_docs_.size();
   }
-  flushes_total_->inc();
+  metrics_.flushes_total->inc();
   update_gauges(nsegs, nhot);
   return Status::Ok();
 }
@@ -537,7 +467,7 @@ Status DocumentStore::compact_locked() {
   // Readers still holding the replaced segments keep valid mappings; the
   // inodes outlive the unlink.
   for (const auto& p : stale) std::remove(p.c_str());
-  compactions_total_->inc();
+  metrics_.compactions_total->inc();
   update_gauges(nsegs, nhot);
   return Status::Ok();
 }
@@ -569,11 +499,11 @@ StatusOr<std::shared_ptr<const Segment>> DocumentStore::rewrite_segment(
     if (fault == FaultAction::kTornWrite) {
       // Crash mid-merge: a torn tmp, never renamed. The segment at `path`
       // is untouched; the stranded tmp is overwritten by the retry.
-      (void)write_file(tmp, {bytes.data(), bytes.size() / 2});
+      (void)write_segment_file(tmp, {bytes.data(), bytes.size() / 2});
       return Status::Error("segment compaction torn (injected)");
     }
   }
-  if (Status s = write_file(tmp, bytes); !s.ok()) return s;
+  if (Status s = write_segment_file(tmp, bytes); !s.ok()) return s;
   // Publish by renaming over the segment it replaces (same base id, same
   // name). A crash after this rename leaves compaction's other inputs
   // subsumed on disk; open_dir() unlinks them as stale.

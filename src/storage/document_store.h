@@ -107,6 +107,20 @@ struct DocumentStoreOptions {
   MetricsRegistry* metrics = nullptr; // nullptr = process-global registry
 };
 
+// The series every tiered store exports under its `store` label
+// (docs/OBSERVABILITY.md), resolved once at construction so hot paths touch
+// only atomics.
+struct StoreMetrics {
+  StoreMetrics(MetricsRegistry* metrics, const std::string& store);
+
+  Counter* flushes_total;
+  Counter* compactions_total;
+  Counter* pruned_total;
+  Counter* rejected_total;
+  Gauge* segments;
+  Gauge* hot_docs;
+};
+
 class DocumentStore {
  public:
   DocumentStore();  // in-memory only, default options
@@ -180,18 +194,9 @@ class DocumentStore {
       const std::vector<std::shared_ptr<const Segment>>& inputs,
       uint64_t end_id) LOGLENS_REQUIRES(flush_mu_) LOGLENS_EXCLUDES(mu_);
   void update_gauges(size_t segments, size_t hot_docs);
-  std::string segment_path(uint64_t base_id) const;
 
   const DocumentStoreOptions options_;
-
-  // Metric handles, resolved once at construction (hot paths touch only
-  // atomics). See docs/OBSERVABILITY.md.
-  Counter* flushes_total_ = nullptr;
-  Counter* compactions_total_ = nullptr;
-  Counter* pruned_total_ = nullptr;
-  Counter* rejected_total_ = nullptr;
-  Gauge* segments_gauge_ = nullptr;
-  Gauge* hot_docs_gauge_ = nullptr;
+  StoreMetrics metrics_;
 
   // Serializes flush and compaction (one segment-file writer at a time).
   // Ranked *below* kFaults: the writer consults the FaultInjector while

@@ -1,7 +1,9 @@
 #include "storage/segment.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -15,15 +17,18 @@
 #endif
 
 #include "common/hash.h"
+#include "faults/fault_injector.h"
 
 namespace loglens {
 
 namespace {
 
-// File layout constants. The magic doubles as a format version: bump the
-// trailing digit when the payload layout changes and old files are rejected
-// (and rebuilt from JSONL) instead of misread.
-constexpr char kMagic[8] = {'L', 'L', 'S', 'E', 'G', '1', '\n', '\0'};
+// File layout constants. The magic names the row kind and doubles as a
+// format version: bump the trailing digit when the payload layout changes
+// and old files are rejected (and rebuilt from JSONL) instead of misread.
+constexpr char kDocumentMagic[8] = {'L', 'L', 'S', 'E', 'G', '1', '\n', '\0'};
+constexpr char kLogMagic[8] = {'L', 'L', 'L', 'O', 'G', '1', '\n', '\0'};
+constexpr size_t kMagicSize = 8;
 constexpr uint64_t kHeaderSize = 8 + 8 + 8;  // magic + payload size + checksum
 
 // Structural sanity bounds, enforced on open in addition to the checksum.
@@ -132,120 +137,137 @@ void for_each_first_field(const Json& doc, Fn&& fn) {
   }
 }
 
+const char* magic_of(SegmentKind kind) {
+  return kind == SegmentKind::kLogs ? kLogMagic : kDocumentMagic;
+}
+
 }  // namespace
+
+std::string encode_segment(SegmentKind kind, uint64_t base_id,
+                           const SegmentRows& rows,
+                           const SegmentColumns& columns) {
+  const uint32_t n = static_cast<uint32_t>(rows.offsets.size() - 1);
+  const uint64_t blob_size = rows.offsets.back();
+
+  // The payload is written in place after a header whose size and checksum
+  // are patched in at the end, so the rows are copied exactly once.
+  std::string file;
+  file.reserve(kHeaderSize + 32 + 8ull * (n + 1) + blob_size +
+               16ull * n * (columns.strings.size() + columns.ints.size()));
+  file.append(magic_of(kind), kMagicSize);
+  put_u64(file, 0);  // payload size, patched below
+  put_u64(file, 0);  // checksum, patched below
+
+  put_u64(file, base_id);
+  put_u32(file, n);
+  put_u32(file, 0);  // reserved
+  put_u64(file, blob_size);
+  for (uint64_t off : rows.offsets) put_u64(file, off);
+  for (std::string_view piece : rows.blob) file.append(piece);
+
+  put_u32(file, static_cast<uint32_t>(columns.strings.size()));
+  for (const SegmentColumns::Strings& col : columns.strings) {
+    put_str(file, col.name);
+    put_u32(file, static_cast<uint32_t>(col.terms.size()));
+    for (std::string_view t : col.terms) put_str(file, t);
+    for (uint32_t c : col.codes) put_u32(file, c);
+    // Posting lists by counting sort over the codes: ascending local ids.
+    std::vector<uint32_t> starts(col.terms.size() + 1, 0);
+    for (uint32_t c : col.codes) {
+      if (c != 0) ++starts[c];
+    }
+    for (size_t t = 1; t < starts.size(); ++t) starts[t] += starts[t - 1];
+    std::vector<uint32_t> ids(starts.back());
+    std::vector<uint32_t> fill(starts.begin(), starts.end() - 1);
+    for (uint32_t d = 0; d < n; ++d) {
+      if (col.codes[d] != 0) ids[fill[col.codes[d] - 1]++] = d;
+    }
+    for (size_t t = 0; t < col.terms.size(); ++t) {
+      put_u32(file, starts[t + 1] - starts[t]);
+      for (uint32_t k = starts[t]; k < starts[t + 1]; ++k) put_u32(file, ids[k]);
+    }
+  }
+  put_u32(file, static_cast<uint32_t>(columns.ints.size()));
+  for (const SegmentColumns::Ints& col : columns.ints) {
+    int64_t zmin = INT64_MAX;
+    int64_t zmax = INT64_MIN;
+    for (uint32_t d = 0; d < n; ++d) {
+      if (col.presence[d] == 0) continue;
+      zmin = std::min(zmin, col.values[d]);
+      zmax = std::max(zmax, col.values[d]);
+    }
+    put_str(file, col.name);
+    put_i64(file, zmin);
+    put_i64(file, zmax);
+    file.append(reinterpret_cast<const char*>(col.presence.data()),
+                col.presence.size());
+    for (int64_t v : col.values) put_i64(file, v);
+  }
+
+  const std::string_view payload =
+      std::string_view(file).substr(kHeaderSize);
+  const uint64_t payload_size = payload.size();
+  const uint64_t checksum = fnv1a(payload);
+  std::memcpy(file.data() + kMagicSize, &payload_size, 8);
+  std::memcpy(file.data() + kMagicSize + 8, &checksum, 8);
+  return file;
+}
 
 std::string encode_segment(uint64_t base_id, const std::vector<Json>& docs) {
   const uint32_t n = static_cast<uint32_t>(docs.size());
 
   // Row section: serialized docs + offsets.
   std::string blob;
-  std::vector<uint64_t> offsets;
-  offsets.reserve(docs.size() + 1);
+  SegmentRows rows;
+  rows.offsets.reserve(docs.size() + 1);
   for (const auto& d : docs) {
-    offsets.push_back(blob.size());
+    rows.offsets.push_back(blob.size());
     d.dump_to(blob);
   }
-  offsets.push_back(blob.size());
+  rows.offsets.push_back(blob.size());
+  rows.blob.push_back(blob);
 
-  // Column section, built by one first-occurrence pass per doc. Field and
-  // term ids are assigned in first-appearance order (deterministic given
-  // the docs).
-  struct StringCol {
-    std::string name;
-    std::vector<std::string> terms;
-    std::unordered_map<std::string, uint32_t> term_ids;
-    std::vector<uint32_t> codes;               // per doc, 0 = absent
-    std::vector<std::vector<uint32_t>> posts;  // per term
-  };
-  struct IntCol {
-    std::string name;
-    int64_t zmin = INT64_MAX;
-    int64_t zmax = INT64_MIN;
-    std::vector<uint8_t> presence;
-    std::vector<int64_t> values;
-  };
-  std::vector<StringCol> scols;
-  std::vector<IntCol> icols;
-  std::unordered_map<std::string, size_t> sidx;
-  std::unordered_map<std::string, size_t> iidx;
-
+  // Columns, built by one first-occurrence pass per doc. Field and term ids
+  // are assigned in first-appearance order (deterministic given the docs).
+  // Names and terms view into `docs`, which outlive the encode.
+  SegmentColumns columns;
+  std::unordered_map<std::string_view, size_t> sidx;
+  std::unordered_map<std::string_view, size_t> iidx;
+  std::vector<std::unordered_map<std::string_view, uint32_t>> term_ids;
   for (uint32_t d = 0; d < n; ++d) {
     for_each_first_field(docs[d], [&](const std::string& key, const Json& v) {
       if (v.is_string()) {
-        auto [it, fresh] = sidx.try_emplace(key, scols.size());
+        auto [it, fresh] = sidx.try_emplace(key, columns.strings.size());
         if (fresh) {
-          scols.emplace_back();
-          scols.back().name = key;
-          scols.back().codes.assign(n, 0);
+          columns.strings.emplace_back();
+          columns.strings.back().name = key;
+          columns.strings.back().codes.assign(n, 0);
+          term_ids.emplace_back();
         }
-        StringCol& col = scols[it->second];
-        auto [tit, term_fresh] =
-            col.term_ids.try_emplace(v.as_string(),
-                                     static_cast<uint32_t>(col.terms.size()));
-        if (term_fresh) {
-          col.terms.push_back(v.as_string());
-          col.posts.emplace_back();
-        }
+        SegmentColumns::Strings& col = columns.strings[it->second];
+        auto [tit, term_fresh] = term_ids[it->second].try_emplace(
+            v.as_string(), static_cast<uint32_t>(col.terms.size()));
+        if (term_fresh) col.terms.push_back(v.as_string());
         col.codes[d] = tit->second + 1;
-        col.posts[tit->second].push_back(d);
       } else if (v.is_number()) {
-        auto [it, fresh] = iidx.try_emplace(key, icols.size());
+        auto [it, fresh] = iidx.try_emplace(key, columns.ints.size());
         if (fresh) {
-          icols.emplace_back();
-          icols.back().name = key;
-          icols.back().presence.assign(n, 0);
-          icols.back().values.assign(n, 0);
+          columns.ints.emplace_back();
+          columns.ints.back().name = key;
+          columns.ints.back().presence.assign(n, 0);
+          columns.ints.back().values.assign(n, 0);
         }
-        IntCol& col = icols[it->second];
-        const int64_t x = v.as_int();
+        SegmentColumns::Ints& col = columns.ints[it->second];
         col.presence[d] = 1;
-        col.values[d] = x;
-        col.zmin = std::min(col.zmin, x);
-        col.zmax = std::max(col.zmax, x);
+        col.values[d] = v.as_int();
       }
     });
   }
-
-  std::string payload;
-  payload.reserve(blob.size() + 64 * (scols.size() + icols.size()) + 64);
-  put_u64(payload, base_id);
-  put_u32(payload, n);
-  put_u32(payload, 0);  // reserved
-  put_u64(payload, blob.size());
-  for (uint64_t off : offsets) put_u64(payload, off);
-  payload.append(blob);
-
-  put_u32(payload, static_cast<uint32_t>(scols.size()));
-  for (const StringCol& col : scols) {
-    put_str(payload, col.name);
-    put_u32(payload, static_cast<uint32_t>(col.terms.size()));
-    for (const auto& t : col.terms) put_str(payload, t);
-    for (uint32_t c : col.codes) put_u32(payload, c);
-    for (const auto& post : col.posts) {
-      put_u32(payload, static_cast<uint32_t>(post.size()));
-      for (uint32_t id : post) put_u32(payload, id);
-    }
-  }
-  put_u32(payload, static_cast<uint32_t>(icols.size()));
-  for (const IntCol& col : icols) {
-    put_str(payload, col.name);
-    put_i64(payload, col.zmin);
-    put_i64(payload, col.zmax);
-    payload.append(reinterpret_cast<const char*>(col.presence.data()),
-                   col.presence.size());
-    for (int64_t v : col.values) put_i64(payload, v);
-  }
-
-  std::string file;
-  file.reserve(kHeaderSize + payload.size());
-  file.append(kMagic, sizeof(kMagic));
-  put_u64(file, payload.size());
-  put_u64(file, fnv1a(payload));
-  file.append(payload);
-  return file;
+  return encode_segment(SegmentKind::kDocuments, base_id, rows, columns);
 }
 
-StatusOr<std::shared_ptr<const Segment>> Segment::open(std::string path) {
+StatusOr<std::shared_ptr<const Segment>> Segment::open(std::string path,
+                                                       SegmentKind kind) {
   auto seg = std::shared_ptr<Segment>(new Segment());
   seg->path_ = std::move(path);
 
@@ -289,7 +311,7 @@ StatusOr<std::shared_ptr<const Segment>> Segment::open(std::string path) {
   // Header validation: magic, recorded payload size vs actual file length,
   // payload checksum. A torn write or corrupt byte anywhere fails here.
   if (seg->data_size_ < kHeaderSize ||
-      std::memcmp(seg->data_, kMagic, sizeof(kMagic)) != 0) {
+      std::memcmp(seg->data_, magic_of(kind), kMagicSize) != 0) {
     return StatusOr<std::shared_ptr<const Segment>>::Error(
         "not a segment file (bad magic): " + seg->path_);
   }
@@ -426,6 +448,79 @@ bool Segment::int_present(const IntField& f, uint32_t local_id) {
 
 int64_t Segment::int_value(const IntField& f, uint32_t local_id) {
   return load_i64(f.values + 8ull * local_id);
+}
+
+std::string segment_file_path(const std::string& dir, uint64_t base_id) {
+  // Decimal zero-padding keeps lexicographic directory order == id order.
+  char name[40];
+  std::snprintf(name, sizeof(name), "seg-%016llu.llseg",
+                static_cast<unsigned long long>(base_id));
+  return dir + "/" + name;
+}
+
+Status write_segment_file(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return out ? Status::Ok() : Status::Error("segment write failed: " + path);
+}
+
+StatusOr<std::shared_ptr<const Segment>> publish_segment(
+    const std::string& path, std::string_view bytes, SegmentKind kind,
+    FaultInjector* faults) {
+  if (faults != nullptr) {
+    const FaultAction fault = faults->check(kFaultSiteSegmentFlush);
+    if (fault == FaultAction::kThrow) {
+      return Status::Error("segment flush failed (injected)");
+    }
+    if (fault == FaultAction::kTornWrite) {
+      (void)write_segment_file(path, bytes.substr(0, bytes.size() / 2));
+      return Status::Error("segment flush torn (injected)");
+    }
+  }
+  const std::string tmp = path + ".tmp";
+  if (Status s = write_segment_file(tmp, bytes); !s.ok()) return s;
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::Error("cannot publish segment: " + path);
+  }
+  return Segment::open(path, kind);
+}
+
+std::vector<std::shared_ptr<const Segment>> open_segment_dir(
+    const std::string& dir, SegmentKind kind, uint64_t* rejected) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  std::vector<std::shared_ptr<const Segment>> found;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string p = entry.path().string();
+    if (p.size() < 6 || p.compare(p.size() - 6, 6, ".llseg") != 0) continue;
+    auto seg = Segment::open(p, kind);
+    if (!seg.ok()) {
+      // Torn, corrupt or foreign: skip it (the file stays for forensics; a
+      // re-flush of the same base renames a fresh segment over it).
+      ++*rejected;
+      continue;
+    }
+    found.push_back(std::move(seg.value()));
+  }
+  std::sort(found.begin(), found.end(), [](const auto& a, const auto& b) {
+    return a->base_id() < b->base_id();
+  });
+  std::vector<std::shared_ptr<const Segment>> out;
+  for (auto& seg : found) {
+    if (!out.empty() && seg->end_id() <= out.back()->end_id()) {
+      // Stale compaction input: a crash hit between publishing the merged
+      // segment (which subsumes this range) and unlinking its inputs.
+      std::remove(seg->path().c_str());
+      continue;
+    }
+    if (!out.empty() && seg->base_id() < out.back()->end_id()) {
+      // Partial overlap is never produced by this engine; refuse it.
+      ++*rejected;
+      continue;
+    }
+    out.push_back(std::move(seg));
+  }
+  return out;
 }
 
 }  // namespace loglens

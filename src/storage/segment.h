@@ -1,23 +1,27 @@
-// Immutable on-disk columnar segments for the tiered DocumentStore.
+// Immutable on-disk columnar segments, the sealed form of both tiered
+// stores: DocumentStore's JSON documents and LogStore's raw lines.
 //
-// A segment is the sealed form of the store's in-memory hot segment: a
-// contiguous id range [base_id, base_id + doc_count) of JSON documents,
+// A segment is a contiguous id range [base_id, base_id + doc_count) of rows,
 // serialized once and then only ever read through an mmap. The layout is
 // column-first so queries touch the few bytes they need:
 //
 //   header   magic, payload size, fnv1a-64 checksum of the payload
-//   rows     per-doc serialized JSON (the byte-exact dump() of each doc),
-//            addressed by an offset table — materialization and save_jsonl
-//            read these verbatim
-//   strings  per string field: a dictionary of distinct terms, a per-doc
-//            code column (0 = the doc's first value for this key is not a
-//            string), and a posting list of local ids per term
-//   ints     per integer field: a zone map (min/max over the segment) plus
-//            a per-doc presence byte and value column
+//   rows     per-row bytes addressed by an offset table: a document's
+//            byte-exact dump() (materialization and save_jsonl read these
+//            verbatim), or a log line exactly as archived
+//   strings  per string column: a dictionary of distinct terms, a per-row
+//            code column (0 = the row has no string value here), and a
+//            posting list of local ids per term
+//   ints     per integer column: a zone map (min/max over the segment) plus
+//            a per-row presence byte and value column
 //
-// Columns index the *first* occurrence of each key in a document — the same
-// value Json::find returns — so evaluating a term or range clause against
-// the columns is exactly equivalent to evaluating it against the document.
+// The magic names the row kind, so a store opens only its own kind of file
+// and rejects the other instead of misreading it. In a document segment the
+// columns index the *first* occurrence of each key — the value Json::find
+// returns — so evaluating a term or range clause against the columns is
+// exactly equivalent to evaluating it against the document. A log segment
+// has exactly two columns: `source` (string) and `ts` (int); the line
+// itself is the row and is stored once.
 //
 // Torn-write safety: open() accepts a file only when the magic matches, the
 // file length equals header + recorded payload size, and the payload
@@ -38,8 +42,46 @@
 
 namespace loglens {
 
+class FaultInjector;
+
+// What a segment's rows are, recorded in its magic.
+enum class SegmentKind {
+  kDocuments,  // serialized JSON documents (DocumentStore)
+  kLogs,       // raw log lines (LogStore)
+};
+
+// The rows of a segment being written: row i is bytes [offsets[i],
+// offsets[i + 1]) of the concatenation of the `blob` pieces.
+struct SegmentRows {
+  std::vector<uint64_t> offsets;      // row count + 1, from 0, ascending
+  std::vector<std::string_view> blob;
+};
+
+// The columns of a segment being written, stored in this order. Postings
+// and zone maps are derived from the per-row codes and values.
+struct SegmentColumns {
+  struct Strings {
+    std::string_view name;
+    std::vector<std::string_view> terms;  // term id -> text
+    std::vector<uint32_t> codes;          // per row; 0 = absent, else id + 1
+  };
+  struct Ints {
+    std::string_view name;
+    std::vector<uint8_t> presence;  // per row; 1 = the row has a value
+    std::vector<int64_t> values;    // per row
+  };
+  std::vector<Strings> strings;
+  std::vector<Ints> ints;
+};
+
 // Serializes one sealed segment (header + payload) into a byte buffer. The
-// caller owns durability (tmp + rename) and fault injection at the write.
+// caller owns durability (publish_segment) and fault injection at the write.
+std::string encode_segment(SegmentKind kind, uint64_t base_id,
+                           const SegmentRows& rows,
+                           const SegmentColumns& columns);
+
+// The document form: each row is a doc's dump(), and every key whose first
+// value is a string (respectively a number) gets a string (int) column.
 std::string encode_segment(uint64_t base_id, const std::vector<Json>& docs);
 
 class Segment {
@@ -62,9 +104,10 @@ class Segment {
   };
 
   // Validates and maps the file. Any truncation or corruption — from the
-  // magic through the last payload byte — returns an error and leaves no
-  // mapping behind.
-  static StatusOr<std::shared_ptr<const Segment>> open(std::string path);
+  // magic through the last payload byte — or a file of another kind returns
+  // an error and leaves no mapping behind.
+  static StatusOr<std::shared_ptr<const Segment>> open(
+      std::string path, SegmentKind kind = SegmentKind::kDocuments);
 
   ~Segment();
   Segment(const Segment&) = delete;
@@ -75,8 +118,8 @@ class Segment {
   uint64_t end_id() const { return base_id_ + doc_count_; }
   const std::string& path() const { return path_; }
 
-  // The serialized JSON of one document, byte-identical to the dump() of
-  // the Json that was inserted.
+  // One row's bytes: the dump() of the Json that was inserted, or the log
+  // line that was archived.
   std::string_view doc_bytes(uint32_t local_id) const;
 
   // nullptr when no document in this segment has a string (respectively
@@ -112,5 +155,32 @@ class Segment {
   std::unordered_map<std::string_view, size_t> string_by_name_;
   std::unordered_map<std::string_view, size_t> int_by_name_;
 };
+
+// The write and open protocol both stores share. Segment files live in one
+// directory per store, named by base id so directory order is id order.
+std::string segment_file_path(const std::string& dir, uint64_t base_id);
+
+// Writes `bytes` to `path`, replacing any file there.
+Status write_segment_file(const std::string& path, std::string_view bytes);
+
+// Seals `bytes` as the segment at `path`: written to <path>.tmp, renamed
+// over `path`, then opened (and so validated) as `kind`. The storage flush
+// fault site fires first: kThrow fails with nothing written; kTornWrite
+// leaves the first half of the file at `path` — power loss after a rename
+// became durable but before the data did — which open-time validation
+// rejects. On any failure the caller still holds its rows and retries the
+// same base, whose rename replaces a torn file.
+StatusOr<std::shared_ptr<const Segment>> publish_segment(
+    const std::string& path, std::string_view bytes, SegmentKind kind,
+    FaultInjector* faults);
+
+// The segments of `dir` (created when missing), ascending by base id and
+// never overlapping. A file that does not open as `kind` (torn, corrupt, or
+// of the other kind) or that partly overlaps an earlier one is skipped,
+// left on disk for forensics and counted in `*rejected`. A segment that an
+// earlier one wholly covers is a compaction input whose unlink a crash
+// interrupted; it is unlinked now.
+std::vector<std::shared_ptr<const Segment>> open_segment_dir(
+    const std::string& dir, SegmentKind kind, uint64_t* rejected);
 
 }  // namespace loglens

@@ -2,31 +2,6 @@
 
 namespace loglens {
 
-void LogStore::add(std::string_view source, std::string_view raw,
-                   int64_t ts_ms) {
-  JsonObject obj;
-  obj.emplace_back("source", Json(source));
-  obj.emplace_back("raw", Json(raw));
-  obj.emplace_back("ts", Json(ts_ms));
-  store_.insert(Json(std::move(obj)));
-}
-
-std::vector<std::string> LogStore::fetch(std::string_view source,
-                                         int64_t from_ms, int64_t to_ms,
-                                         size_t limit) const {
-  Query q;
-  q.clauses.push_back(QueryClause::Term("source", std::string(source)));
-  if (from_ms != INT64_MIN || to_ms != INT64_MAX) {
-    q.clauses.push_back(QueryClause::Range("ts", from_ms, to_ms));
-  }
-  q.limit = limit;
-  std::vector<std::string> out;
-  for (const auto& doc : store_.query(q)) {
-    out.emplace_back(doc.get_string("raw"));
-  }
-  return out;
-}
-
 void AnomalyStore::add(const Anomaly& anomaly) {
   store_.insert(anomaly.to_json());
 }

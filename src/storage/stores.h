@@ -1,6 +1,8 @@
-// Role-specific facades over DocumentStore: the paper's Log Storage and
-// Anomaly Storage components (Figure 1). Model Storage keeps loaded models,
-// not documents, and lives with them (service/model.h).
+// The paper's Log Storage and Anomaly Storage components (Figure 1). Log
+// Storage is its own append-only table over the shared segment format
+// (storage/log_store.h); Anomaly Storage is a facade over DocumentStore.
+// Model Storage keeps loaded models, not documents, and lives with them
+// (service/model.h).
 #pragma once
 
 #include <cstdint>
@@ -9,30 +11,9 @@
 
 #include "storage/anomaly.h"
 #include "storage/document_store.h"
+#include "storage/log_store.h"
 
 namespace loglens {
-
-// Archives raw logs by source (Log Storage). Stored logs feed the model
-// builder's periodic relearning and post-facto troubleshooting queries.
-class LogStore {
- public:
-  LogStore() = default;
-  // Tiered-engine configuration (segment dir, flush/compaction policy,
-  // metrics label). Default: in-memory, the seed behaviour.
-  explicit LogStore(DocumentStoreOptions options) : store_(std::move(options)) {}
-
-  void add(std::string_view source, std::string_view raw, int64_t ts_ms);
-
-  // Raw lines from one source, optionally restricted to [from_ms, to_ms].
-  std::vector<std::string> fetch(std::string_view source,
-                                 int64_t from_ms = INT64_MIN,
-                                 int64_t to_ms = INT64_MAX,
-                                 size_t limit = SIZE_MAX) const;
-  size_t size() const { return store_.size(); }
-
- private:
-  DocumentStore store_;
-};
 
 // Anomalies awaiting human validation (Anomaly Storage).
 class AnomalyStore {

@@ -17,6 +17,11 @@ constexpr std::string_view kPipelineSuffix = ".pipeline";
 // The engine batch phases that decompose a `<stage>.batch` span.
 constexpr const char* kBatchPhases[] = {"control", "route", "exec", "collect"};
 
+// Pipeline children attributed under their own name: a job's publish, and
+// the log manager's poll, archive and forward.
+constexpr const char* kPipelineSteps[] = {"publish", "poll", "archive",
+                                          "forward"};
+
 bool ends_with(const std::string& s, std::string_view suffix) {
   return s.size() > suffix.size() &&
          std::string_view(s).substr(s.size() - suffix.size()) == suffix;
@@ -82,8 +87,6 @@ Report build_report(const std::vector<Span>& spans, uint64_t spans_dropped) {
         if (ends_with(child->name, ".queue_wait")) {
           if (child->start_us < start) start = child->start_us;
           attr.components.emplace_back("queue_wait", child->duration_us);
-        } else if (ends_with(child->name, ".publish")) {
-          attr.components.emplace_back("publish", child->duration_us);
         } else if (ends_with(child->name, ".batch")) {
           // Decompose the engine batch into its phases; whatever the phase
           // spans do not cover stays attributed to the batch as "batch_other"
@@ -113,6 +116,12 @@ Report build_report(const std::vector<Span>& spans, uint64_t spans_dropped) {
           if (child->duration_us > phases) {
             attr.components.emplace_back("batch_other",
                                          child->duration_us - phases);
+          }
+        } else {
+          for (const char* step : kPipelineSteps) {
+            if (ends_with(child->name, std::string(".") + step)) {
+              attr.components.emplace_back(step, child->duration_us);
+            }
           }
         }
       }

@@ -9,8 +9,8 @@
 // end-to-end pass through that stage (queue wait included). Its child spans
 // partition that time into components — `<stage>.queue_wait`,
 // `<stage>.control` / `.route` / `.exec` / `.collect` (the engine batch
-// phases), `<stage>.publish` — plus a residual `other` for instrumentation
-// gaps. Coverage (= attributed / end-to-end) is the report's self-check:
+// phases), `<stage>.publish`, and the log manager's `.poll`, `.archive`
+// and `.forward` — plus a residual `other` for instrumentation gaps. Coverage (= attributed / end-to-end) is the report's self-check:
 // the bench gates it at 90%.
 
 #include <cstdint>

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "faults/fault_injector.h"
+#include "metrics/metrics.h"
 #include "service/agent.h"
+#include "trace/report.h"
+#include "trace/trace.h"
 
 namespace loglens {
 namespace {
@@ -22,6 +25,57 @@ TEST(LogManager, ForwardsAndArchives) {
   EXPECT_EQ(archived[0], "line one");
   EXPECT_TRUE(manager.sources().contains("web"));
   EXPECT_EQ(manager.forwarded(), 2u);
+}
+
+// With tracing on, a pump that moves logs records its pipeline span and the
+// poll, archive and forward steps as children, and build_report files them
+// under the `log_manager` stage, fully attributed. With tracing off it
+// records nothing.
+TEST(LogManager, PumpRecordsPipelineSpansWhenTraced) {
+  const bool was_enabled = trace::enabled();
+  MetricsRegistry registry;
+  Broker broker;
+  LogManagerOptions opts;
+  opts.store.metrics = &registry;
+  LogManager manager(broker, opts);
+  Agent agent(broker, {"web", "ingest"});
+
+  trace::set_enabled(false);
+  agent.send_line("untraced");
+  EXPECT_EQ(manager.pump(), 1u);
+  EXPECT_TRUE(registry.take_trace_spans().empty());
+
+  trace::set_enabled(true);
+  agent.send_line("traced one");
+  agent.send_line("traced two");
+  EXPECT_EQ(manager.pump(), 2u);
+  EXPECT_EQ(manager.pump(), 0u);  // an empty pump records no span
+  trace::set_enabled(was_enabled);
+
+  const std::vector<trace::Span> spans = registry.take_trace_spans();
+  ASSERT_EQ(spans.size(), 4u);
+  const trace::Span* pipeline = nullptr;
+  for (const auto& s : spans) {
+    if (s.name == "log_manager.pipeline") pipeline = &s;
+  }
+  ASSERT_NE(pipeline, nullptr);
+  for (const auto& s : spans) {
+    if (&s == pipeline) continue;
+    EXPECT_TRUE(s.name == "log_manager.poll" ||
+                s.name == "log_manager.archive" ||
+                s.name == "log_manager.forward")
+        << s.name;
+    EXPECT_EQ(s.parent_id, pipeline->span_id);
+    EXPECT_EQ(s.trace_id, pipeline->trace_id);
+    EXPECT_GE(s.start_us, pipeline->start_us);
+    EXPECT_LE(s.start_us + s.duration_us,
+              pipeline->start_us + pipeline->duration_us);
+  }
+  const trace::Report report = trace::build_report(spans, 0);
+  ASSERT_EQ(report.stages.size(), 1u);
+  EXPECT_EQ(report.stages[0].stage, "log_manager");
+  EXPECT_EQ(report.stages[0].batches, 1u);
+  EXPECT_EQ(report.stages[0].attributed_us, report.stages[0].total_us);
 }
 
 TEST(LogManager, RateControlCapsPerPump) {

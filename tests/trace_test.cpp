@@ -222,6 +222,39 @@ TEST_F(TraceTest, BuildReportAttributesPipelineComponents) {
   EXPECT_EQ(detector.attributed_us, 0u);
 }
 
+// The log manager's pump: its poll, archive and forward steps are
+// attributed under their own names; time none of them covers is "other".
+TEST_F(TraceTest, BuildReportAttributesLogManagerSteps) {
+  std::vector<trace::Span> spans;
+  spans.push_back(make_span("log_manager.pipeline", 30, 0, 1000, 100));
+  spans.push_back(make_span("log_manager.poll", 36, 30, 1000, 10));
+  spans.push_back(make_span("log_manager.archive", 31, 30, 1010, 60));
+  spans.push_back(make_span("log_manager.forward", 32, 30, 1070, 30));
+  spans.push_back(make_span("log_manager.pipeline", 33, 0, 2000, 50));
+  spans.push_back(make_span("log_manager.archive", 34, 33, 2000, 20));
+  spans.push_back(make_span("log_manager.forward", 35, 33, 2020, 20));
+
+  trace::Report report = trace::build_report(spans, 0);
+  ASSERT_EQ(report.stages.size(), 1u);
+  const trace::StageReport& stage = report.stages[0];
+  EXPECT_EQ(stage.stage, "log_manager");
+  EXPECT_EQ(stage.batches, 2u);
+  EXPECT_EQ(stage.total_us, 150u);
+  EXPECT_EQ(stage.attributed_us, 140u);  // poll 10 + archive 80 + forward 50
+  uint64_t poll = 0, archive = 0, forward = 0, other = 0;
+  for (const auto& comp : stage.components) {
+    if (comp.name == "poll") poll = comp.total_us;
+    if (comp.name == "archive") archive = comp.total_us;
+    if (comp.name == "forward") forward = comp.total_us;
+    if (comp.name == "other") other = comp.total_us;
+  }
+  EXPECT_EQ(poll, 10u);
+  EXPECT_EQ(archive, 80u);
+  EXPECT_EQ(forward, 50u);
+  EXPECT_EQ(other, 10u);  // the second pump's last 10 us
+  EXPECT_EQ(stage.components.front().name, "archive");  // ranked first
+}
+
 TEST_F(TraceTest, FormatReportMentionsDropsAndStages) {
   std::vector<trace::Span> spans;
   spans.push_back(make_span("parser.pipeline", 1, 0, 0, 100));

@@ -28,9 +28,11 @@ SECONDS = 5
 SCALE = 0.5
 MAX_SLOWDOWN = 1.25
 # The broker frees consumed messages, so RSS grows by the log archive and
-# the anomaly store: ~670 B per log at these settings (seeds 1-3, a 4-core
-# VM). Keeping every message in the broker reads ~2000 B.
-MAX_BYTES_PER_LOG = 1200
+# the anomaly store: ~251 B per log at these settings (seeds 1-3, a 4-core
+# VM), with the archive keeping each line once in its text blocks. An
+# archive that builds a document per line reads ~583 B on the same host;
+# keeping every message in the broker reads ~2000 B.
+MAX_BYTES_PER_LOG = 450
 
 
 def run_once(seed):

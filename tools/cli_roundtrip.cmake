@@ -63,4 +63,29 @@ string(FIND "${out}" "\"histograms\"" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "JSON metrics snapshot missing histograms:\n${out}")
 endif()
+# Tokenizer flags: the trained model carries the split rule and delimiters.
+run_cli(0 --max-dist 0.45 --delimiters " ,"
+        --split-rule "([0-9]+)(KB)=$1 $2"
+        train ${WORKDIR}/train.log ${WORKDIR}/model_tok.json)
+file(READ ${WORKDIR}/model_tok.json model_tok)
+foreach(want "\"delimiters\":\" ,\""
+             "\"match\":\"([0-9]+)(KB)\",\"rewrite\":\"$1 $2\"")
+  string(FIND "${model_tok}" "${want}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "model tokenizer lacks ${want}:\n${model_tok}")
+  endif()
+endforeach()
+run_cli(0 show ${WORKDIR}/model_tok.json)
+string(FIND "${out}" "split rule: ([0-9]+)(KB) => $1 $2" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "show does not list the split rule:\n${out}")
+endif()
+# A rule or timestamp format that does not compile is a usage error.
+run_cli(2 --split-rule "([0-9]+=x" train ${WORKDIR}/train.log ${WORKDIR}/bad.json)
+string(FIND "${err}" "bad split rule" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "no split-rule error on stderr:\n${err}")
+endif()
+run_cli(2 --timestamp-format "yyy" discover ${WORKDIR}/train.log)
+run_cli(2 --split-rule "no-separator" train ${WORKDIR}/train.log ${WORKDIR}/bad.json)
 message(STATUS "cli round trip ok")

@@ -50,6 +50,19 @@
 //   --ranges           learn/check KPI field ranges
 //   --keywords         learn/check severity keywords
 //   --trace-out <f>    trace-event JSON path for `trace`
+//
+// Tokenizer flags for discover/train (paper §III-A1); the trained model
+// records the tokenizer, and every later command parses with it:
+//   --delimiters <chars>                the token delimiters, verbatim
+//   --split-rule <regex>=<rewrite>      split tokens matching <regex> into
+//                                       <rewrite> ($1..$9 are its groups);
+//                                       the last '=' separates the two.
+//                                       Repeatable.
+//   --timestamp-format <fmt>            a timestamp format, e.g.
+//                                       "yyyy/MM/dd HH:mm:ss"; any given
+//                                       replace the predefined ones.
+//                                       Repeatable.
+// A rule or format that does not compile exits 2 with the reason.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -70,6 +83,7 @@ namespace {
 
 struct CliOptions {
   double max_dist = 0.3;
+  PreprocessorOptions tokenizer;
   bool ranges = false;
   bool keywords = false;
   bool json = false;
@@ -79,7 +93,8 @@ struct CliOptions {
 int usage() {
   std::fprintf(stderr,
                "usage: loglens [--max-dist D] [--ranges] [--keywords] "
-               "[--json] [--trace-out F] "
+               "[--json] [--trace-out F] [--delimiters CHARS] "
+               "[--split-rule REGEX=REWRITE]... [--timestamp-format FMT]... "
                "<discover|train|parse|detect|dashboard|trace|demo> "
                "[args...]\n"
                "  discover  <training.log>\n"
@@ -120,6 +135,7 @@ StatusOr<CompositeModel> read_model(const std::string& path) {
 BuildOptions build_options(const CliOptions& cli) {
   BuildOptions opts;
   opts.discovery.max_dist = cli.max_dist;
+  opts.preprocessor = cli.tokenizer;
   opts.learn_field_ranges = cli.ranges;
   opts.learn_keywords = cli.keywords;
   return opts;
@@ -515,9 +531,27 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[arg], "--trace-out") == 0 && arg + 1 < argc) {
       cli.trace_out = argv[arg + 1];
       arg += 2;
+    } else if (std::strcmp(argv[arg], "--delimiters") == 0 && arg + 1 < argc) {
+      cli.tokenizer.delimiters = argv[arg + 1];
+      arg += 2;
+    } else if (std::strcmp(argv[arg], "--split-rule") == 0 && arg + 1 < argc) {
+      const std::string rule = argv[arg + 1];
+      const size_t eq = rule.rfind('=');
+      if (eq == std::string::npos) return usage();
+      cli.tokenizer.split_rules.push_back(
+          {rule.substr(0, eq), rule.substr(eq + 1)});
+      arg += 2;
+    } else if (std::strcmp(argv[arg], "--timestamp-format") == 0 &&
+               arg + 1 < argc) {
+      cli.tokenizer.timestamp_formats.push_back(argv[arg + 1]);
+      arg += 2;
     } else {
       return usage();
     }
+  }
+  if (Status s = check_tokenizer(cli.tokenizer); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.message().c_str());
+    return 2;
   }
   if (arg >= argc) return usage();
   std::string cmd = argv[arg++];
