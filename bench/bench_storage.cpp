@@ -1,19 +1,20 @@
-// Tiered storage engine benchmark: ingest rate, zone-map pruning payoff,
-// and the heap high-water claim.
+// Storage table benchmark: ingest rate, zone-map pruning payoff, and the
+// heap high-water claim, on Anomaly Storage.
 //
-// Ingests ~1M documents (LOGLENS_SCALE scales the count) through a
-// DocumentStore with a hot tier 1/16th the corpus, then times the same
-// term+range query two ways: the indexed path (zone maps prune segments
-// outside the time window, postings drive the survivors) and a
-// sequential_scan store over the same segment files (parse every row —
-// the seed engine's behaviour). Global operator new/delete are overridden
-// to track live heap, which makes the tentpole's memory claim checkable:
-// the high-water mark must track the hot segment, not the corpus.
+// Ingests ~1M anomalies (LOGLENS_SCALE scales the count) through an
+// AnomalyStore with a hot tier 1/16th the corpus, then counts one type over
+// a recent time window two ways: through the anomaly table (zone maps prune
+// segments outside the window, the type's postings drive the survivors)
+// and by a full scan over the same segment files that parses every row and
+// evaluates the predicate (a store without columns). Global operator
+// new/delete are overridden to track live heap, which makes the memory
+// claim checkable: the high-water mark must track the hot tier, not the
+// corpus.
 //
 // Stages (BENCH_storage.json, gated in CI by tools/bench_compare.py):
-//   storage_ingest                docs/sec through insert+flush
+//   storage_ingest                anomalies/sec through add+flush
 //   storage_query_pruned          queries/sec, indexed + zone-pruned
-//   storage_full_scan             queries/sec, sequential parse-everything
+//   storage_full_scan             queries/sec, parse-everything scan
 //   storage_prune_speedup_x       pruned / full-scan rate (floor: 5x)
 //   storage_heap_highwater_ratio_x  estimated all-in-memory bytes / peak
 //                                 live heap during ingest (floor: 2x)
@@ -36,7 +37,8 @@
 
 #include "bench/bench_util.h"
 #include "json/json.h"
-#include "storage/document_store.h"
+#include "storage/segment.h"
+#include "storage/stores.h"
 
 // ---------------------------------------------------------------------------
 // Heap accounting. Every allocation carries a small header recording its
@@ -132,20 +134,26 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Parsed-log shape: categorical strings drawn from template pools (the
-// paper's premise — log messages come from a bounded pattern set, so the
-// per-segment term dictionaries stay small) and per-document uniqueness in
-// integer columns, which need no dictionary.
-Json make_doc(size_t i) {
-  JsonObject o;
-  o.emplace_back("source", Json("s" + std::to_string(i % 32)));
-  o.emplace_back("ts", Json(static_cast<int64_t>(i)));
-  o.emplace_back("level", Json(i % 7 == 0 ? "error" : "info"));
-  o.emplace_back("msg", Json("request handled by worker w" +
-                             std::to_string(i % 64)));
-  o.emplace_back("span",
-                 Json(static_cast<int64_t>((i * 2654435761u) % (1u << 30))));
-  return Json(std::move(o));
+// Anomaly shape: categorical strings drawn from small pools (types,
+// sources, reasons — the per-segment dictionaries stay small) and
+// per-anomaly uniqueness in the event id, the log line and the time.
+Anomaly make_anomaly(size_t i) {
+  static const AnomalyType kTypes[] = {
+      AnomalyType::kUnparsedLog,       AnomalyType::kMissingBeginState,
+      AnomalyType::kMissingEndState,   AnomalyType::kMissingIntermediateState,
+      AnomalyType::kOccurrenceViolation, AnomalyType::kDurationViolation,
+      AnomalyType::kUnknownTransition, AnomalyType::kKeywordAlert};
+  Anomaly a;
+  a.type = kTypes[i % 8];
+  a.severity = i % 7 == 0 ? "high" : "medium";
+  a.reason = "request handled by worker w" + std::to_string(i % 64);
+  a.timestamp_ms = static_cast<int64_t>(i);
+  a.source = "s" + std::to_string(i % 32);
+  a.event_id = "ev" + std::to_string((i * 2654435761u) % (1u << 30));
+  a.automaton_id = static_cast<int>(i % 4);
+  a.logs.push_back("2016/02/23 09:00:31 event " + a.event_id + " stalled");
+  a.details.set("duration_ms", Json(static_cast<int64_t>(i % 1000)));
+  return a;
 }
 
 struct StageResult {
@@ -168,15 +176,33 @@ void write_bench_json(const std::vector<StageResult>& results) {
   out << Json(std::move(root)).dump() << "\n";
 }
 
-// Queries/sec for one store configuration; also returns the (stable) hit
-// count so the two paths can be cross-checked.
-double time_queries(const DocumentStore& store, const Query& q,
-                    size_t min_iters, double min_secs, size_t* hits) {
+// The predicate evaluated against every row: what a store without columns
+// does, and the baseline the pruned plan is measured against.
+size_t full_scan_count(const std::vector<std::shared_ptr<const Segment>>& segs,
+                       std::string_view type, int64_t from_ms, int64_t to_ms) {
+  size_t hits = 0;
+  for (const auto& seg : segs) {
+    for (uint32_t i = 0; i < seg->doc_count(); ++i) {
+      auto doc = Json::parse(seg->doc_bytes(i));
+      if (!doc.ok() || doc.value().get_string("type") != type) continue;
+      const Json* ts = doc.value().find("timestamp_ms");
+      if (ts == nullptr || !ts->is_number()) continue;
+      if (ts->as_int() >= from_ms && ts->as_int() <= to_ms) ++hits;
+    }
+  }
+  return hits;
+}
+
+// Queries/sec for one query path; also returns the (stable) hit count so
+// the two paths can be cross-checked.
+template <typename Query>
+double time_queries(Query&& query, size_t min_iters, double min_secs,
+                    size_t* hits) {
   size_t iters = 0;
   const auto t0 = std::chrono::steady_clock::now();
   double secs = 0;
   do {
-    *hits = store.count(q);
+    *hits = query();
     ++iters;
     secs = seconds_since(t0);
   } while (iters < min_iters || secs < min_secs);
@@ -187,13 +213,13 @@ double time_queries(const DocumentStore& store, const Query& q,
 }  // namespace loglens
 
 int main() {
-  using loglens::DocumentStore;
+  using loglens::AnomalyStore;
   using loglens::DocumentStoreOptions;
   using loglens::Json;
-  using loglens::Query;
-  using loglens::QueryClause;
   using loglens::QueryStats;
+  using loglens::SegmentKind;
   using loglens::StageResult;
+  using loglens::Table;
   namespace fs = std::filesystem;
 
   const double scale = loglens::bench::scale_or(1.0);
@@ -201,11 +227,11 @@ int main() {
       std::max<size_t>(20'000, static_cast<size_t>(1'000'000 * scale));
   const size_t hot_max = std::max<size_t>(1'024, n_docs / 16);
 
-  loglens::bench::print_header("tiered storage engine benchmarks");
-  std::printf("corpus: %zu docs, hot tier %zu docs\n", n_docs, hot_max);
+  loglens::bench::print_header("storage table benchmarks");
+  std::printf("corpus: %zu anomalies, hot tier %zu rows\n", n_docs, hot_max);
 
-  // What would the seed engine (everything in one vector<Json>) hold?
-  // Sample 10k docs' live-heap delta and extrapolate; done before ingest so
+  // What would a store holding every anomaly as a Json tree keep? Sample
+  // 10k anomalies' live-heap delta and extrapolate; done before ingest so
   // the sample never pollutes the tracked high-water mark.
   const size_t sample_n = 10'000;
   size_t in_memory_estimate;
@@ -213,10 +239,13 @@ int main() {
     const size_t before = g_live.load();
     std::vector<Json> sample;
     sample.reserve(sample_n);
-    for (size_t i = 0; i < sample_n; ++i) sample.push_back(loglens::make_doc(i));
+    for (size_t i = 0; i < sample_n; ++i) {
+      sample.push_back(loglens::make_anomaly(i).to_json());
+    }
     const size_t per_doc = (g_live.load() - before) / sample_n;
     in_memory_estimate = per_doc * n_docs;
-    std::printf("in-memory estimate: %zu bytes/doc -> %.1f MB for the corpus\n",
+    std::printf("in-memory estimate: %zu bytes/anomaly -> %.1f MB for the "
+                "corpus\n",
                 per_doc, static_cast<double>(in_memory_estimate) / 1e6);
   }
 
@@ -227,19 +256,16 @@ int main() {
   DocumentStoreOptions opts;
   opts.dir = dir;
   opts.hot_max_docs = hot_max;
-  opts.auto_compact = true;
-  opts.compact_min_segments = 4;
-  opts.compact_max_docs = 2 * hot_max;  // merge spike stays O(hot)
   opts.name = "bench";
 
   std::vector<StageResult> results;
   size_t peak_heap;
   size_t segments;
   {
-    DocumentStore store(opts);
+    AnomalyStore store(opts);
     g_peak.store(g_live.load());  // high-water measured from here
     const auto t0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < n_docs; ++i) store.insert(loglens::make_doc(i));
+    for (size_t i = 0; i < n_docs; ++i) store.add(loglens::make_anomaly(i));
     if (!store.flush().ok()) {
       std::printf("FAIL: final flush errored\n");
       return 1;
@@ -250,45 +276,49 @@ int main() {
     StageResult ingest;
     ingest.stage = "storage_ingest";
     ingest.msgs_per_sec = static_cast<double>(n_docs) / secs;
-    std::printf("storage_ingest: %zu docs in %.2fs = %.0f docs/sec "
+    std::printf("storage_ingest: %zu anomalies in %.2fs = %.0f/sec "
                 "(%zu segments, peak heap %.1f MB)\n",
                 n_docs, secs, ingest.msgs_per_sec, segments,
                 static_cast<double>(peak_heap) / 1e6);
     results.push_back(ingest);
   }
 
-  // The probe query: one source over the most recent 1/64th of the time
-  // range. Zone maps prune every segment outside the window; postings
-  // drive the survivors.
-  Query q;
-  q.clauses.push_back(QueryClause::Term("source", "s3"));
-  q.clauses.push_back(QueryClause::Range(
-      "ts", static_cast<int64_t>(n_docs - n_docs / 64),
-      static_cast<int64_t>(n_docs)));
+  // The probe query: one type over the most recent 1/64th of the time
+  // range. Zone maps prune every segment outside the window; the type's
+  // postings drive the survivors.
+  const std::string type(
+      loglens::anomaly_type_name(loglens::AnomalyType::kDurationViolation));
+  const int64_t from_ms = static_cast<int64_t>(n_docs - n_docs / 64);
+  const int64_t to_ms = static_cast<int64_t>(n_docs);
 
-  DocumentStore pruned_store(opts);
-  DocumentStoreOptions seq = opts;
-  seq.sequential_scan = true;
-  DocumentStore scan_store(seq);
+  Table table(opts, SegmentKind::kAnomalies);
+  uint64_t rejected = 0;
+  const auto scan_segments =
+      loglens::open_segment_dir(dir, SegmentKind::kAnomalies, &rejected);
 
   QueryStats stats;
-  pruned_store.count(q, &stats);
-  std::printf("pruned plan: %zu/%zu segments pruned, %zu docs scanned\n",
+  table.count(type, from_ms, to_ms, &stats);
+  std::printf("pruned plan: %zu/%zu segments pruned, %zu rows scanned\n",
               stats.segments_pruned, stats.segments_considered,
               stats.docs_scanned);
 
   size_t pruned_hits = 0, scan_hits = 0;
   StageResult pruned;
   pruned.stage = "storage_query_pruned";
-  pruned.msgs_per_sec =
-      loglens::time_queries(pruned_store, q, 20, 0.5, &pruned_hits);
+  pruned.msgs_per_sec = loglens::time_queries(
+      [&] { return table.count(type, from_ms, to_ms); }, 20, 0.5,
+      &pruned_hits);
   std::printf("storage_query_pruned: %.1f queries/sec (%zu hits)\n",
               pruned.msgs_per_sec, pruned_hits);
   results.push_back(pruned);
 
   StageResult full;
   full.stage = "storage_full_scan";
-  full.msgs_per_sec = loglens::time_queries(scan_store, q, 3, 1.0, &scan_hits);
+  full.msgs_per_sec = loglens::time_queries(
+      [&] {
+        return loglens::full_scan_count(scan_segments, type, from_ms, to_ms);
+      },
+      3, 1.0, &scan_hits);
   std::printf("storage_full_scan: %.1f queries/sec (%zu hits)\n",
               full.msgs_per_sec, scan_hits);
   results.push_back(full);
@@ -313,10 +343,11 @@ int main() {
   fs::remove_all(dir);
 
   bool ok = true;
-  if (pruned_hits != scan_hits) {
-    std::printf("FAIL: pruned and sequential paths disagree "
-                "(%zu vs %zu hits)\n",
-                pruned_hits, scan_hits);
+  if (pruned_hits != scan_hits || rejected != 0) {
+    std::printf("FAIL: pruned and full-scan paths disagree "
+                "(%zu vs %zu hits, %llu segments rejected)\n",
+                pruned_hits, scan_hits,
+                static_cast<unsigned long long>(rejected));
     ok = false;
   }
   if (speedup.msgs_per_sec < 5.0) {

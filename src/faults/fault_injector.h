@@ -42,7 +42,7 @@ inline constexpr const char* kFaultSiteTaskProcess = "task.process";
 inline constexpr const char* kFaultSiteTaskFinish = "task.finish";
 inline constexpr const char* kFaultSiteCheckpointWrite = "checkpoint.write";
 inline constexpr const char* kFaultSiteSegmentFlush = "storage.segment_flush";
-inline constexpr const char* kFaultSiteStorageCompact = "storage.compact";
+inline constexpr const char* kFaultSiteStorageRewrite = "storage.segment_rewrite";
 
 enum class FaultAction {
   kNone = 0,

@@ -1,10 +1,10 @@
 // Minimal JSON value model, parser, and serializer.
 //
 // The stateless parser emits parsed logs as JSON objects (Section III of the
-// paper: {"Action":"Connect","Server":"127.0.0.1",...}), and the storage
-// layer persists documents as JSONL. Objects preserve insertion order so the
-// emitted fields appear in pattern order, which keeps parsed output stable
-// and diff-friendly.
+// paper: {"Action":"Connect","Server":"127.0.0.1",...}), and the anomaly
+// store keeps each anomaly as its JSON text. Objects preserve insertion
+// order so the emitted fields appear in pattern order, which keeps parsed
+// output stable and diff-friendly.
 #pragma once
 
 #include <cstdint>

@@ -141,15 +141,10 @@ std::string Dashboard::render_timeline(int64_t from_ms, int64_t to_ms,
 std::string Dashboard::render_source_spikes(AnomalyType type, int64_t from_ms,
                                             int64_t to_ms) const {
   std::ostringstream out;
-  Query q;
-  q.clauses.push_back(
-      QueryClause::Term("type", std::string(anomaly_type_name(type))));
-  q.clauses.push_back(QueryClause::Range("timestamp_ms", from_ms, to_ms));
   QueryStats stats;
   std::map<std::string, size_t> by_source;
-  for (const auto& doc : anomalies_.query_docs(q, &stats)) {
-    std::string source(doc.get_string("source"));
-    ++by_source[source.empty() ? "<unknown>" : source];
+  for (const Anomaly& a : anomalies_.window(type, from_ms, to_ms, &stats)) {
+    ++by_source[a.source.empty() ? "<unknown>" : a.source];
   }
   out << "source spikes: " << anomaly_type_name(type) << " in ["
       << format_canonical(from_ms) << " .. " << format_canonical(to_ms)

@@ -56,9 +56,9 @@ class Dashboard {
   std::string render_recent(size_t limit) const;
 
   // The LogRouter-style ad-hoc query panel: "which sources spiked <type>
-  // in [from_ms, to_ms]?" — a term + range query served straight from the
-  // anomaly store's segment engine (zone maps prune segments outside the
-  // window), rendered as a per-source leaderboard.
+  // in [from_ms, to_ms]?" — the anomaly store's typed window (a type's
+  // postings, with zone maps pruning segments outside the window), rendered
+  // as a per-source leaderboard.
   std::string render_source_spikes(AnomalyType type, int64_t from_ms,
                                    int64_t to_ms) const;
 

@@ -1,7 +1,7 @@
 // Log Manager (Figure 1): receives logs from agents, controls the incoming
 // rate, identifies log sources, archives raw logs to the log store, and
-// forwards them to the parser's input topic. The archive is LogStore's
-// append-only table (storage/log_store.h), which also interns the sources.
+// forwards them to the parser's input topic. The archive is a log table
+// (storage/table.h), keyed by source, which also interns the sources.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +25,9 @@ struct LogManagerOptions {
   // loglens_log_manager_dead_letter_records_total.
   std::string dead_letter_topic;
   // The archive's segment dir, seal threshold (`hot_max_docs`), metrics
-  // label, registry and fault injector; LogStore ignores the compaction and
-  // query-plan fields. Default: in memory. The `metrics` registry also
-  // receives the dead-letter counter and the pump's trace spans.
+  // label, registry and fault injector. Default: in memory. The `metrics`
+  // registry also receives the dead-letter counter and the pump's trace
+  // spans.
   DocumentStoreOptions store;
 };
 
@@ -51,7 +51,7 @@ class LogManager {
   uint64_t input_lag() const { return consumer_.lag(); }
 
   // Every non-empty source archived so far.
-  std::set<std::string> sources() const { return store_.sources(); }
+  std::set<std::string> sources() const { return store_.keys(); }
   LogStore& log_store() { return store_; }
   uint64_t forwarded() const { return forwarded_; }
 

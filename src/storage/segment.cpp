@@ -25,8 +25,9 @@ namespace {
 
 // File layout constants. The magic names the row kind and doubles as a
 // format version: bump the trailing digit when the payload layout changes
-// and old files are rejected (and rebuilt from JSONL) instead of misread.
-constexpr char kDocumentMagic[8] = {'L', 'L', 'S', 'E', 'G', '1', '\n', '\0'};
+// and old files are rejected instead of misread. Anomaly segments keep the
+// magic the older document store wrote, so its directories still open.
+constexpr char kAnomalyMagic[8] = {'L', 'L', 'S', 'E', 'G', '1', '\n', '\0'};
 constexpr char kLogMagic[8] = {'L', 'L', 'L', 'O', 'G', '1', '\n', '\0'};
 constexpr size_t kMagicSize = 8;
 constexpr uint64_t kHeaderSize = 8 + 8 + 8;  // magic + payload size + checksum
@@ -119,26 +120,8 @@ struct Cursor {
   }
 };
 
-// First-occurrence walk over a document's object fields: calls fn(key,
-// value) once per distinct key, for the value Json::find would return.
-template <typename Fn>
-void for_each_first_field(const Json& doc, Fn&& fn) {
-  if (!doc.is_object()) return;
-  const JsonObject& obj = doc.as_object();
-  for (size_t i = 0; i < obj.size(); ++i) {
-    bool duplicate = false;
-    for (size_t j = 0; j < i; ++j) {
-      if (obj[j].first == obj[i].first) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) fn(obj[i].first, obj[i].second);
-  }
-}
-
 const char* magic_of(SegmentKind kind) {
-  return kind == SegmentKind::kLogs ? kLogMagic : kDocumentMagic;
+  return kind == SegmentKind::kLogs ? kLogMagic : kAnomalyMagic;
 }
 
 }  // namespace
@@ -211,59 +194,6 @@ std::string encode_segment(SegmentKind kind, uint64_t base_id,
   std::memcpy(file.data() + kMagicSize, &payload_size, 8);
   std::memcpy(file.data() + kMagicSize + 8, &checksum, 8);
   return file;
-}
-
-std::string encode_segment(uint64_t base_id, const std::vector<Json>& docs) {
-  const uint32_t n = static_cast<uint32_t>(docs.size());
-
-  // Row section: serialized docs + offsets.
-  std::string blob;
-  SegmentRows rows;
-  rows.offsets.reserve(docs.size() + 1);
-  for (const auto& d : docs) {
-    rows.offsets.push_back(blob.size());
-    d.dump_to(blob);
-  }
-  rows.offsets.push_back(blob.size());
-  rows.blob.push_back(blob);
-
-  // Columns, built by one first-occurrence pass per doc. Field and term ids
-  // are assigned in first-appearance order (deterministic given the docs).
-  // Names and terms view into `docs`, which outlive the encode.
-  SegmentColumns columns;
-  std::unordered_map<std::string_view, size_t> sidx;
-  std::unordered_map<std::string_view, size_t> iidx;
-  std::vector<std::unordered_map<std::string_view, uint32_t>> term_ids;
-  for (uint32_t d = 0; d < n; ++d) {
-    for_each_first_field(docs[d], [&](const std::string& key, const Json& v) {
-      if (v.is_string()) {
-        auto [it, fresh] = sidx.try_emplace(key, columns.strings.size());
-        if (fresh) {
-          columns.strings.emplace_back();
-          columns.strings.back().name = key;
-          columns.strings.back().codes.assign(n, 0);
-          term_ids.emplace_back();
-        }
-        SegmentColumns::Strings& col = columns.strings[it->second];
-        auto [tit, term_fresh] = term_ids[it->second].try_emplace(
-            v.as_string(), static_cast<uint32_t>(col.terms.size()));
-        if (term_fresh) col.terms.push_back(v.as_string());
-        col.codes[d] = tit->second + 1;
-      } else if (v.is_number()) {
-        auto [it, fresh] = iidx.try_emplace(key, columns.ints.size());
-        if (fresh) {
-          columns.ints.emplace_back();
-          columns.ints.back().name = key;
-          columns.ints.back().presence.assign(n, 0);
-          columns.ints.back().values.assign(n, 0);
-        }
-        SegmentColumns::Ints& col = columns.ints[it->second];
-        col.presence[d] = 1;
-        col.values[d] = v.as_int();
-      }
-    });
-  }
-  return encode_segment(SegmentKind::kDocuments, base_id, rows, columns);
 }
 
 StatusOr<std::shared_ptr<const Segment>> Segment::open(std::string path,
@@ -507,14 +437,8 @@ std::vector<std::shared_ptr<const Segment>> open_segment_dir(
   });
   std::vector<std::shared_ptr<const Segment>> out;
   for (auto& seg : found) {
-    if (!out.empty() && seg->end_id() <= out.back()->end_id()) {
-      // Stale compaction input: a crash hit between publishing the merged
-      // segment (which subsumes this range) and unlinking its inputs.
-      std::remove(seg->path().c_str());
-      continue;
-    }
     if (!out.empty() && seg->base_id() < out.back()->end_id()) {
-      // Partial overlap is never produced by this engine; refuse it.
+      // No writer produces an overlap, partial or whole; refuse it.
       ++*rejected;
       continue;
     }

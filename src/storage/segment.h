@@ -1,27 +1,25 @@
-// Immutable on-disk columnar segments, the sealed form of both tiered
-// stores: DocumentStore's JSON documents and LogStore's raw lines.
+// Immutable on-disk columnar segments, the sealed form of the storage table
+// (storage/table.h) in both of its kinds: anomalies and raw log lines.
 //
 // A segment is a contiguous id range [base_id, base_id + doc_count) of rows,
 // serialized once and then only ever read through an mmap. The layout is
 // column-first so queries touch the few bytes they need:
 //
 //   header   magic, payload size, fnv1a-64 checksum of the payload
-//   rows     per-row bytes addressed by an offset table: a document's
-//            byte-exact dump() (materialization and save_jsonl read these
-//            verbatim), or a log line exactly as archived
+//   rows     per-row bytes addressed by an offset table: an anomaly's
+//            Anomaly::to_json().dump(), or a log line exactly as archived
 //   strings  per string column: a dictionary of distinct terms, a per-row
 //            code column (0 = the row has no string value here), and a
 //            posting list of local ids per term
 //   ints     per integer column: a zone map (min/max over the segment) plus
 //            a per-row presence byte and value column
 //
-// The magic names the row kind, so a store opens only its own kind of file
-// and rejects the other instead of misreading it. In a document segment the
-// columns index the *first* occurrence of each key — the value Json::find
-// returns — so evaluating a term or range clause against the columns is
-// exactly equivalent to evaluating it against the document. A log segment
-// has exactly two columns: `source` (string) and `ts` (int); the line
-// itself is the row and is stored once.
+// The magic names the row kind, so a table opens only its own kind of file
+// and rejects the other instead of misreading it. A table writes exactly
+// two columns: its key (string) and its time (int) — `source` and `ts` for
+// logs, `type` and `timestamp_ms` for anomalies. An anomaly segment written
+// by the older document store carries more columns; the table reads only
+// those two.
 //
 // Torn-write safety: open() accepts a file only when the magic matches, the
 // file length equals header + recorded payload size, and the payload
@@ -38,7 +36,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "json/json.h"
 
 namespace loglens {
 
@@ -46,7 +43,7 @@ class FaultInjector;
 
 // What a segment's rows are, recorded in its magic.
 enum class SegmentKind {
-  kDocuments,  // serialized JSON documents (DocumentStore)
+  kAnomalies,  // serialized anomalies (AnomalyStore)
   kLogs,       // raw log lines (LogStore)
 };
 
@@ -80,10 +77,6 @@ std::string encode_segment(SegmentKind kind, uint64_t base_id,
                            const SegmentRows& rows,
                            const SegmentColumns& columns);
 
-// The document form: each row is a doc's dump(), and every key whose first
-// value is a string (respectively a number) gets a string (int) column.
-std::string encode_segment(uint64_t base_id, const std::vector<Json>& docs);
-
 class Segment {
  public:
   struct StringField {
@@ -106,8 +99,8 @@ class Segment {
   // Validates and maps the file. Any truncation or corruption — from the
   // magic through the last payload byte — or a file of another kind returns
   // an error and leaves no mapping behind.
-  static StatusOr<std::shared_ptr<const Segment>> open(
-      std::string path, SegmentKind kind = SegmentKind::kDocuments);
+  static StatusOr<std::shared_ptr<const Segment>> open(std::string path,
+                                                       SegmentKind kind);
 
   ~Segment();
   Segment(const Segment&) = delete;
@@ -118,12 +111,12 @@ class Segment {
   uint64_t end_id() const { return base_id_ + doc_count_; }
   const std::string& path() const { return path_; }
 
-  // One row's bytes: the dump() of the Json that was inserted, or the log
-  // line that was archived.
+  // One row's bytes: the anomaly's dump(), or the log line that was
+  // archived.
   std::string_view doc_bytes(uint32_t local_id) const;
 
-  // nullptr when no document in this segment has a string (respectively
-  // numeric) first value for the field.
+  // nullptr when the segment has no string (respectively int) column of
+  // that name.
   const StringField* string_field(std::string_view name) const;
   const IntField* int_field(std::string_view name) const;
 
@@ -156,7 +149,7 @@ class Segment {
   std::unordered_map<std::string_view, size_t> int_by_name_;
 };
 
-// The write and open protocol both stores share. Segment files live in one
+// The write and open protocol of the table. Segment files live in one
 // directory per store, named by base id so directory order is id order.
 std::string segment_file_path(const std::string& dir, uint64_t base_id);
 
@@ -176,10 +169,8 @@ StatusOr<std::shared_ptr<const Segment>> publish_segment(
 
 // The segments of `dir` (created when missing), ascending by base id and
 // never overlapping. A file that does not open as `kind` (torn, corrupt, or
-// of the other kind) or that partly overlaps an earlier one is skipped,
-// left on disk for forensics and counted in `*rejected`. A segment that an
-// earlier one wholly covers is a compaction input whose unlink a crash
-// interrupted; it is unlinked now.
+// of the other kind) or that overlaps an earlier one, partly or wholly, is
+// skipped, left on disk for forensics and counted in `*rejected`.
 std::vector<std::shared_ptr<const Segment>> open_segment_dir(
     const std::string& dir, SegmentKind kind, uint64_t* rejected);
 

@@ -8,9 +8,9 @@
 // in memory and disk-backed with a hot tier of 8 rows that is reopened
 // mid-run. A reopen after a flush keeps every row; a reopen without one (a
 // kill) keeps the sealed prefix. The disk-backed run is repeated with torn
-// writes armed at the segment flush site, and a JSON-document segment
-// planted in the archive's directory must be rejected, counted, and never
-// read back as lines.
+// writes armed at the segment flush site, and an anomaly segment planted in
+// the archive's directory must be rejected, counted, and never read back as
+// lines.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -22,9 +22,8 @@
 #include "common/rng.h"
 #include "faults/fault_injector.h"
 #include "metrics/metrics.h"
-#include "storage/document_store.h"
-#include "storage/log_store.h"
 #include "storage/segment.h"
+#include "storage/stores.h"
 
 namespace loglens {
 namespace {
@@ -90,7 +89,7 @@ int64_t random_ts(Rng& rng) {
 void check_same(const LogStore& store, const ReferenceArchive& ref, Rng& rng,
                 const std::string& where) {
   ASSERT_EQ(store.size(), ref.rows.size()) << where;
-  ASSERT_EQ(store.sources(), ref.sources()) << where;
+  ASSERT_EQ(store.keys(), ref.sources()) << where;
   std::vector<std::string> sources = kSources;
   sources.push_back("missing");
   for (int q = 0; q < 4; ++q) {
@@ -184,11 +183,6 @@ TEST(LogStoreDifferential, DiskBackedReopenedMatchesReference) {
   EXPECT_GT(metrics.counter("loglens_storage_flushes_total", {{"store", "logs"}})
                 .value(),
             0u);
-  // Every sealed log segment is already full: the archive never compacts.
-  EXPECT_EQ(
-      metrics.counter("loglens_storage_compactions_total", {{"store", "logs"}})
-          .value(),
-      0u);
 }
 
 TEST(LogStoreDifferential, TornFlushesMatchReference) {
@@ -237,8 +231,8 @@ TEST(LogStoreDifferential, LinesCrossTextBlocks) {
 }
 
 // A segment of the other kind in the directory is refused at open, counted,
-// and never read: a JSON-document file shaped like log rows does not come
-// back as lines, and a log segment does not come back as documents.
+// and never read: an anomaly segment keyed like log rows does not come back
+// as lines, and a log segment does not come back as anomalies.
 TEST(LogStoreDifferential, ForeignSegmentsAreRejected) {
   MetricsRegistry metrics;
   const std::string dir = test_dir("foreign");
@@ -258,17 +252,23 @@ TEST(LogStoreDifferential, ForeignSegmentsAreRejected) {
     ASSERT_TRUE(store.flush().ok());
     ASSERT_EQ(store.segment_count(), 3u);
   }
-  std::vector<Json> planted;
-  for (int i = 0; i < 4; ++i) {
-    JsonObject doc;
-    doc.emplace_back("source", Json("web"));
-    doc.emplace_back("raw", Json("planted " + std::to_string(i)));
-    doc.emplace_back("ts", Json(int64_t{i}));
-    planted.emplace_back(std::move(doc));
+  // An anomaly table with the archive's key and time values, sealed at
+  // base 0 and planted at base 20 (the base is inside the file, so the
+  // planted file is also out of place).
+  const std::string other = test_dir("foreign_anomalies");
+  {
+    DocumentStoreOptions a_opts;
+    a_opts.dir = other;
+    a_opts.hot_max_docs = 0;
+    a_opts.metrics = &metrics;
+    Table planted(a_opts, SegmentKind::kAnomalies);
+    for (int i = 0; i < 4; ++i) {
+      planted.add("web", "planted " + std::to_string(i), i);
+    }
+    ASSERT_TRUE(planted.flush().ok());
   }
-  ASSERT_TRUE(write_segment_file(segment_file_path(dir, 20),
-                                 encode_segment(20, planted))
-                  .ok());
+  fs::copy_file(segment_file_path(other, 0), segment_file_path(dir, 20));
+  fs::remove_all(other);
 
   LogStore reopened(opts);
   EXPECT_EQ(reopened.rejected_segments(), 1u);
@@ -285,12 +285,13 @@ TEST(LogStoreDifferential, ForeignSegmentsAreRejected) {
   }
   EXPECT_TRUE(fs::exists(segment_file_path(dir, 20)));  // kept for forensics
 
-  // The other direction: a document store refuses the archive's segments.
-  DocumentStoreOptions doc_opts = opts;
-  doc_opts.name = "docs";
-  DocumentStore docs(doc_opts);
-  EXPECT_EQ(docs.rejected_segments(), 3u);  // the three log segments
-  EXPECT_EQ(docs.segment_count(), 1u);      // the planted document segment
+  // The other direction: an anomaly store refuses the archive's segments.
+  DocumentStoreOptions a_opts = opts;
+  a_opts.name = "anomalies";
+  AnomalyStore anomalies(a_opts);
+  EXPECT_EQ(anomalies.rejected_segments(), 3u);  // the three log segments
+  EXPECT_EQ(anomalies.segment_count(), 1u);      // the planted segment
+  EXPECT_TRUE(anomalies.by_type(AnomalyType::kUnparsedLog).empty());
   fs::remove_all(dir);
 }
 

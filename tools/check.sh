@@ -134,8 +134,8 @@ if [[ "$run_coverage" == 1 ]]; then
     ctest --test-dir "$covdir" "${ctest_args[@]}"
   python3 "$repo/tools/coverage_report.py" --build-dir "$covdir" \
     --html-dir "$repo/coverage-html"
-  # Second gate over the tiered storage engine (segment codec, flush,
-  # compaction, pruning): the differential + segment property suites must
+  # Second gate over the storage table (segment codec, seal, truncate
+  # rewrite, pruning): the differential + segment property suites must
   # keep src/storage/ at or above its committed floor.
   python3 "$repo/tools/coverage_report.py" --build-dir "$covdir" \
     --filter src/storage/ --threshold 90
