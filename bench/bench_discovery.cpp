@@ -84,7 +84,7 @@ BENCHMARK(BM_DiscoveryWithPatternCap)
 
 // The whole ModelBuilder::build on D4 at 0.1 scale (3234 templates, ~40k
 // training lines): tokenize, discover, parse and learn, with each phase's
-// seconds as a counter. Level 0 and the re-parse use every core, so this
+// seconds and the tokenized corpus's bytes per line as counters. Level 0 and the re-parse use every core, so this
 // explains the end-to-end set-up cost; it is not a gate.
 void BM_ModelBuild(benchmark::State& state) {
   const Dataset d4 = make_d4(0.1);
@@ -100,6 +100,9 @@ void BM_ModelBuild(benchmark::State& state) {
     state.counters["discover_s"] = result.discover_s;
     state.counters["parse_s"] = result.parse_s;
     state.counters["learn_s"] = result.learn_s;
+    state.counters["corpus_bytes_per_line"] =
+        static_cast<double>(result.corpus_bytes) /
+        static_cast<double>(d4.training.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(d4.training.size()));

@@ -74,7 +74,7 @@ void BM_ParseNaiveScan(benchmark::State& state) {
     for (const auto& log : f.logs) {
       for (const auto& p : f.patterns) {
         ++attempts;
-        if (p.match_into(log.tokens, f.pre->classifier(), &fields, scratch)) {
+        if (p.match_into(log, f.pre->classifier(), &fields, scratch)) {
           ++parsed;
           break;
         }

@@ -42,11 +42,17 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
+// Tokenizes through one scratch log, copying each into an exactly sized
+// record, as ModelBuilder::build does.
 inline std::vector<TokenizedLog> tokenize_all(
     Preprocessor& pre, const std::vector<std::string>& lines) {
   std::vector<TokenizedLog> out;
   out.reserve(lines.size());
-  for (const auto& l : lines) out.push_back(pre.process(l));
+  TokenizedLog scratch;
+  for (const auto& l : lines) {
+    pre.process_into(l, scratch);
+    out.push_back(scratch);
+  }
   return out;
 }
 

@@ -94,7 +94,7 @@ ParseOutcome LogstashParser::parse(const TokenizedLog& log) {
   // Rejoin the normalized tokens; both engines see the same text.
   std::vector<std::string_view> views;
   views.reserve(log.tokens.size());
-  for (const auto& t : log.tokens) views.push_back(t.text);
+  for (const Token& t : log.tokens) views.push_back(log.text_of(t));
   std::string line = join(views, " ");
 
   for (auto& c : compiled_) {
@@ -104,7 +104,7 @@ ParseOutcome LogstashParser::parse(const TokenizedLog& log) {
     ParsedLog parsed;
     parsed.pattern_id = c.pattern_id;
     parsed.timestamp_ms = log.timestamp_ms;
-    parsed.raw = log.raw;
+    parsed.raw = log.raw();
     for (size_t g = 0; g < c.field_names.size() && g < m.groups.size(); ++g) {
       parsed.fields.emplace_back(c.field_names[g],
                                  Json(m.group_text(line, g)));

@@ -61,11 +61,11 @@ std::string format_canonical(int64_t epoch_millis) {
   return format_canonical(from_epoch_millis(epoch_millis));
 }
 
-void format_canonical_to(int64_t epoch_millis, std::string& out) {
+void append_canonical(int64_t epoch_millis, std::string& out) {
   const CivilTime t = from_epoch_millis(epoch_millis);
   // Hand-rolled "%04d/%02d/%02d %02d:%02d:%02d.%03d": this runs once per
   // parsed log line, and snprintf re-parses the format string every call.
-  char buf[23];
+  char buf[kCanonicalLength];
   auto put2 = [](char* p, int v) {
     p[0] = static_cast<char>('0' + v / 10);
     p[1] = static_cast<char>('0' + v % 10);
@@ -88,7 +88,7 @@ void format_canonical_to(int64_t epoch_millis, std::string& out) {
   buf[19] = '.';
   put2(buf + 20, t.millis / 10);
   buf[22] = static_cast<char>('0' + t.millis % 10);
-  out.assign(buf, sizeof(buf));
+  out.append(buf, sizeof(buf));
 }
 
 bool is_leap_year(int year) {

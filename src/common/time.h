@@ -7,6 +7,7 @@
 // "yyyy/MM/dd HH:mm:ss.SSS". All conversions are timezone-free (UTC).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -38,8 +39,10 @@ CivilTime from_epoch_millis(int64_t ms);
 // Canonical LogLens timestamp format: "yyyy/MM/dd HH:mm:ss.SSS".
 std::string format_canonical(int64_t epoch_millis);
 std::string format_canonical(const CivilTime& t);
-// Assigns into `out`, reusing its storage (hot-path variant).
-void format_canonical_to(int64_t epoch_millis, std::string& out);
+// Appends to `out`, reusing its storage (hot-path variant); always
+// kCanonicalLength bytes.
+inline constexpr size_t kCanonicalLength = 23;
+void append_canonical(int64_t epoch_millis, std::string& out);
 
 // True if the fields form a real calendar date/time (leap years honoured).
 bool is_valid_civil(const CivilTime& t);

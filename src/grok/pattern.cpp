@@ -99,24 +99,25 @@ void GrokPattern::assign_field_ids(int pattern_id) {
 namespace {
 
 // Single-token predicate for literals and non-ANYDATA fields: does pattern
-// token `pt` match log token `tok`? Depends only on the log token, never on
-// its position — the property that makes the wildcard scan complete.
-bool grok_token_matches(const GrokToken& pt, const Token& tok,
+// token `pt` match token `k` of `log`? Depends only on the log token, never
+// on its position — the property that makes the wildcard scan complete.
+bool grok_token_matches(const GrokToken& pt, const TokenizedLog& log, size_t k,
                         const DatatypeClassifier& classifier) {
-  if (!pt.is_field) return tok.text == pt.literal;
+  const Token& tok = log.tokens[k];
+  if (!pt.is_field) return log.text_of(tok) == pt.literal;
   if (pt.field.type == Datatype::kDateTime) {
     return tok.type == Datatype::kDateTime;
   }
   return tok.type != Datatype::kDateTime &&
-         classifier.matches(tok.text, pt.field.type);
+         classifier.matches(log.text_of(tok), pt.field.type);
 }
 
 }  // namespace
 
-bool GrokPattern::match_tokens(const std::vector<Token>& tokens,
+bool GrokPattern::match_tokens(const TokenizedLog& log,
                                const DatatypeClassifier& classifier,
                                GrokMatchScratch& scratch) const {
-  const size_t n = tokens.size();
+  const size_t n = log.tokens.size();
   const size_t m = tokens_.size();
   scratch.steps = 0;
   // No zero fill: every slot is written before a successful match returns,
@@ -139,7 +140,7 @@ bool GrokPattern::match_tokens(const std::vector<Token>& tokens,
     if (n != m) return false;
     for (size_t i = 0; i < m; ++i) {
       ++scratch.steps;
-      if (!grok_token_matches(tokens_[i], tokens[i], classifier)) return false;
+      if (!grok_token_matches(tokens_[i], log, i, classifier)) return false;
       starts[i] = static_cast<uint32_t>(i);
     }
     return true;
@@ -149,7 +150,7 @@ bool GrokPattern::match_tokens(const std::vector<Token>& tokens,
   const size_t limit = n - tail_len;  // wildcard region is tokens[0, limit)
   for (size_t k = 0; k < tail_len; ++k) {
     ++scratch.steps;
-    if (!grok_token_matches(tokens_[tail + k], tokens[limit + k], classifier)) {
+    if (!grok_token_matches(tokens_[tail + k], log, limit + k, classifier)) {
       return false;
     }
     starts[tail + k] = static_cast<uint32_t>(limit + k);
@@ -176,7 +177,7 @@ bool GrokPattern::match_tokens(const std::vector<Token>& tokens,
         ++pi;
         continue;
       }
-      if (ti < limit && grok_token_matches(pt, tokens[ti], classifier)) {
+      if (ti < limit && grok_token_matches(pt, log, ti, classifier)) {
         starts[pi] = static_cast<uint32_t>(ti);
         ++pi;
         ++ti;
@@ -191,7 +192,7 @@ bool GrokPattern::match_tokens(const std::vector<Token>& tokens,
   return true;
 }
 
-void GrokPattern::emit_fields(const std::vector<Token>& tokens,
+void GrokPattern::emit_fields(const TokenizedLog& log,
                               const GrokMatchScratch& scratch,
                               JsonObject* out) const {
   const auto& starts = scratch.starts;
@@ -214,35 +215,35 @@ void GrokPattern::emit_fields(const std::vector<Token>& tokens,
     if (pt.field.type == Datatype::kAnyData) {
       for (size_t k = starts[pi]; k < starts[pi + 1]; ++k) {
         if (k > starts[pi]) value += ' ';
-        value += tokens[k].text;
+        value += log.token_text(k);
       }
     } else {
-      value.append(tokens[starts[pi]].text);
+      value.append(log.token_text(starts[pi]));
     }
   }
   out->resize(nf);
 }
 
-bool GrokPattern::match_into(const std::vector<Token>& tokens,
+bool GrokPattern::match_into(const TokenizedLog& log,
                              const DatatypeClassifier& classifier,
                              JsonObject* out, GrokMatchScratch& scratch) const {
-  if (!match_tokens(tokens, classifier, scratch)) return false;
-  if (out != nullptr) emit_fields(tokens, scratch, out);
+  if (!match_tokens(log, classifier, scratch)) return false;
+  if (out != nullptr) emit_fields(log, scratch, out);
   return true;
 }
 
-bool GrokPattern::match(const std::vector<Token>& tokens,
+bool GrokPattern::match(const TokenizedLog& log,
                         const DatatypeClassifier& classifier,
                         JsonObject* out) const {
   GrokMatchScratch scratch;
   if (out != nullptr) out->clear();
-  return match_into(tokens, classifier, out, scratch);
+  return match_into(log, classifier, out, scratch);
 }
 
-bool GrokPattern::match(const std::vector<Token>& tokens,
+bool GrokPattern::match(const TokenizedLog& log,
                         const DatatypeClassifier& classifier) const {
   GrokMatchScratch scratch;
-  return match_tokens(tokens, classifier, scratch);
+  return match_tokens(log, classifier, scratch);
 }
 
 }  // namespace loglens

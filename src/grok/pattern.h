@@ -81,22 +81,22 @@ class GrokPattern {
   // name; every literal contributes the datatype of its present value.
   std::string signature(const DatatypeClassifier& classifier) const;
 
-  // Attempts to parse `tokens`; on success fills `out` with field-name ->
+  // Attempts to parse `log`; on success fills `out` with field-name ->
   // value pairs in pattern order and returns true. ANYDATA fields may span
   // zero or more tokens (joined with single spaces in the output); when
   // several assignments exist the lexicographically minimal one wins (each
   // wildcard takes as few tokens as possible, left to right), matching the
   // historical shortest-first search.
-  bool match(const std::vector<Token>& tokens, const DatatypeClassifier& classifier,
+  bool match(const TokenizedLog& log, const DatatypeClassifier& classifier,
              JsonObject* out) const;
-  bool match(const std::vector<Token>& tokens,
+  bool match(const TokenizedLog& log,
              const DatatypeClassifier& classifier) const;
 
   // Hot-path variant: iterative matcher reusing `scratch` across calls. On
   // failure `out` is left untouched; on success `out` is overwritten in
   // place, reusing existing key/value string storage so a warm call performs
   // no heap allocation. `out` may be null to test matchability only.
-  bool match_into(const std::vector<Token>& tokens,
+  bool match_into(const TokenizedLog& log,
                   const DatatypeClassifier& classifier, JsonObject* out,
                   GrokMatchScratch& scratch) const;
 
@@ -126,11 +126,11 @@ class GrokPattern {
   // runs of position-independent single-token predicates), and the fixed
   // suffix after the last wildcard is anchored right-aligned up front so
   // unmatchable tails fail before any wildcard work happens.
-  bool match_tokens(const std::vector<Token>& tokens,
+  bool match_tokens(const TokenizedLog& log,
                     const DatatypeClassifier& classifier,
                     GrokMatchScratch& scratch) const;
-  void emit_fields(const std::vector<Token>& tokens,
-                   const GrokMatchScratch& scratch, JsonObject* out) const;
+  void emit_fields(const TokenizedLog& log, const GrokMatchScratch& scratch,
+                   JsonObject* out) const;
 
   std::vector<GrokToken> tokens_;
   int id_ = 0;

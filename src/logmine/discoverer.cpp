@@ -23,18 +23,18 @@ Datatype datatype_join(Datatype a, Datatype b) {
   return Datatype::kAnyData;
 }
 
-double token_distance(const std::vector<Token>& a,
-                      const std::vector<Token>& b) {
-  if (a.size() != b.size() || a.empty()) return 1.0;
+double token_distance(const TokenizedLog& a, const TokenizedLog& b) {
+  const size_t n = a.tokens.size();
+  if (n != b.tokens.size() || n == 0) return 1.0;
   double score = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].text == b[i].text) {
+  for (size_t i = 0; i < n; ++i) {
+    if (a.token_text(i) == b.token_text(i)) {
       score += 1.0;
-    } else if (a[i].type == b[i].type) {
+    } else if (a.tokens[i].type == b.tokens[i].type) {
       score += 0.5;
     }
   }
-  return 1.0 - score / static_cast<double>(a.size());
+  return 1.0 - score / static_cast<double>(n);
 }
 
 size_t min_half_score(size_t n, double max_dist) {
@@ -47,16 +47,16 @@ size_t min_half_score(size_t n, double max_dist) {
   return 2 * n + 1;
 }
 
-bool within_distance(const std::vector<Token>& a, const std::vector<Token>& b,
+bool within_distance(const TokenizedLog& a, const TokenizedLog& b,
                      size_t min_half) {
-  const size_t n = a.size();
+  const size_t n = a.tokens.size();
   size_t h = 0;
   for (size_t i = 0; i < n; ++i) {
     if (h >= min_half) return true;
     if (h + 2 * (n - i) < min_half) return false;
-    if (a[i].text == b[i].text) {
+    if (a.token_text(i) == b.token_text(i)) {
       h += 2;
-    } else if (a[i].type == b[i].type) {
+    } else if (a.tokens[i].type == b.tokens[i].type) {
       h += 1;
     }
   }
@@ -185,7 +185,7 @@ constexpr size_t kParallelLevel0Logs = 2048;
 // into.
 struct LengthBucket {
   size_t length = 0;
-  std::vector<const std::vector<Token>*> members;
+  std::vector<const TokenizedLog*> members;
   std::vector<std::vector<GrokToken>> patterns;
 };
 
@@ -195,24 +195,25 @@ struct LengthBucket {
 void cluster_bucket(LengthBucket& bucket, double max_dist,
                     const DatatypeClassifier& classifier) {
   const size_t min_half = min_half_score(bucket.length, max_dist);
-  std::vector<const std::vector<Token>*> representatives;  // first members
-  for (const std::vector<Token>* tokens : bucket.members) {
+  std::vector<const TokenizedLog*> representatives;  // first members
+  for (const TokenizedLog* log : bucket.members) {
     size_t home = 0;
     while (home < representatives.size() &&
-           !within_distance(*tokens, *representatives[home], min_half)) {
+           !within_distance(*log, *representatives[home], min_half)) {
       ++home;
     }
     if (home == representatives.size()) {
-      representatives.push_back(tokens);
+      representatives.push_back(log);
       std::vector<GrokToken> merged;
-      merged.reserve(tokens->size());
-      for (const auto& t : *tokens) {
+      merged.reserve(log->tokens.size());
+      for (const Token& t : log->tokens) {
         if (t.type == Datatype::kDateTime) {
           // Timestamps are always variable fields; two runs of the same
           // program never share one.
           merged.push_back(GrokToken::make_field(Datatype::kDateTime));
         } else {
-          merged.push_back(GrokToken::make_literal(t.text));
+          merged.push_back(
+              GrokToken::make_literal(std::string(log->text_of(t))));
         }
       }
       bucket.patterns.push_back(std::move(merged));
@@ -220,11 +221,11 @@ void cluster_bucket(LengthBucket& bucket, double max_dist,
     }
     // Position-wise merge into the cluster pattern.
     std::vector<GrokToken>& merged = bucket.patterns[home];
-    for (size_t i = 0; i < tokens->size(); ++i) {
+    for (size_t i = 0; i < log->tokens.size(); ++i) {
       GrokToken& m = merged[i];
-      const Token& t = (*tokens)[i];
+      const Token& t = log->tokens[i];
       if (!m.is_field) {
-        if (m.literal == t.text) continue;
+        if (m.literal == log->text_of(t)) continue;
         m = GrokToken::make_field(
             datatype_join(classifier.classify(m.literal), t.type));
       } else {
@@ -249,7 +250,7 @@ std::vector<GrokPattern> PatternDiscoverer::level0(
     auto [it, fresh] =
         bucket_of_length.try_emplace(log.tokens.size(), buckets.size());
     if (fresh) buckets.emplace_back().length = log.tokens.size();
-    buckets[it->second].members.push_back(&log.tokens);
+    buckets[it->second].members.push_back(&log);
   }
   std::vector<LengthBucket*> largest_first;
   for (auto& b : buckets) largest_first.push_back(&b);

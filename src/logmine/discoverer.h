@@ -38,10 +38,11 @@ struct DiscoveryOptions {
 // Join of two datatypes: the least general type covering both.
 Datatype datatype_join(Datatype a, Datatype b);
 
-// Normalized distance between two same-length token sequences: per position,
-// identical text scores 1, same datatype scores 0.5, otherwise 0; distance is
-// 1 - total/length. Sequences of different length have distance 1.
-double token_distance(const std::vector<Token>& a, const std::vector<Token>& b);
+// Normalized distance between two logs' same-length token sequences: per
+// position, identical text scores 1, same datatype scores 0.5, otherwise 0;
+// distance is 1 - total/length. Sequences of different length have
+// distance 1.
+double token_distance(const TokenizedLog& a, const TokenizedLog& b);
 
 // Level 0's membership test, token_distance(a, b) <= max_dist, decided from
 // the half-score h = 2 x identical positions + same-type positions.
@@ -53,7 +54,7 @@ size_t min_half_score(size_t n, double max_dist);
 // Same-length, non-empty `a` and `b`, with min_half from min_half_score:
 // stops comparing as soon as h reaches min_half or the positions left can
 // no longer lift it there.
-bool within_distance(const std::vector<Token>& a, const std::vector<Token>& b,
+bool within_distance(const TokenizedLog& a, const TokenizedLog& b,
                      size_t min_half);
 
 // Alignment-based distance between two patterns (used at levels >= 1):

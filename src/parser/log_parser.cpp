@@ -17,20 +17,31 @@ Json ParsedLog::to_json() const {
   return Json(std::move(obj));
 }
 
+LogParser::CompiledModel LogParser::compile(
+    std::vector<GrokPattern> model, const DatatypeClassifier& classifier) {
+  auto patterns = std::make_shared<std::vector<IndexedPattern>>();
+  patterns->reserve(model.size());
+  for (auto& p : model) {
+    IndexedPattern ip;
+    ip.signature = pattern_signature(p, classifier);
+    ip.generality = p.generality_score();
+    ip.pattern = std::move(p);
+    patterns->push_back(std::move(ip));
+  }
+  return patterns;
+}
+
 LogParser::LogParser(std::vector<GrokPattern> model,
                      const DatatypeClassifier& classifier,
                      size_t index_capacity)
+    : LogParser(compile(std::move(model), classifier), classifier,
+                index_capacity) {}
+
+LogParser::LogParser(CompiledModel model, const DatatypeClassifier& classifier,
+                     size_t index_capacity)
     : classifier_(classifier),
-      index_capacity_(std::max<size_t>(1, index_capacity)) {
-  patterns_.reserve(model.size());
-  for (auto& p : model) {
-    IndexedPattern ip;
-    ip.signature = pattern_signature(p, classifier_);
-    ip.generality = p.generality_score();
-    ip.pattern = std::move(p);
-    patterns_.push_back(std::move(ip));
-  }
-}
+      index_capacity_(std::max<size_t>(1, index_capacity)),
+      patterns_(std::move(model)) {}
 
 const LogParser::IndexEntry& LogParser::candidate_group(
     std::span<const Datatype> sig) {
@@ -43,9 +54,9 @@ const LogParser::IndexEntry& LogParser::candidate_group(
   ++stats_.groups_built;
   IndexEntry entry;
   entry.sig.assign(sig.begin(), sig.end());
-  for (uint32_t pi = 0; pi < patterns_.size(); ++pi) {
+  for (uint32_t pi = 0; pi < patterns_->size(); ++pi) {
     ++stats_.signature_comparisons;
-    if (signature_match(sig, patterns_[pi].signature)) {
+    if (signature_match(sig, (*patterns_)[pi].signature)) {
       entry.group.push_back(pi);
     }
   }
@@ -53,8 +64,8 @@ const LogParser::IndexEntry& LogParser::candidate_group(
   // length": most specific first; shorter patterns break ties.
   std::sort(entry.group.begin(), entry.group.end(),
             [this](uint32_t a, uint32_t b) {
-              const auto& pa = patterns_[a];
-              const auto& pb = patterns_[b];
+              const auto& pa = (*patterns_)[a];
+              const auto& pb = (*patterns_)[b];
               if (pa.generality != pb.generality) {
                 return pa.generality < pb.generality;
               }
@@ -91,7 +102,7 @@ void LogParser::build_literal_key(IndexEntry& entry) const {
   };
   std::vector<Anchor> anchors;
   for (uint32_t rank = 0; rank < g; ++rank) {
-    const auto& tokens = patterns_[entry.group[rank]].pattern.tokens();
+    const auto& tokens = (*patterns_)[entry.group[rank]].pattern.tokens();
     const size_t m = tokens.size();
     size_t first = 0;
     while (first < m && !tokens[first].is_wildcard()) ++first;
@@ -157,9 +168,8 @@ void LogParser::build_literal_key(IndexEntry& entry) const {
 
 bool LogParser::attempt(uint32_t pi, const TokenizedLog& log, ParsedLog& out) {
   ++stats_.match_attempts;
-  const GrokPattern& pattern = patterns_[pi].pattern;
-  if (!pattern.match_into(log.tokens, classifier_, &out.fields,
-                          match_scratch_)) {
+  const GrokPattern& pattern = (*patterns_)[pi].pattern;
+  if (!pattern.match_into(log, classifier_, &out.fields, match_scratch_)) {
     return false;
   }
   out.pattern_id = pattern.id();
@@ -180,7 +190,7 @@ bool LogParser::match_core(const TokenizedLog& log, ParsedLog& out) {
   } else {
     // The keyed list of the log's token (empty if no literal hashes like
     // it), merged with the unkeyed patterns in group order.
-    const uint64_t hash = fnv1a(log.tokens[entry.key_pos].text);
+    const uint64_t hash = fnv1a(log.token_text(entry.key_pos));
     auto list = std::lower_bound(
         entry.lists.begin(), entry.lists.end(), hash,
         [](const LiteralList& l, uint64_t h) { return l.hash < h; });
@@ -205,26 +215,30 @@ bool LogParser::match_core(const TokenizedLog& log, ParsedLog& out) {
 
 bool LogParser::parse_into(const TokenizedLog& log, ParsedLog& out) {
   if (!match_core(log, out)) return false;
-  out.raw.assign(log.raw);
+  out.raw.assign(log.raw());
   return true;
 }
 
 bool LogParser::parse_into(TokenizedLog&& log, ParsedLog& out) {
   if (!match_core(log, out)) return false;
-  out.raw.swap(log.raw);
+  out.raw.swap(log.text);
+  out.raw.resize(log.raw_size);
+  log.text.clear();
+  log.tokens.clear();
+  log.raw_size = 0;
   return true;
 }
 
 ParseOutcome LogParser::parse(const TokenizedLog& log) {
   ParsedLog parsed;
   if (!match_core(log, parsed)) return {};
-  parsed.raw = log.raw;
+  parsed.raw = log.raw();
   return ParseOutcome{std::move(parsed)};
 }
 
 size_t LogParser::resident_bytes() const {
   size_t total = sizeof(*this);
-  for (const auto& ip : patterns_) {
+  for (const auto& ip : *patterns_) {
     total += sizeof(ip) + ip.signature.capacity() * sizeof(Datatype);
     for (const auto& t : ip.pattern.tokens()) {
       total += sizeof(t) + t.literal.capacity() + t.field.name.capacity();

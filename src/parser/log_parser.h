@@ -87,19 +87,39 @@ class LogParser {
  public:
   static constexpr size_t kDefaultIndexCapacity = 1u << 16;
 
+  // A model's patterns as the parser matches them: each with its
+  // signature and generality rank. Immutable once compiled, so any number
+  // of parsers over one model can share it (the model builder's re-parse
+  // threads do).
+  struct IndexedPattern {
+    GrokPattern pattern;
+    std::vector<Datatype> signature;
+    int generality = 0;
+  };
+  using CompiledModel = std::shared_ptr<const std::vector<IndexedPattern>>;
+  static CompiledModel compile(std::vector<GrokPattern> model,
+                               const DatatypeClassifier& classifier);
+
   LogParser(std::vector<GrokPattern> model, const DatatypeClassifier& classifier,
             size_t index_capacity = kDefaultIndexCapacity);
+  // Shares a compiled model. The capacity has no default, so that
+  // LogParser({}, classifier) still names the empty pattern list.
+  LogParser(CompiledModel model, const DatatypeClassifier& classifier,
+            size_t index_capacity);
 
   // Parses one preprocessed log.
   ParseOutcome parse(const TokenizedLog& log);
 
   // Hot-path variants: on success fill `out` in place (reusing its field and
   // raw string storage) and return true; on failure `out` is stale and must
-  // not be read. The rvalue overload steals `log.raw` instead of copying it.
+  // not be read. The rvalue overload steals `log.text` instead of copying
+  // the raw line out of it: out.raw takes the buffer, trimmed to the line,
+  // and `log` is left empty, holding out.raw's old storage for the next
+  // process_into to reuse.
   bool parse_into(const TokenizedLog& log, ParsedLog& out);
   bool parse_into(TokenizedLog&& log, ParsedLog& out);
 
-  size_t pattern_count() const { return patterns_.size(); }
+  size_t pattern_count() const { return patterns_->size(); }
   const ParserStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
@@ -107,16 +127,11 @@ class LogParser {
   size_t index_capacity() const { return index_capacity_; }
 
   // Approximate resident bytes of the model + index (memory experiment),
-  // including the index's hash-bucket array and per-entry node overhead.
+  // including the index's hash-bucket array and per-entry node overhead. A
+  // compiled model shared by several parsers counts in full in each.
   size_t resident_bytes() const;
 
  private:
-  struct IndexedPattern {
-    GrokPattern pattern;
-    std::vector<Datatype> signature;
-    int generality = 0;
-  };
-
   // The patterns of a group whose literal at the key position hashes to
   // `hash`: their group ranks are IndexEntry::keyed[begin, end).
   struct LiteralList {
@@ -175,7 +190,7 @@ class LogParser {
 
   const DatatypeClassifier& classifier_;
   size_t index_capacity_;
-  std::vector<IndexedPattern> patterns_;
+  CompiledModel patterns_;
   LruList lru_;  // front = most recently used
   std::unordered_map<std::span<const Datatype>, LruList::iterator, SigHash,
                      SigEq>

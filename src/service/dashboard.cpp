@@ -173,10 +173,14 @@ std::string Dashboard::render_source_spikes(AnomalyType type, int64_t from_ms,
 
 std::string Dashboard::render_recent(size_t limit) const {
   std::ostringstream out;
-  auto all = anomalies_.all();
-  size_t start = all.size() > limit ? all.size() - limit : 0;
-  for (size_t i = start; i < all.size(); ++i) {
-    const Anomaly& a = all[i];
+  // Only the last `limit` rows are read: ids are dense from 0.
+  const size_t count = anomalies_.count();
+  for (size_t id = count > limit ? count - limit : 0; id < count; ++id) {
+    const std::optional<Json> doc = anomalies_.get(id);
+    if (!doc) continue;
+    const auto parsed = Anomaly::from_json(*doc);
+    if (!parsed.ok()) continue;
+    const Anomaly& a = parsed.value();
     out << "[" << a.severity << "] " << anomaly_type_name(a.type);
     if (a.timestamp_ms >= 0) out << " @ " << format_canonical(a.timestamp_ms);
     if (!a.event_id.empty()) out << " event=" << a.event_id;

@@ -13,7 +13,7 @@ GrokPattern pattern_from_line(const CompositeModel& model,
     // WORD tokens are the stable vocabulary of a log line; everything else
     // (numbers, ips, ids, timestamps) is data and becomes a typed field.
     if (t.type == Datatype::kWord) {
-      tokens.push_back(GrokToken::make_literal(t.text));
+      tokens.push_back(GrokToken::make_literal(std::string(log.text_of(t))));
     } else {
       tokens.push_back(GrokToken::make_field(t.type));
     }

@@ -9,8 +9,8 @@ namespace loglens {
 
 namespace {
 
-// Fewest training logs one re-parse thread takes on: each thread compiles
-// its own LogParser over the whole model first.
+// Fewest training logs one re-parse thread takes on: each thread builds its
+// own LogParser index first.
 constexpr size_t kParseGrain = 4096;
 
 // Seconds since the previous call (or construction).
@@ -69,11 +69,19 @@ BuildResult ModelBuilder::build(
   result.model.tokenizer = options_.preprocessor;
   Preprocessor preprocessor =
       make_preprocessor(result.model.tokenizer, metrics_);
+  // One scratch log takes the growth; each record is a copy of it, which
+  // sizes the text and the token vector exactly.
   std::vector<TokenizedLog> tokenized;
   tokenized.reserve(training_lines.size());
+  TokenizedLog scratch;
+  result.corpus_bytes = training_lines.size() * sizeof(TokenizedLog);
   for (const auto& line : training_lines) {
-    tokenized.push_back(preprocessor.process(line));
+    preprocessor.process_into(line, scratch);
+    const TokenizedLog& record = tokenized.emplace_back(scratch);
+    result.corpus_bytes += record.text.capacity() +
+                           record.tokens.capacity() * sizeof(Token);
   }
+  scratch = {};
   result.tokenize_s = timer.lap();
 
   PatternDiscoverer discoverer(options_.discovery, preprocessor.classifier());
@@ -87,19 +95,27 @@ BuildResult ModelBuilder::build(
   // Parse the training corpus with the discovered model to feed the
   // sequence learner (and as a sanity check: everything should parse).
   // LogParser::parse does not depend on earlier logs, so contiguous chunks
-  // on their own parsers fill the same slots a serial pass would.
+  // on their own parsers (sharing one compiled model) fill the same slots a
+  // serial pass would. A parsed log takes its record's buffer as its raw
+  // line; the record is freed right after, so the corpus shrinks as the
+  // parsed logs grow.
   const size_t n = tokenized.size();
   std::vector<ParsedLog> parsed(n);
   std::vector<char> ok(n, 0);
   const size_t threads = parallel_threads();
   const size_t chunk = std::max(kParseGrain, (n + threads - 1) / threads);
+  LogParser::CompiledModel compiled =
+      LogParser::compile(result.model.patterns, preprocessor.classifier());
   parallel_for(n, chunk, [&](size_t begin, size_t end) {
-    LogParser parser(result.model.patterns, preprocessor.classifier());
+    LogParser parser(compiled, preprocessor.classifier(),
+                     LogParser::kDefaultIndexCapacity);
     for (size_t i = begin; i < end; ++i) {
       ok[i] = parser.parse_into(std::move(tokenized[i]), parsed[i]) ? 1 : 0;
+      tokenized[i] = {};
     }
   });
-  tokenized = {};  // the parsed logs own the raw lines now
+  tokenized = {};
+  compiled.reset();
   size_t kept = 0;
   for (size_t i = 0; i < n; ++i) {
     if (!ok[i]) {

@@ -52,6 +52,9 @@ struct BuildResult {
   double parse_s = 0;     // re-parsing the corpus with the patterns
   double learn_s = 0;     // ID fields, automata, extension detectors
   double total_seconds = 0;
+  // Bytes the tokenized training corpus held: each log's text and token
+  // capacity plus its record header.
+  size_t corpus_bytes = 0;
 };
 
 // Preprocessor::create's verdict on a tokenizer, for a front end that must
@@ -63,6 +66,11 @@ Status check_tokenizer(const PreprocessorOptions& tokenizer);
 // Level-0 discovery and the re-parse run on parallel_for threads; both write
 // index-addressed results combined in order, so the model does not depend
 // on the thread count (DESIGN.md, model builder).
+//
+// Memory: each tokenized line is one exactly sized record (its text buffer
+// and its tokens, no growth slack), and the re-parse hands each record's
+// buffer to its parsed log and frees its tokens as soon as the line is
+// parsed, so the tokenized and the parsed corpus are never both whole.
 class ModelBuilder {
  public:
   // A tokenizer that does not compile (a bad split rule) is replaced by the

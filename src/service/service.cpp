@@ -136,6 +136,10 @@ BuildResult LogLensService::train(
                    "Model build wall time per phase")
         .record(static_cast<uint64_t>(seconds * 1e6));
   }
+  registry
+      .gauge("loglens_model_build_corpus_bytes", {},
+             "Bytes the last build's tokenized training corpus held")
+      .set(static_cast<int64_t>(result.corpus_bytes));
   model_manager_->deploy(options_.model_name, result.model);
   if (!running_) drain();  // let the rebroadcast land immediately
   return result;
@@ -486,16 +490,17 @@ StatusOr<LogLensService::ReplayResult> LogLensService::replay_archive(
 
   ReplayResult result;
   int64_t max_ts = -1;
+  TokenizedLog tokenized;
+  ParsedLog parsed;
   for (const auto& line : lines) {
-    TokenizedLog tokenized = pre.process(line);
+    pre.process_into(line, tokenized);
     if (tokenized.timestamp_ms >= 0 &&
         (tokenized.timestamp_ms < from_ms || tokenized.timestamp_ms > to_ms)) {
       continue;
     }
     ++result.logs;
     max_ts = std::max(max_ts, tokenized.timestamp_ms);
-    auto outcome = parser.parse(tokenized);
-    if (!outcome.log.has_value()) {
+    if (!parser.parse_into(tokenized, parsed)) {
       ++result.unparsed;
       Anomaly a;
       a.type = AnomalyType::kUnparsedLog;
@@ -506,7 +511,7 @@ StatusOr<LogLensService::ReplayResult> LogLensService::replay_archive(
       result.anomalies.push_back(std::move(a));
       continue;
     }
-    auto found = detector.on_log(*outcome.log, source);
+    auto found = detector.on_log(parsed, source);
     result.anomalies.insert(result.anomalies.end(), found.begin(),
                             found.end());
   }

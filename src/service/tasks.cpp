@@ -127,9 +127,12 @@ void ParserTask::process(const Message& message, TaskContext& ctx) {
     }
   }
 
+  // The line is copied out rather than its buffer stolen: the payload's
+  // raw is then sized to the line alone, and tokenized_ keeps its warm
+  // buffer for the next log.
   const bool parsed_ok = [&] {
     ScopedTimer timer(parse_latency_us_);
-    return parser_->parse_into(std::move(tokenized_), parsed_);
+    return parser_->parse_into(tokenized_, parsed_);
   }();
   if (!parsed_ok) {
     Anomaly a;

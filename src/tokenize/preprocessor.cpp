@@ -40,72 +40,63 @@ TokenizedLog Preprocessor::process(std::string_view raw) {
 }
 
 void Preprocessor::process_into(std::string_view raw, TokenizedLog& out) {
-  out.raw.assign(raw);
+  // Room for the line and one canonical DATETIME, the common case, so a
+  // fresh buffer is allocated once.
+  out.text.reserve(raw.size() + kCanonicalLength);
+  out.text.assign(raw);
+  out.raw_size = static_cast<uint32_t>(raw.size());
   out.timestamp_ms = -1;
+  out.tokens.clear();
 
   // 1. Delimiter split. 2. Split rules (one pass; a rule's output pieces are
   // not re-fed through the rules, matching the paper's single rewrite step).
-  //
-  // With no split rules (the common config) every token is a view into
-  // out.raw — the one copy of the line made above — so the split allocates
-  // and copies nothing. With rules, tokens are materialized into piece
-  // slots (which keep their capacity across logs) because a rewrite has no
-  // backing storage in the line; views are built only after every piece is
-  // in place, since growing pieces_ would move SSO string bytes out from
-  // under earlier views.
+  // A plain token spans its bytes of the raw line; a rewrite's pieces are
+  // appended to the buffer. The split walks `raw`, not out.text, so an
+  // append cannot move the bytes under it. Types are set in step 4.
+  for_each_delimited(raw, [&](std::string_view tok) {
+    for (const auto& rule : rules_) {
+      if (!rule.match.full_match(tok)) continue;
+      const std::string rewritten = rule.match.replace_all(tok, rule.rewrite);
+      for_each_split_any(rewritten, " ", [&](std::string_view piece) {
+        out.push_token(piece, Datatype::kNotSpace);
+      });
+      return;
+    }
+    out.tokens.push_back(Token{static_cast<uint32_t>(tok.data() - raw.data()),
+                               static_cast<uint32_t>(tok.size())});
+  });
   views_.clear();
-  if (rules_.empty()) {
-    for_each_delimited(out.raw,
-                       [&](std::string_view tok) { views_.push_back(tok); });
-  } else {
-    size_t np = 0;
-    auto add_piece = [&](std::string_view sv) {
-      if (np == pieces_.size()) pieces_.emplace_back();
-      pieces_[np++].assign(sv);
-    };
-    for_each_delimited(out.raw, [&](std::string_view tok) {
-      const CompiledRule* hit = nullptr;
-      for (const auto& rule : rules_) {
-        if (rule.match.full_match(tok)) {
-          hit = &rule;
-          break;
-        }
-      }
-      if (hit == nullptr) {
-        add_piece(tok);
-        return;
-      }
-      std::string rewritten = hit->match.replace_all(tok, hit->rewrite);
-      for_each_split_any(rewritten, " ", add_piece);
-    });
-    for (size_t i = 0; i < np; ++i) views_.push_back(pieces_[i]);
-  }
+  for (const Token& t : out.tokens) views_.push_back(out.text_of(t));
 
-  // 3+4. Timestamp recognition, then datatype classification. Token slots
-  // are reused across logs, with a trailing resize dropping leftovers.
+  // 3+4. Timestamp recognition, then datatype classification. The tokens
+  // compact in place (a timestamp spanning several pieces becomes one
+  // token), so token nt is written only after piece i >= nt was read.
   const size_t np = views_.size();
-
+  stamps_.clear();
   size_t nt = 0;
-  auto next_token = [&]() -> Token& {
-    if (nt == out.tokens.size()) out.tokens.emplace_back();
-    return out.tokens[nt++];
-  };
   size_t i = 0;
   while (i < np) {
     if (auto m = recognizer_.match_at(views_, i)) {
-      Token& t = next_token();
-      format_canonical_to(m->epoch_ms, t.text);
-      t.type = Datatype::kDateTime;
+      stamps_.emplace_back(nt, m->epoch_ms);
+      out.tokens[nt++].type = Datatype::kDateTime;
       if (out.timestamp_ms < 0) out.timestamp_ms = m->epoch_ms;
       i += m->span;
       continue;
     }
-    Token& t = next_token();
-    t.text.assign(views_[i]);
+    Token& t = out.tokens[nt++];
+    t = out.tokens[i];
     t.type = classifier_.classify(views_[i]);
     ++i;
   }
   out.tokens.resize(nt);
+
+  // Each DATETIME's canonical text goes after everything the views read.
+  for (const auto& [index, epoch_ms] : stamps_) {
+    Token& t = out.tokens[index];
+    t.begin = static_cast<uint32_t>(out.text.size());
+    append_canonical(epoch_ms, out.text);
+    t.size = static_cast<uint32_t>(out.text.size() - t.begin);
+  }
 }
 
 }  // namespace loglens

@@ -18,6 +18,7 @@
 #include <array>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -56,9 +57,10 @@ class Preprocessor {
 
   TokenizedLog process(std::string_view raw);
 
-  // Hot-path variant: fills `out` in place, reusing its token/raw string
-  // storage and the instance's piece/view scratch, so a warm call on a
-  // delimiter-only log performs no heap allocation.
+  // Hot-path variant: fills `out` in place, reusing its text buffer and
+  // token storage and the instance's view/timestamp scratch, so a warm call
+  // on a line shaped like the last one performs no heap allocation (without
+  // split rules). `raw` must not point into `out`.
   void process_into(std::string_view raw, TokenizedLog& out);
 
   TimestampRecognizer& recognizer() { return recognizer_; }
@@ -100,12 +102,11 @@ class Preprocessor {
   // Byte-indexed delimiter membership, so the per-character split test is
   // one load instead of a find() over the delimiter string.
   std::array<bool, 256> is_delim_ = {};
-  // process_into scratch. views_ holds the split tokens — views into the
-  // log's out.raw copy when no split rules are configured, views into
-  // pieces_ (whose string slots keep their capacity across logs) when
-  // rewrites force materialization.
-  std::vector<std::string> pieces_;
+  // process_into scratch: the split tokens' texts for the timestamp
+  // recognizer, and the (token index, epoch ms) of each recognized
+  // timestamp, whose canonical text is appended once the views are done.
   std::vector<std::string_view> views_;
+  std::vector<std::pair<size_t, int64_t>> stamps_;
 };
 
 }  // namespace loglens

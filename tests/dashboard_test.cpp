@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <sstream>
+
 #include "broker/broker.h"
+#include "common/time.h"
 
 namespace loglens {
 namespace {
@@ -149,6 +153,68 @@ TEST(DashboardRetention, ListsStoredAndFreedMessagesPerTopic) {
             std::string::npos)
       << panel;
   EXPECT_EQ(panel.find("unknown"), std::string::npos);
+}
+
+// The listing as rendered from every stored anomaly, kept as the
+// reference for render_recent, which reads only the last `limit`.
+std::string recent_from_all(const AnomalyStore& store, size_t limit) {
+  std::ostringstream out;
+  auto all = store.all();
+  size_t start = all.size() > limit ? all.size() - limit : 0;
+  for (size_t i = start; i < all.size(); ++i) {
+    const Anomaly& a = all[i];
+    out << "[" << a.severity << "] " << anomaly_type_name(a.type);
+    if (a.timestamp_ms >= 0) out << " @ " << format_canonical(a.timestamp_ms);
+    if (!a.event_id.empty()) out << " event=" << a.event_id;
+    if (!a.source.empty()) out << " source=" << a.source;
+    out << "\n    " << a.reason << "\n";
+    for (const auto& l : a.logs) {
+      out << "      > " << l << "\n";
+      if (&l - a.logs.data() >= 2) {
+        out << "      ...\n";
+        break;
+      }
+    }
+  }
+  return out.str();
+}
+
+TEST(DashboardRecent, LastAnomaliesAcrossSealedSegmentsAndHotRows) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "loglens_dashboard_recent";
+  std::filesystem::remove_all(dir);
+  DocumentStoreOptions options;
+  options.dir = dir.string();
+  options.hot_max_docs = 4;
+  AnomalyStore anomalies(options);
+  ModelStore models;
+  LogStore logs;
+  Dashboard dashboard(anomalies, models, logs);
+  for (int i = 0; i < 10; ++i) {
+    Anomaly a;
+    a.type = i % 2 == 0 ? AnomalyType::kDurationViolation
+                        : AnomalyType::kUnparsedLog;
+    a.severity = i % 3 == 0 ? "high" : "medium";
+    a.reason = "reason " + std::to_string(i);
+    a.timestamp_ms = i % 4 == 0 ? -1 : 1'456'218'031'000 + i;
+    a.source = i % 5 == 0 ? "" : "D" + std::to_string(i);
+    a.event_id = i % 2 == 0 ? "ev-" + std::to_string(i) : "";
+    for (int k = 0; k <= i % 5; ++k) {
+      a.logs.push_back("line " + std::to_string(i) + "." + std::to_string(k));
+    }
+    anomalies.add(a);
+  }
+  // Rows 0-7 sit in two sealed segments, rows 8-9 in the hot tier, so the
+  // last three span both.
+  ASSERT_EQ(anomalies.segment_count(), 2u);
+  ASSERT_EQ(anomalies.hot_count(), 2u);
+  for (size_t limit : {0, 1, 2, 3, 5, 10, 25}) {
+    EXPECT_EQ(dashboard.render_recent(limit), recent_from_all(anomalies, limit))
+        << "limit " << limit;
+  }
+  EXPECT_NE(dashboard.render_recent(3).find("reason 7"), std::string::npos);
+  EXPECT_EQ(dashboard.render_recent(3).find("reason 6"), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(DashboardTest, EmptyStoresRenderCleanly) {

@@ -110,7 +110,7 @@ TEST_F(DiscovererTest, PatternsParseTheirTrainingLogs) {
     TokenizedLog log = pre_.process(line);
     bool matched = false;
     for (const auto& p : patterns) {
-      if (p.match(log.tokens, pre_.classifier())) {
+      if (p.match(log, pre_.classifier())) {
         matched = true;
         break;
       }
@@ -159,7 +159,7 @@ TEST_F(DiscovererTest, MaxPatternsCapTriggersHierarchicalMerge) {
     TokenizedLog log = pre_.process(line);
     bool matched = false;
     for (const auto& p : patterns) {
-      if (p.match(log.tokens, pre_.classifier())) matched = true;
+      if (p.match(log, pre_.classifier())) matched = true;
     }
     EXPECT_TRUE(matched) << line;
   }
@@ -193,9 +193,9 @@ TEST_F(DiscovererTest, PatternDistanceProperties) {
 }
 
 TEST_F(DiscovererTest, TokenDistanceBounds) {
-  auto t1 = tokenize({"a b c"})[0].tokens;
-  auto t2 = tokenize({"a b d"})[0].tokens;
-  auto t3 = tokenize({"a b"})[0].tokens;
+  auto t1 = pre_.process("a b c");
+  auto t2 = pre_.process("a b d");
+  auto t3 = pre_.process("a b");
   EXPECT_DOUBLE_EQ(token_distance(t1, t1), 0.0);
   double d12 = token_distance(t1, t2);
   EXPECT_GT(d12, 0.0);
@@ -251,11 +251,11 @@ TEST_F(DiscovererTest, IncrementalAppendsNovelWithContinuedIds) {
   EXPECT_EQ(result[0].id(), 7);  // known survives untouched, in place
   EXPECT_EQ(result[0].to_string(), known[0].to_string());
   EXPECT_EQ(result[1].id(), 8);  // novel continues after the highest known id
-  EXPECT_TRUE(result[1].match(pre_.process("db connect 10.0.0.3 failed").tokens,
+  EXPECT_TRUE(result[1].match(pre_.process("db connect 10.0.0.3 failed"),
                               pre_.classifier()));
   // The covered log did not spawn a duplicate of the known pattern.
   for (size_t i = 1; i < result.size(); ++i) {
-    EXPECT_FALSE(result[i].match(pre_.process("worker 5 heartbeat ok").tokens,
+    EXPECT_FALSE(result[i].match(pre_.process("worker 5 heartbeat ok"),
                                  pre_.classifier()));
   }
 }
@@ -299,11 +299,11 @@ TEST_F(DiscovererTest, IncrementalDropsEveryLineAKnownPatternParses) {
   EXPECT_EQ(result[1], known[1]);
   EXPECT_EQ(result[2].id(), 3);
   for (const auto& line : novel) {
-    EXPECT_TRUE(result[2].match(pre_.process(line).tokens, pre_.classifier()))
+    EXPECT_TRUE(result[2].match(pre_.process(line), pre_.classifier()))
         << line;
   }
   for (const auto& line : covered) {
-    EXPECT_FALSE(result[2].match(pre_.process(line).tokens, pre_.classifier()))
+    EXPECT_FALSE(result[2].match(pre_.process(line), pre_.classifier()))
         << line;
   }
 }

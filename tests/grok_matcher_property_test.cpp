@@ -18,17 +18,18 @@ namespace {
 
 // The pre-rewrite matcher, kept verbatim as the executable specification:
 // wildcards consume zero or more tokens, shortest first, with full
-// backtracking over every wildcard.
-bool reference_match(const GrokPattern& pattern,
-                     const std::vector<Token>& tokens,
+// backtracking over every wildcard. It reads token texts through the log,
+// the matcher's only change of interface since.
+bool reference_match(const GrokPattern& pattern, const TokenizedLog& log,
                      const DatatypeClassifier& classifier, size_t ti,
                      size_t pi, JsonObject* out) {
+  const std::vector<Token>& tokens = log.tokens;
   const auto& ptoks = pattern.tokens();
   if (pi == ptoks.size()) return ti == tokens.size();
   const GrokToken& pt = ptoks[pi];
   if (!pt.is_field) {
-    if (ti < tokens.size() && tokens[ti].text == pt.literal) {
-      return reference_match(pattern, tokens, classifier, ti + 1, pi + 1, out);
+    if (ti < tokens.size() && log.token_text(ti) == pt.literal) {
+      return reference_match(pattern, log, classifier, ti + 1, pi + 1, out);
     }
     return false;
   }
@@ -39,12 +40,11 @@ bool reference_match(const GrokPattern& pattern,
         std::string joined;
         for (size_t k = 0; k < take; ++k) {
           if (k > 0) joined += ' ';
-          joined += tokens[ti + k].text;
+          joined += log.token_text(ti + k);
         }
         out->emplace_back(pt.field.name, Json(std::move(joined)));
       }
-      if (reference_match(pattern, tokens, classifier, ti + take, pi + 1,
-                          out)) {
+      if (reference_match(pattern, log, classifier, ti + take, pi + 1, out)) {
         return true;
       }
       if (out != nullptr) out->resize(mark);
@@ -56,11 +56,13 @@ bool reference_match(const GrokPattern& pattern,
   bool ok = pt.field.type == Datatype::kDateTime
                 ? tok.type == Datatype::kDateTime
                 : tok.type != Datatype::kDateTime &&
-                      classifier.matches(tok.text, pt.field.type);
+                      classifier.matches(log.text_of(tok), pt.field.type);
   if (!ok) return false;
   size_t mark = out != nullptr ? out->size() : 0;
-  if (out != nullptr) out->emplace_back(pt.field.name, Json(tok.text));
-  if (reference_match(pattern, tokens, classifier, ti + 1, pi + 1, out)) {
+  if (out != nullptr) {
+    out->emplace_back(pt.field.name, Json(std::string(log.text_of(tok))));
+  }
+  if (reference_match(pattern, log, classifier, ti + 1, pi + 1, out)) {
     return true;
   }
   if (out != nullptr) out->resize(mark);
@@ -71,15 +73,15 @@ constexpr const char* kDateTimeText = "2016/02/23 09:00:31.000";
 
 class GrokMatcherProperty : public ::testing::Test {
  protected:
-  Token make_token(std::string text) {
-    Token t;
-    if (text == kDateTimeText) {
-      t.type = Datatype::kDateTime;
-    } else {
-      t.type = classifier_.classify(text);
-    }
-    t.text = std::move(text);
-    return t;
+  void add_token(TokenizedLog& log, const std::string& text) {
+    log.push_token(text, text == kDateTimeText ? Datatype::kDateTime
+                                               : classifier_.classify(text));
+  }
+
+  TokenizedLog make_log(std::initializer_list<std::string> texts) {
+    TokenizedLog log;
+    for (const auto& text : texts) add_token(log, text);
+    return log;
   }
 
   GrokPattern random_pattern(Rng& rng) {
@@ -102,16 +104,14 @@ class GrokMatcherProperty : public ::testing::Test {
     return GrokPattern(std::move(toks));
   }
 
-  std::vector<Token> random_log(Rng& rng) {
+  TokenizedLog random_log(Rng& rng) {
     static const std::vector<std::string> kTexts = {
         "alpha", "beta", "x",      "42",   "7.5",
         "hello", "a1b2", "10.0.0.7", kDateTimeText};
-    std::vector<Token> toks;
+    TokenizedLog log;
     const size_t len = rng.below(12);
-    for (size_t i = 0; i < len; ++i) {
-      toks.push_back(make_token(rng.pick(kTexts)));
-    }
-    return toks;
+    for (size_t i = 0; i < len; ++i) add_token(log, rng.pick(kTexts));
+    return log;
   }
 
   DatatypeClassifier classifier_;
@@ -123,7 +123,7 @@ TEST_F(GrokMatcherProperty, AgreesWithRecursiveReferenceOnRandomInputs) {
   size_t matched = 0;
   for (int iter = 0; iter < 4000; ++iter) {
     GrokPattern pattern = random_pattern(rng);
-    std::vector<Token> log = random_log(rng);
+    TokenizedLog log = random_log(rng);
 
     JsonObject want;
     bool want_ok =
@@ -149,7 +149,7 @@ TEST_F(GrokMatcherProperty, MultiWildcardCapturesAreLazyLeftToRight) {
   // Earlier wildcards take as few tokens as possible: a="", b="sep".
   auto pattern =
       GrokPattern::parse("%{ANYDATA:a} sep %{ANYDATA:b}").value();
-  std::vector<Token> log = {make_token("sep"), make_token("sep")};
+  TokenizedLog log = make_log({"sep", "sep"});
   GrokMatchScratch scratch;
   JsonObject out;
   ASSERT_TRUE(pattern.match_into(log, classifier_, &out, scratch));
@@ -163,9 +163,8 @@ TEST_F(GrokMatcherProperty, SlotReuseOverwritesStaleFields) {
   auto big =
       GrokPattern::parse("%{WORD:a} %{NUMBER:b} %{WORD:c}").value();
   auto small = GrokPattern::parse("%{WORD:only}").value();
-  std::vector<Token> log3 = {make_token("alpha"), make_token("42"),
-                             make_token("beta")};
-  std::vector<Token> log1 = {make_token("hello")};
+  TokenizedLog log3 = make_log({"alpha", "42", "beta"});
+  TokenizedLog log1 = make_log({"hello"});
   GrokMatchScratch scratch;
   JsonObject out;
   ASSERT_TRUE(big.match_into(log3, classifier_, &out, scratch));
@@ -178,7 +177,7 @@ TEST_F(GrokMatcherProperty, SlotReuseOverwritesStaleFields) {
 
 TEST_F(GrokMatcherProperty, FailedMatchLeavesOutputUntouched) {
   auto pattern = GrokPattern::parse("%{NUMBER:n}").value();
-  std::vector<Token> log = {make_token("alpha")};
+  TokenizedLog log = make_log({"alpha"});
   GrokMatchScratch scratch;
   JsonObject out;
   out.emplace_back("keep", Json("me"));
@@ -195,8 +194,8 @@ TEST_F(GrokMatcherProperty, AdversarialWildcardsFinishWithinQuadraticBudget) {
   auto trailing = GrokPattern::parse(
                       "%{ANYDATA:a} alpha %{ANYDATA:b} zzz %{ANYDATA:c}")
                       .value();
-  std::vector<Token> log;
-  for (int i = 0; i < 200; ++i) log.push_back(make_token("alpha"));
+  TokenizedLog log;
+  for (int i = 0; i < 200; ++i) add_token(log, "alpha");
   GrokMatchScratch scratch;
   EXPECT_FALSE(trailing.match_into(log, classifier_, nullptr, scratch));
   EXPECT_LT(scratch.steps, 10'000u);
@@ -209,8 +208,8 @@ TEST_F(GrokMatcherProperty, UnmatchableTailFailsBeforeWildcardWork) {
                      "%{ANYDATA:a} alpha %{ANYDATA:b} alpha %{ANYDATA:c} "
                      "alpha zzz")
                      .value();
-  std::vector<Token> log;
-  for (int i = 0; i < 200; ++i) log.push_back(make_token("alpha"));
+  TokenizedLog log;
+  for (int i = 0; i < 200; ++i) add_token(log, "alpha");
   GrokMatchScratch scratch;
   EXPECT_FALSE(pattern.match_into(log, classifier_, nullptr, scratch));
   EXPECT_LT(scratch.steps, 10u);
@@ -222,12 +221,12 @@ TEST_F(GrokMatcherProperty, DeepPatternsNeedNoRecursionStack) {
   const size_t kDepth = 200'000;
   std::vector<GrokToken> ptoks;
   ptoks.reserve(kDepth);
-  std::vector<Token> log;
-  log.reserve(kDepth);
+  TokenizedLog log;
+  log.tokens.reserve(kDepth);
   for (size_t i = 0; i < kDepth; ++i) {
     ptoks.push_back(GrokToken::make_field(Datatype::kNotSpace,
                                           "f" + std::to_string(i)));
-    log.push_back(make_token("t" + std::to_string(i % 7)));
+    add_token(log, "t" + std::to_string(i % 7));
   }
   GrokPattern pattern(std::move(ptoks));
   GrokMatchScratch scratch;

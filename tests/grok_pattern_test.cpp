@@ -10,14 +10,9 @@ DatatypeClassifier& classifier() {
   return c;
 }
 
-std::vector<Token> tokens_of(std::initializer_list<const char*> texts) {
-  std::vector<Token> out;
-  for (const char* t : texts) {
-    Token tok;
-    tok.text = t;
-    tok.type = classifier().classify(t);
-    out.push_back(std::move(tok));
-  }
+TokenizedLog tokens_of(std::initializer_list<const char*> texts) {
+  TokenizedLog out;
+  for (const char* t : texts) out.push_token(t, classifier().classify(t));
   return out;
 }
 
@@ -88,15 +83,9 @@ TEST(GrokMatch, FieldCoverage) {
 TEST(GrokMatch, DateTimeFieldMatchesOnlyDateTimeTokens) {
   auto p = GrokPattern::parse("%{DATETIME:t} %{WORD:w}");
   ASSERT_TRUE(p.ok());
-  std::vector<Token> toks;
-  Token dt;
-  dt.text = "2016/02/23 09:00:31.000";
-  dt.type = Datatype::kDateTime;
-  toks.push_back(dt);
-  Token w;
-  w.text = "login";
-  w.type = Datatype::kWord;
-  toks.push_back(w);
+  TokenizedLog toks;
+  toks.push_token("2016/02/23 09:00:31.000", Datatype::kDateTime);
+  toks.push_token("login", Datatype::kWord);
   JsonObject fields;
   EXPECT_TRUE(p->match(toks, classifier(), &fields));
   EXPECT_EQ(fields[0].second.as_string(), "2016/02/23 09:00:31.000");

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -16,33 +18,38 @@ namespace {
 const Datatype kTypes[] = {Datatype::kWord, Datatype::kNumber, Datatype::kIp,
                            Datatype::kNotSpace, Datatype::kDateTime};
 
-Token random_token(Rng& rng) {
-  Token t;
-  t.text = "t" + std::to_string(rng.below(4));
-  t.type = kTypes[rng.below(5)];
-  return t;
+using TextAndType = std::pair<std::string, Datatype>;
+
+TextAndType random_token(Rng& rng) {
+  std::string text = "t" + std::to_string(rng.below(4));
+  return {std::move(text), kTypes[rng.below(5)]};
+}
+
+TokenizedLog log_of(const std::vector<TextAndType>& tokens) {
+  TokenizedLog log;
+  for (const auto& [text, type] : tokens) log.push_token(text, type);
+  return log;
 }
 
 // `a` and a copy of it with a random share of its positions redrawn, so the
 // pairs spread over the whole distance range, boundaries included.
-std::pair<std::vector<Token>, std::vector<Token>> random_pair(Rng& rng,
-                                                              size_t n) {
-  std::vector<Token> a(n);
+std::pair<TokenizedLog, TokenizedLog> random_pair(Rng& rng, size_t n) {
+  std::vector<TextAndType> a(n);
   for (auto& t : a) t = random_token(rng);
-  std::vector<Token> b = a;
+  std::vector<TextAndType> b = a;
   const double redraw = rng.uniform();
   for (auto& t : b) {
     if (rng.chance(redraw)) t = random_token(rng);
   }
-  return {std::move(a), std::move(b)};
+  return {log_of(a), log_of(b)};
 }
 
-void expect_exact(const std::vector<Token>& a, const std::vector<Token>& b,
+void expect_exact(const TokenizedLog& a, const TokenizedLog& b,
                   double max_dist) {
-  const size_t min_half = min_half_score(a.size(), max_dist);
+  const size_t min_half = min_half_score(a.tokens.size(), max_dist);
   ASSERT_EQ(within_distance(a, b, min_half),
             token_distance(a, b) <= max_dist)
-      << "n=" << a.size() << " max_dist=" << max_dist
+      << "n=" << a.tokens.size() << " max_dist=" << max_dist
       << " distance=" << token_distance(a, b);
 }
 

@@ -127,8 +127,8 @@ TEST(CompositeModelSerde, TokenizerRoundTrips) {
   // The model parses with it: "123KB" splits, ',' delimits.
   TokenizedLog log = back->make_preprocessor().process("read,123KB");
   ASSERT_EQ(log.tokens.size(), 3u);
-  EXPECT_EQ(log.tokens[1].text, "123");
-  EXPECT_EQ(log.tokens[2].text, "KB");
+  EXPECT_EQ(log.token_text(1), "123");
+  EXPECT_EQ(log.token_text(2), "KB");
 }
 
 // A default tokenizer writes no section, so default-tokenizer models keep

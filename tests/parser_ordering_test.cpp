@@ -67,7 +67,7 @@ TEST_F(OrderingTest, ChosenPatternIsAlwaysMostSpecific) {
       }
       ASSERT_GE(chosen_gen, 0);
       for (const auto& p : model) {
-        if (p.match(log.tokens, pre_.classifier())) {
+        if (p.match(log, pre_.classifier())) {
           EXPECT_LE(chosen_gen, p.generality_score())
               << "input '" << in << "' chose P" << outcome.log->pattern_id
               << " but P" << p.id() << " is more specific";

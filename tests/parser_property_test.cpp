@@ -126,11 +126,11 @@ IdenticalRun expect_byte_identical(const std::vector<GrokPattern>& patterns,
     for (size_t i = 0; i < logs.size(); ++i) {
       auto outcome = indexed.parse(logs[i]);
       EXPECT_EQ(outcome.log.has_value(), expected[i].has_value())
-          << "capacity " << capacity << ": " << logs[i].raw;
+          << "capacity " << capacity << ": " << logs[i].raw();
       if (!outcome.log || !expected[i]) continue;
       EXPECT_EQ(outcome.log->to_json().dump(), *expected[i])
-          << "capacity " << capacity << ": " << logs[i].raw;
-      EXPECT_EQ(outcome.log->raw, logs[i].raw);
+          << "capacity " << capacity << ": " << logs[i].raw();
+      EXPECT_EQ(outcome.log->raw, logs[i].raw());
     }
     EXPECT_EQ(indexed.stats().set_fallbacks, 0u);
     run.attempts_per_log = std::max(

@@ -51,11 +51,11 @@ class ReferenceParser {
     ParsedLog parsed;
     for (uint32_t pi : order_) {
       ++match_attempts_;
-      if (model_[pi].match_into(log.tokens, classifier_, &parsed.fields,
+      if (model_[pi].match_into(log, classifier_, &parsed.fields,
                                 scratch_)) {
         parsed.pattern_id = model_[pi].id();
         parsed.timestamp_ms = log.timestamp_ms;
-        parsed.raw = log.raw;
+        parsed.raw = log.raw();
         return ParseOutcome{std::move(parsed)};
       }
     }

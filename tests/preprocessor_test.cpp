@@ -18,13 +18,13 @@ TEST(Preprocess, PaperLogExample) {
   TokenizedLog log = p.process("2016/02/23 09:00:31.000 127.0.0.1 login user1");
   ASSERT_EQ(log.tokens.size(), 4u);
   EXPECT_EQ(log.tokens[0].type, Datatype::kDateTime);
-  EXPECT_EQ(log.tokens[0].text, "2016/02/23 09:00:31.000");
+  EXPECT_EQ(log.token_text(0), "2016/02/23 09:00:31.000");
   EXPECT_EQ(log.tokens[1].type, Datatype::kIp);
   EXPECT_EQ(log.tokens[2].type, Datatype::kWord);
   EXPECT_EQ(log.tokens[3].type, Datatype::kNotSpace);
   EXPECT_EQ(log.timestamp_ms,
             to_epoch_millis(CivilTime{2016, 2, 23, 9, 0, 31, 0}));
-  EXPECT_EQ(log.raw, "2016/02/23 09:00:31.000 127.0.0.1 login user1");
+  EXPECT_EQ(log.raw(), "2016/02/23 09:00:31.000 127.0.0.1 login user1");
 }
 
 TEST(Preprocess, TimestampUnification) {
@@ -32,9 +32,9 @@ TEST(Preprocess, TimestampUnification) {
   Preprocessor p = make();
   TokenizedLog log = p.process("Feb 23, 2016 09:00:31 server started");
   ASSERT_EQ(log.tokens.size(), 3u);
-  EXPECT_EQ(log.tokens[0].text, "2016/02/23 09:00:31.000");
+  EXPECT_EQ(log.token_text(0), "2016/02/23 09:00:31.000");
   EXPECT_EQ(log.tokens[0].type, Datatype::kDateTime);
-  EXPECT_EQ(log.tokens[1].text, "server");
+  EXPECT_EQ(log.token_text(1), "server");
 }
 
 TEST(Preprocess, FirstTimestampWins) {
@@ -73,8 +73,8 @@ TEST(Preprocess, CustomDelimiters) {
   Preprocessor p = make(std::move(opts));
   TokenizedLog log = p.process("a,b;c d");
   ASSERT_EQ(log.tokens.size(), 4u);
-  EXPECT_EQ(log.tokens[0].text, "a");
-  EXPECT_EQ(log.tokens[2].text, "c");
+  EXPECT_EQ(log.token_text(0), "a");
+  EXPECT_EQ(log.token_text(2), "c");
 }
 
 TEST(Preprocess, SplitRulePaperExample) {
@@ -84,9 +84,9 @@ TEST(Preprocess, SplitRulePaperExample) {
   Preprocessor p = make(std::move(opts));
   TokenizedLog log = p.process("read 123KB done");
   ASSERT_EQ(log.tokens.size(), 4u);
-  EXPECT_EQ(log.tokens[1].text, "123");
+  EXPECT_EQ(log.token_text(1), "123");
   EXPECT_EQ(log.tokens[1].type, Datatype::kNumber);
-  EXPECT_EQ(log.tokens[2].text, "KB");
+  EXPECT_EQ(log.token_text(2), "KB");
   EXPECT_EQ(log.tokens[2].type, Datatype::kWord);
 }
 
@@ -97,7 +97,7 @@ TEST(Preprocess, SplitRuleOnlyAppliesOnFullTokenMatch) {
   // "x123KB" does not full-match the rule, so it stays one token.
   TokenizedLog log = p.process("x123KB");
   ASSERT_EQ(log.tokens.size(), 1u);
-  EXPECT_EQ(log.tokens[0].text, "x123KB");
+  EXPECT_EQ(log.token_text(0), "x123KB");
 }
 
 TEST(Preprocess, BadSplitRuleReported) {
@@ -129,7 +129,36 @@ TEST(Preprocess, IsoTimestampSingleToken) {
   TokenizedLog log = p.process("2016-02-23T09:00:31.500 nova boot");
   ASSERT_EQ(log.tokens.size(), 3u);
   EXPECT_EQ(log.tokens[0].type, Datatype::kDateTime);
-  EXPECT_EQ(log.tokens[0].text, "2016/02/23 09:00:31.500");
+  EXPECT_EQ(log.token_text(0), "2016/02/23 09:00:31.500");
+}
+
+TEST(Preprocess, TokensAreSpansOfOneBuffer) {
+  // The line comes first in the buffer; a plain token spans its bytes of
+  // it, and the texts tokenization makes (split-rule pieces, canonical
+  // DATETIMEs) follow the line.
+  PreprocessorOptions opts;
+  opts.split_rules = {{"([0-9]+)(KB)", "$1 $2"}};
+  Preprocessor p = make(opts);
+  const std::string line = "Feb 23, 2016 09:00:31 read 123KB done";
+  TokenizedLog log = p.process(line);
+  EXPECT_EQ(log.raw(), line);
+  EXPECT_EQ(log.raw_size, line.size());
+  ASSERT_EQ(log.tokens.size(), 5u);
+  EXPECT_EQ(log.token_text(0), "2016/02/23 09:00:31.000");
+  EXPECT_EQ(log.token_text(1), "read");
+  EXPECT_EQ(log.token_text(2), "123");
+  EXPECT_EQ(log.token_text(3), "KB");
+  EXPECT_EQ(log.token_text(4), "done");
+  EXPECT_EQ(log.tokens[1].begin, line.find("read"));
+  EXPECT_EQ(log.tokens[4].begin, line.find("done"));
+  for (size_t i : {0, 2, 3}) EXPECT_GE(log.tokens[i].begin, line.size());
+  EXPECT_EQ(log.text.size(), line.size() + 3 + 2 + 23);
+
+  // A refill drops everything the last line left behind.
+  p.process_into("plain", log);
+  EXPECT_EQ(log.text, "plain");
+  ASSERT_EQ(log.tokens.size(), 1u);
+  EXPECT_EQ(log.timestamp_ms, -1);
 }
 
 }  // namespace

@@ -18,9 +18,9 @@ TEST(SignatureKey, JoinsNames) {
 
 TEST(LogSignature, FromTokenizedLog) {
   TokenizedLog log;
-  log.tokens = {{"2016/02/23 09:00:31.000", DT::kDateTime},
-                {"127.0.0.1", DT::kIp},
-                {"login", DT::kWord}};
+  log.push_token("2016/02/23 09:00:31.000", DT::kDateTime);
+  log.push_token("127.0.0.1", DT::kIp);
+  log.push_token("login", DT::kWord);
   EXPECT_EQ(log_signature(log), sig({DT::kDateTime, DT::kIp, DT::kWord}));
 }
 

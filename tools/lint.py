@@ -55,6 +55,12 @@ Checks (see docs/STATIC_ANALYSIS.md):
      files (tools/loglens_cli.cpp) — and KeywordDetector::from_json only in
      service/model.cpp (and its own definition). Everything else shares the
      deployed CompositeModel instead of parsing it again.
+ 11. Tokens are spans: a Token is a (begin, size) span of its own log's
+     text buffer, so under src/ only the tokenizer (src/tokenize/) and the
+     type's own header (grok/token.h, whose TokenizedLog::push_token copies
+     the text it spans) may construct one (Token{...}, Token(...), or a
+     brace-initialized Token variable). Everything else reads token text
+     through TokenizedLog::text_of / token_text. Tests may build tokens.
 
 Usage:
   tools/lint.py              lint the repo (exit 1 on any violation)
@@ -160,6 +166,11 @@ MODEL_LOADERS = {
         "src/detectors/keyword.cpp",
     ),
 }
+
+# Rule 11: a Token's position only means something in the log that holds
+# it, so only the tokenizer places one.
+TOKEN_OWNERS = ("src/grok/token.h",)
+TOKEN_CONSTRUCT = re.compile(r"\bToken\s*[{(]|\bToken\s+\w+\s*\{")
 
 LINE_COMMENT = re.compile(r"//.*$")
 
@@ -303,6 +314,21 @@ def lint_text(text, rel):
                         "(ModelStore, ModelBroadcast, ModelManager::get) "
                         "instead of parsing it again"
                     )
+
+    if (
+        rel.startswith("src/")
+        and not rel.startswith("src/tokenize/")
+        and rel not in TOKEN_OWNERS
+    ):
+        for lineno, code in lines:
+            if TOKEN_CONSTRUCT.search(code):
+                problems.append(
+                    f"{rel}:{lineno}: Token constructed outside the "
+                    "tokenizer; a token is a span of its own log's buffer, "
+                    "so build logs with Preprocessor::process_into or "
+                    "TokenizedLog::push_token and read texts through "
+                    "TokenizedLog::text_of"
+                )
 
     if ANNOTATION.search(text) and rel != "src/common/thread_annotations.h":
         if '#include "common/thread_annotations.h"' not in text:
@@ -646,6 +672,49 @@ SELF_TEST_CASES = [
     (
         "examples/fixture_restore.cpp",
         "auto restored = CompositeModel::from_json(blob);\n",
+        None,
+    ),
+    # A token placed outside the tokenizer: a temporary...
+    (
+        "src/parser/fixture_token.cpp",
+        "log.tokens.push_back(Token{0, 3, Datatype::kWord});\n",
+        "Token constructed outside the tokenizer",
+    ),
+    # ...a functional cast, or a brace-initialized variable, is flagged...
+    (
+        "src/logmine/fixture_token_cast.cpp",
+        "auto t = Token(begin, size);\n",
+        "Token constructed outside the tokenizer",
+    ),
+    (
+        "src/service/fixture_token_var.cpp",
+        "Token t{begin, 4, Datatype::kNumber};\n",
+        "Token constructed outside the tokenizer",
+    ),
+    # ...but the tokenizer, the type's own header, tests, prose, and code
+    # that only names the type (or GrokToken) are fine.
+    (
+        "src/tokenize/preprocessor.cpp",
+        "out.tokens.push_back(Token{static_cast<uint32_t>(begin), n});\n",
+        None,
+    ),
+    (
+        "src/grok/token.h",
+        "#pragma once\n"
+        "void push_token() { tokens.push_back(Token{b, n, type}); }\n",
+        None,
+    ),
+    (
+        "tests/fixture_token.cpp",
+        "std::vector<Token> v = {Token{0, 1, Datatype::kWord}};\n",
+        None,
+    ),
+    (
+        "src/parser/fixture_token_ok.cpp",
+        "// never write Token{0, 3} here\n"
+        "for (const Token& t : log.tokens) n += sizeof(Token);\n"
+        "auto g = GrokToken::make_literal(std::string(log.text_of(t)));\n"
+        "std::vector<Token> spans;\n",
         None,
     ),
     # Negative control: idiomatic code must pass clean.
